@@ -1,0 +1,74 @@
+"""Behaviour lock: every subcommand's CSVs compared with committed outputs.
+
+Each subcommand runs with ``--tiny --seed 0`` on ``data/lock/lock.ini`` and
+its CSVs are compared with the expected copies in ``data/lock/<command>/``.
+Headers, row counts, strings and integer fields must match exactly; float
+fields must agree within RTOL/ATOL, which leaves room for a refactor that
+reorders floating-point sums but not for one that changes a result.
+
+To refresh the expected files after a deliberate change of results, run from
+the repository root, for each command:
+
+    PYTHONPATH=src python -m csbsim.cli <command> --tiny --seed 0 \\
+        --config tests/data/lock/lock.ini --out tests/data/lock/<command>
+"""
+
+import math
+import os
+
+import pytest
+
+from csbsim.cli import main
+
+LOCK_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "lock")
+COMMANDS = ("beam-pattern", "smi-sweep", "attack", "ser", "apn-dist")
+RTOL = 1e-9
+ATOL = 1e-12
+# Columns written as integers; every other non-string column is a float.
+INT_COLUMNS = {
+    "apn_dist.csv": {"g"},
+    "smi_theory.csv": {"eve_grid_i", "g"},
+    "ser_sweep.csv": {"trials"},
+    "eve_constellation.csv": {"true_symbol_index"},
+}
+
+
+def _read(path):
+    with open(path, newline="") as fh:
+        lines = fh.read().split("\n")
+    assert lines[-1] == "", f"{path} does not end in a newline"
+    return lines[0], [line.split(",") for line in lines[1:-1]]
+
+
+def _field_matches(value, expected, is_int):
+    if value == expected:
+        return True
+    if is_int:
+        return False
+    try:
+        a, b = float(value), float(expected)
+    except ValueError:  # strings and empty fields match only exactly
+        return False
+    return math.isfinite(a) and abs(a - b) <= ATOL + RTOL * abs(b)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_outputs_match_locked_copies(command, tmp_path, capsys):
+    expected_dir = os.path.join(LOCK_DIR, command)
+    argv = [command, "--tiny", "--seed", "0", "--config", os.path.join(LOCK_DIR, "lock.ini")]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert sorted(os.listdir(tmp_path)) == sorted(os.listdir(expected_dir))
+    for name in sorted(os.listdir(expected_dir)):
+        header, rows = _read(os.path.join(tmp_path, name))
+        exp_header, exp_rows = _read(os.path.join(expected_dir, name))
+        assert header == exp_header, name
+        assert len(rows) == len(exp_rows), name
+        int_cols = INT_COLUMNS.get(name, set())
+        columns = exp_header.split(",")
+        for r, (row, exp_row) in enumerate(zip(rows, exp_rows)):
+            assert len(row) == len(exp_row), f"{name} row {r + 1}"
+            for col, value, expected in zip(columns, row, exp_row):
+                assert _field_matches(value, expected, col in int_cols), (
+                    f"{name} row {r + 1} column {col}: {value!r} != {expected!r}"
+                )
