@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .array import ArrayConfig, GridIndex, dft_codeword, nearest_grid_index
+from .array import ArrayConfig, GridIndex, dft_codeword, gains, nearest_grid_index
 from .channel_sim import path_power
 from .geometry import RectPoint, UavPlaneSpec, UavPlaneCoord, rect_to_msph
 
@@ -97,13 +97,6 @@ class Trajectory:
     total_reward: float
 
 
-@dataclass(frozen=True)
-class ValueTable:
-    """Backward-induction values, indexed (grid u, grid v, time step)."""
-
-    h_values: np.ndarray
-
-
 def rx_state_at(scenario: Scenario, t: int):
     """Receiver beam grid index, true angles, and range at step t.
 
@@ -122,15 +115,10 @@ def rx_state_at(scenario: Scenario, t: int):
 
 def secrecy_rate(f, rx_angles, rx_range, eve_angles, eve_range, scenario: Scenario) -> float:
     """Unclamped log2(1 + snr_rx*|g_rx|^2) - log2(1 + snr_eve*|g_eve|^2)."""
-    from .array import array_response, beam_gain
-
-    rows, cols = f.shape
-    terms = []
-    for (theta, phi), rng in ((rx_angles, rx_range), (eve_angles, eve_range)):
-        snr = path_power(rng, scenario.p0, scenario.r0) / scenario.sigma2
-        g = abs(beam_gain(array_response(theta, phi, cols, rows), f))
-        terms.append(math.log2(1 + snr * g * g))
-    return terms[0] - terms[1]
+    g_rx, g_eve = np.abs(gains(f, (rx_angles[0], eve_angles[0]), (rx_angles[1], eve_angles[1])))
+    snr_rx = path_power(rx_range, scenario.p0, scenario.r0) / scenario.sigma2
+    snr_eve = path_power(eve_range, scenario.p0, scenario.r0) / scenario.sigma2
+    return math.log2(1 + snr_rx * g_rx * g_rx) - math.log2(1 + snr_eve * g_eve * g_eve)
 
 
 class _Tables:
@@ -167,7 +155,6 @@ class _Tables:
         self.phi = np.where(self.valid, phi, 0.0)
 
         cfg = scenario.array_cfg
-        rows, cols = cfg.shape
         n = scenario.num_steps
         self.rx_grids = []
         self.rx_angles = []
@@ -179,8 +166,6 @@ class _Tables:
             self.rx_ranges.append(rng)
 
         # per-step |gain|^2 of each valid cell under that step's beam
-        a_el = np.exp(-1j * np.pi * np.sin(self.phi[self.valid, None]) * np.arange(rows))
-        a_az = np.exp(-1j * np.pi * np.sin(self.theta[self.valid, None]) * np.arange(cols))
         gain_cache: dict[GridIndex, np.ndarray] = {}
         snr = path_power(self.r[self.valid], scenario.p0, scenario.r0) / scenario.sigma2
         self.reward = np.full((g, g, n), NEG_INF)
@@ -189,7 +174,7 @@ class _Tables:
             beam_grid = self.rx_grids[t]
             if beam_grid not in gain_cache:
                 f = dft_codeword(beam_grid, cfg)
-                amp = np.abs(np.einsum("ck,kl,cl->c", a_el, f.conj(), a_az))
+                amp = np.abs(gains(f, self.theta[self.valid], self.phi[self.valid]))
                 gain_cache[beam_grid] = amp * amp
             gain2 = gain_cache[beam_grid]
             self.gain2[:, :, t][self.valid] = gain2
@@ -276,10 +261,11 @@ def valid_actions(s, constraints: AttackConstraints, scenario: Scenario) -> set[
     return out
 
 
-def value_iteration(scenario: Scenario, constraints: AttackConstraints) -> ValueTable:
+def value_iteration(scenario: Scenario, constraints: AttackConstraints) -> np.ndarray:
     """Finite-horizon backward induction over (cell, step).
 
-    Terminal-layer values are 0; earlier layers satisfy
+    Returns the values H indexed (grid u, grid v, time step). Terminal-layer
+    values are 0; earlier layers satisfy
     H(s, t) = max over permissible successors s' of R(s', t+1) + H(s', t+1),
     with -inf where no successor is permissible.
     """
@@ -297,10 +283,10 @@ def value_iteration(scenario: Scenario, constraints: AttackConstraints) -> Value
             dst_b = slice(max(0, dj), g + min(0, dj))
             np.maximum(best[src_a, src_b], cand[dst_a, dst_b], out=best[src_a, src_b])
         h[:, :, t] = best
-    return ValueTable(h)
+    return h
 
 
-def extract_trajectory(h: ValueTable, scenario: Scenario, constraints: AttackConstraints) -> Trajectory:
+def extract_trajectory(h: np.ndarray, scenario: Scenario, constraints: AttackConstraints) -> Trajectory:
     """Greedy forward walk through the value table.
 
     The start is the feasible step-0 cell with maximal finite value; each
@@ -314,8 +300,7 @@ def extract_trajectory(h: ValueTable, scenario: Scenario, constraints: AttackCon
     """
     tab = _tables(scenario, constraints)
     g, n = tab.g, scenario.num_steps
-    values = h.h_values
-    start_vals = np.where(tab.feasible[:, :, 0], values[:, :, 0], NEG_INF)
+    start_vals = np.where(tab.feasible[:, :, 0], h[:, :, 0], NEG_INF)
     if not np.isfinite(start_vals).any():
         raise InfeasibleError("no feasible start state on the plane grid")
     flat = int(np.argmax(start_vals))  # first maximum in C order = lexicographic
@@ -331,7 +316,7 @@ def extract_trajectory(h: ValueTable, scenario: Scenario, constraints: AttackCon
         best_val = NEG_INF
         best_cell = None
         for aa, bb in candidates:
-            val = tab.reward[aa, bb, t + 1] + values[aa, bb, t + 1]
+            val = tab.reward[aa, bb, t + 1] + h[aa, bb, t + 1]
             if val > best_val:
                 best_val = val
                 best_cell = (aa, bb)

@@ -188,6 +188,15 @@ def beam_gain(v: np.ndarray, f: np.ndarray) -> complex:
     return complex(np.vdot(f, v))
 
 
+def gains(f: np.ndarray, thetas, phis) -> np.ndarray:
+    """Gains <V(theta, phi), F> of a (rows, cols) beamformer, one per direction
+    pair (thetas[d], phis[d]) in radians, as a 1D complex array."""
+    rows, cols = f.shape
+    a_el = np.exp(-1j * np.pi * np.sin(np.asarray(phis, dtype=float))[:, None] * np.arange(rows))
+    a_az = np.exp(-1j * np.pi * np.sin(np.asarray(thetas, dtype=float))[:, None] * np.arange(cols))
+    return np.sum((a_el @ np.conj(f)) * a_az, axis=1)
+
+
 def beam_pattern(f: np.ndarray, directions) -> np.ndarray:
     """Normalized gain magnitude of a beamformer over a list of directions.
 
@@ -204,10 +213,5 @@ def beam_pattern(f: np.ndarray, directions) -> np.ndarray:
     dirs = np.atleast_2d(np.asarray(directions, dtype=float))
     if dirs.size == 0:
         raise ValueError("direction list is empty")
-    rows, cols = f.shape
-    sin_th = np.sin(dirs[:, 0])[:, None]
-    sin_ph = np.sin(dirs[:, 1])[:, None]
-    a_el = np.exp(-1j * np.pi * sin_ph * np.arange(rows)[None, :])   # (D, rows)
-    a_az = np.exp(-1j * np.pi * sin_th * np.arange(cols)[None, :])   # (D, cols)
-    amp = np.abs(np.einsum("dk,kl,dl->d", a_el, np.conj(f), a_az))
+    amp = np.abs(gains(f, dirs[:, 0], dirs[:, 1]))
     return amp / amp.max()

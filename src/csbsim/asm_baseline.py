@@ -55,9 +55,8 @@ def asm_transmit(f, x, rx_direction, cfg: AsmConfig, rng: np.random.Generator):
     rows, cols = f.shape
     if cfg.size != f.size:
         raise ValueError(f"config is for {cfg.size} elements, beamformer has {f.size}")
-    keep = rng.choice(f.size, size=cfg.active_count, replace=False)
-    f_asm = np.zeros_like(f)
-    f_asm.flat[keep] = f.flat[keep]
+    keep = random_subset_masks(f.size, cfg.active_count, 1, rng).reshape(f.shape)
+    f_asm = np.where(keep, f, 0)
     theta, phi = rx_direction
     gain = beam_gain(array_response(theta, phi, cols, rows), f_asm)
     return f_asm, x * np.exp(-1j * np.angle(gain))

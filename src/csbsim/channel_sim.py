@@ -19,7 +19,7 @@ import numpy as np
 
 from .array import ArrayConfig, array_response, beam_gain, dft_codeword, nearest_grid_index
 from .asm_baseline import AsmConfig, random_subset_masks
-from .csb_defense import ShiftPair, circulant_shift, shift_phase_factor
+from .csb_defense import shift_gains
 
 DEFENSES = ("none", "csb", "asm")
 
@@ -166,21 +166,10 @@ def simulate_symbols(
         g_eve = np.full(num_symbols, g_eve0)
         sent = x
     elif defense == "csb":
-        num_shifts = rows * cols
-        g_rx_s = np.empty(num_shifts, dtype=complex)
-        g_eve_s = np.empty(num_shifts, dtype=complex)
-        comp_s = np.empty(num_shifts, dtype=complex)
-        for m in range(rows):
-            for n in range(cols):
-                shifted = circulant_shift(f, ShiftPair(m, n))
-                k = m * cols + n
-                g_rx_s[k] = beam_gain(v_rx, shifted)
-                g_eve_s[k] = beam_gain(v_eve, shifted)
-                comp_s[k] = shift_phase_factor(ShiftPair(m, n), rx_grid, cols, rows).conjugate()
-        s_idx = rng.integers(num_shifts, size=num_symbols)
-        g_rx = g_rx_s[s_idx]
-        g_eve = g_eve_s[s_idx]
-        sent = x * comp_s[s_idx]
+        s_idx = rng.integers(rows * cols, size=num_symbols)
+        g_rx = shift_gains(v_rx, f, rx_grid)[s_idx]
+        g_eve = shift_gains(v_eve, f, rx_grid)[s_idx]
+        sent = x
     else:
         if asm_c is None:
             raise ValueError("defense 'asm' requires asm_c")

@@ -32,7 +32,7 @@ from .airspy import (
 from .array import ArrayConfig, array_response, beam_gain, beam_pattern, dft_codeword, grid_angle, nearest_grid_index
 from .asm_baseline import AsmConfig, asm_relative_atoms, random_subset_masks
 from .channel_sim import LinkState, path_power, run_ser_experiment, sigma2_for_snr
-from .csb_defense import apn_law, csb_shift_atoms, mixture_mi, partition_report
+from .csb_defense import apn_law, csb_shift_atoms, mixture_mi, partition_report, psk_mutual_information, shift_gains
 from .geometry import UavPlaneSpec, uav_plane_to_rect, msph_angles_of_plane_coord
 
 
@@ -308,8 +308,6 @@ def cmd_smi_sweep(cfg: ExperimentConfig) -> list[str]:
     sweep_path = _write_csv(os.path.join(cfg.out_dir, "smi_sweep.csv"), header, rows)
 
     # exact partition-law markers at the on-grid directions
-    from .csb_defense import psk_mutual_information
-
     rho_rx = 10 ** (cfg.rx_snr_db / 10)
     i_rx = psk_mutual_information(rho_rx, cfg.m_order)
     theory_rows = []
@@ -433,10 +431,7 @@ def cmd_ser(cfg: ExperimentConfig) -> list[str]:
     v_rx = array_response(*rx_dir, cols, rows)
     w_rx = (v_rx * f.conj()).ravel()
     snr_rows = []
-    from .csb_defense import ShiftPair, circulant_shift
-
-    g2 = [abs(beam_gain(v_rx, circulant_shift(f, ShiftPair(m, n)))) ** 2
-          for m in range(rows) for n in range(cols)]
+    g2 = np.abs(shift_gains(v_rx, f, rx_grid)) ** 2
     snr_rows.append(("csb", 10 * math.log10(float(np.mean(g2)) / g_rx0**2)))
     for ci, c in enumerate(cfg.asm_c):
         asm_cfg = AsmConfig(c, acfg.n_t, acfg.n_rows)

@@ -60,6 +60,23 @@ def shift_phase_factor(s, g, n_t: int, n_rows: int | None = None) -> complex:
     return cmath.exp(-2j * math.pi * float(frac))
 
 
+def shift_gains(v: np.ndarray, f: np.ndarray, rx_grid) -> np.ndarray:
+    """Compensated gain of every circulant shift s = (m, n), flat at k = m * cols + n.
+
+    Entry k is <V, circulant_shift(F, s)> * conj(shift_phase_factor(s, rx_grid)).
+    The gains over all shifts are one circular cross-correlation,
+    ifft2(fft2(V) * conj(fft2(F))); the compensation phase uses the exact
+    integer numerators of shift_phase_fraction.
+    """
+    rows, cols = f.shape
+    i, j = rx_grid
+    m = np.arange(rows)[:, None]
+    n = np.arange(cols)[None, :]
+    num = ((m * j) % rows * cols + (n * i) % cols * rows) % (rows * cols)
+    comp = np.exp(2j * np.pi * (num / (rows * cols)))
+    return (np.fft.ifft2(np.fft.fft2(v) * np.conj(np.fft.fft2(f))) * comp).ravel()
+
+
 def compensated_symbol(x: complex, s, rx_grid, n_t: int, n_rows: int | None = None) -> complex:
     """Pre-rotate a transmit symbol so the intended grid direction sees no
     phase change from the shift: x' = x * conj(shift_phase_factor)."""
@@ -256,16 +273,7 @@ def csb_shift_atoms(f: np.ndarray, theta: float, phi: float, rx_grid) -> np.ndar
     base = beam_gain(v, f)
     if abs(base) < 1e-12 * math.sqrt(f.size):
         raise ValueError("probe direction has no trained channel (zero gain)")
-    atoms = np.empty(rows * cols, dtype=complex)
-    idx = 0
-    for m in range(rows):
-        for n in range(cols):
-            s = ShiftPair(m, n)
-            gain = beam_gain(v, circulant_shift(f, s))
-            comp = shift_phase_factor(s, rx_grid, cols, rows).conjugate()
-            atoms[idx] = gain * comp / base
-            idx += 1
-    return atoms
+    return shift_gains(v, f, rx_grid) / base
 
 
 def mixture_mi(

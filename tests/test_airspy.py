@@ -226,8 +226,7 @@ class TestSecrecyRate:
 class TestPlanner:
     def test_bellman_consistency_sweep(self):
         sc, cons = lane_scenario(), lane_constraints()
-        tab = value_iteration(sc, cons)
-        h = tab.h_values
+        h = value_iteration(sc, cons)
         rng = np.random.default_rng(11)
         feas_cache = {t: feasible_cells(t, sc, cons) for t in range(sc.num_steps)}
         checked = 0
@@ -246,7 +245,7 @@ class TestPlanner:
     def test_terminal_layer_is_zero(self):
         sc, cons = lane_scenario(), lane_constraints()
         tab = value_iteration(sc, cons)
-        assert not tab.h_values[:, :, sc.num_steps - 1].any()
+        assert not tab[:, :, sc.num_steps - 1].any()
 
     def test_matches_exhaustive_oracle_on_tiny_instances(self):
         feasible_seen = 0
@@ -276,8 +275,8 @@ class TestPlanner:
         sc = lane_scenario(y_range=(0.0, 0.01))
         cons = lane_constraints()
         tab = value_iteration(sc, cons)
-        assert tab.h_values.shape == (64, 64, 1)
-        assert not tab.h_values.any()
+        assert tab.shape == (64, 64, 1)
+        assert not tab.any()
         traj = extract_trajectory(tab, sc, cons)
         first = tuple(int(x) for x in np.argwhere(feasible_cells(0, sc, cons))[0])
         assert traj.cells == (first,)
@@ -300,7 +299,7 @@ class TestPlanner:
             fold = reward((traj.cells[t][0], traj.cells[t][1], t), sc, cons) + fold
         assert fold == traj.total_reward
 
-        start_vals = tab.h_values[:, :, 0].copy()
+        start_vals = tab[:, :, 0].copy()
         start_vals[~feasible_cells(0, sc, cons)] = -np.inf
         assert float(np.max(start_vals)) == traj.total_reward
 

@@ -15,6 +15,7 @@ from csbsim.array import (
     beam_gain,
     beam_pattern,
     dft_codeword,
+    gains,
     grid_angle,
     grid_angles,
     nearest_grid_index,
@@ -270,6 +271,17 @@ def test_mirror_gain_example_at_off_grid_target():
     mir = abs(beam_gain(array_response(-tgt[0], -tgt[1], 16), f))
     assert fwd > 0
     assert fwd == pytest.approx(mir, abs=1e-12)
+
+
+@pytest.mark.parametrize("rows,cols", [(8, 8), (4, 8), (1, 16)])
+def test_gains_match_pointwise_beam_gain(rows, cols):
+    rng = np.random.default_rng(rows + cols)
+    f = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+    on_grid = [grid_angles(GridIndex(i, j), cols, rows) for i in range(cols) for j in range(rows)]
+    off_grid = rng.uniform(-math.pi / 2, math.pi / 2, size=(20, 2))
+    thetas, phis = np.array(on_grid + [tuple(d) for d in off_grid]).T
+    expected = [beam_gain(array_response(t, p, cols, rows), f) for t, p in zip(thetas, phis)]
+    assert_allclose(gains(f, thetas, phis), expected, rtol=0, atol=1e-12)
 
 
 def test_beam_pattern_rejects_empty():

@@ -33,6 +33,7 @@ from csbsim.csb_defense import (
     mixture_mi,
     partition_report,
     psk_mutual_information,
+    shift_gains,
     shift_phase_factor,
     shift_phase_fraction,
     smi,
@@ -87,6 +88,27 @@ def test_gain_rotation_identity_any_beamformer():
             lhs = beam_gain(v, circulant_shift(f, s))
             rhs = beam_gain(v, f) * shift_phase_factor(s, g, cols, rows)
             assert lhs == pytest.approx(rhs, abs=1e-10)
+
+
+@pytest.mark.parametrize("rows,cols", [(8, 8), (4, 8), (1, 16)])
+@pytest.mark.parametrize("on_grid", [True, False])
+def test_shift_gains_match_per_shift_oracle(rows, cols, on_grid):
+    rng = np.random.default_rng(rows * cols)
+    f = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+    for _ in range(4):
+        rx = GridIndex(int(rng.integers(cols)), int(rng.integers(rows)))
+        if on_grid:
+            probe = grid_angles(GridIndex(int(rng.integers(cols)), int(rng.integers(rows))), cols, rows)
+        else:
+            probe = tuple(rng.uniform(-1.5, 1.5, size=2))
+        v = array_response(*probe, cols, rows)
+        oracle = [
+            beam_gain(v, circulant_shift(f, ShiftPair(m, n)))
+            * shift_phase_factor(ShiftPair(m, n), rx, cols, rows).conjugate()
+            for m in range(rows)
+            for n in range(cols)
+        ]
+        assert_allclose(shift_gains(v, f, rx), oracle, rtol=0, atol=1e-12)
 
 
 def test_compensation_round_trip_on_grid():
