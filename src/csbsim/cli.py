@@ -30,9 +30,9 @@ from .airspy import (
     value_iteration,
 )
 from .array import ArrayConfig, array_response, beam_gain, beam_pattern, dft_codeword, grid_angle, nearest_grid_index
-from .asm_baseline import AsmConfig, asm_relative_atoms, random_subset_masks
-from .channel_sim import LinkState, path_power, run_ser_experiment, sigma2_for_snr
-from .csb_defense import apn_law, csb_shift_atoms, mixture_mi, partition_report, psk_mutual_information, shift_gains
+from .asm_baseline import AsmConfig
+from .channel_sim import LinkState, path_power, run_ser_experiment, rx_power_penalty_db, sigma2_for_snr, smi_sweep
+from .csb_defense import apn_law, partition_report, psk_mutual_information
 from .geometry import UavPlaneSpec, uav_plane_to_rect, msph_angles_of_plane_coord
 
 
@@ -81,6 +81,11 @@ class ExperimentConfig:
     tiny: bool = False
 
     def __post_init__(self):
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            entries = value if field.name == "asm_c" else (value,)
+            if any(isinstance(x, float) and not math.isfinite(x) for x in entries):
+                raise ConfigError(f"{field.name} must be finite, got {value}")
         for name in ("h", "lane_x", "rx_speed", "t_s", "sigma2", "p0", "r0", "d", "v_max", "epsilon_deg"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
@@ -99,13 +104,24 @@ class ExperimentConfig:
         for c in self.asm_c:
             if not 0 < c <= 1:
                 raise ConfigError(f"asm_c entries must be in (0, 1], got {c}")
+        # the objects the commands build, for the planar (n_rows x n_t) and
+        # the linear (1 x n_t) array, so their own checks fail here
+        try:
+            for rows in (self.n_rows, 1):
+                ArrayConfig(self.n_t, self.q, rows)
+                for c in self.asm_c:
+                    AsmConfig(c, self.n_t, rows)
+            self.scenario()
+            self.constraints()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
-    def array_config(self, q="unset") -> ArrayConfig:
-        return ArrayConfig(self.n_t, self.q if q == "unset" else q, self.n_rows)
+    def array_config(self) -> ArrayConfig:
+        return ArrayConfig(self.n_t, self.q, self.n_rows)
 
-    def scenario(self, q="unset") -> Scenario:
+    def scenario(self) -> Scenario:
         return Scenario(
-            array_cfg=self.array_config(q),
+            array_cfg=self.array_config(),
             theta_tilt=math.radians(self.theta_tilt_deg),
             h=self.h,
             lane_x=self.lane_x,
@@ -225,11 +241,6 @@ def _fmt(v) -> str:
     return "%.12g" % float(v)
 
 
-def _mi_rng(cfg: ExperimentConfig):
-    # one fixed stream for every MI estimate: equal inputs give equal outputs
-    return np.random.default_rng([cfg.seed, 101])
-
-
 def cmd_beam_pattern(cfg: ExperimentConfig) -> list[str]:
     """Normalized amplitude maps for the unquantized, 1-bit, and 2-bit beams."""
     step = 5 if cfg.tiny else 1
@@ -239,7 +250,7 @@ def cmd_beam_pattern(cfg: ExperimentConfig) -> list[str]:
     target = (math.radians(cfg.target_theta_deg), math.radians(cfg.target_phi_deg))
     paths = []
     for label, q in (("inf", None), ("1", 1), ("2", 2)):
-        acfg = cfg.array_config(q)
+        acfg = dataclasses.replace(cfg, q=q).array_config()
         grid = nearest_grid_index(*target, cfg.n_t, cfg.n_rows)
         amp = beam_pattern(dft_codeword(grid, acfg), dirs)
         rows = (
@@ -256,54 +267,22 @@ def cmd_beam_pattern(cfg: ExperimentConfig) -> list[str]:
     return paths
 
 
-def _smi_point(cfg, f, rx_dir, eve_dir, rx_grid, g_rx0, defense, asm_cfg=None, asm_seed=0):
-    """SMI of one defense at one eavesdropper direction (shared estimator)."""
-    rho_rx = 10 ** (cfg.rx_snr_db / 10)
-    v_eve = array_response(*eve_dir, cfg.n_t, 1)
-    g_eve0 = beam_gain(v_eve, f)
-    if abs(g_eve0) < 1e-9:
-        # eavesdropper cannot train a channel here; she learns nothing
-        return None
-    rho_eve = rho_rx * (abs(g_eve0) / g_rx0) ** 2
-    if defense == "csb":
-        atoms_rx = csb_shift_atoms(f, *rx_dir, rx_grid)
-        atoms_eve = csb_shift_atoms(f, *eve_dir, rx_grid)
-    else:
-        # identical rng seeds give identical subset draws for both directions
-        atoms_rx = asm_relative_atoms(
-            f, rx_dir, rx_dir, asm_cfg, np.random.default_rng([cfg.seed, 7, asm_seed]), 256
-        )
-        atoms_eve = asm_relative_atoms(
-            f, rx_dir, eve_dir, asm_cfg, np.random.default_rng([cfg.seed, 7, asm_seed]), 256
-        )
-    i_rx = mixture_mi(atoms_rx, rho_rx, cfg.m_order, _mi_rng(cfg), cfg.mi_samples)
-    i_eve = mixture_mi(atoms_eve, rho_eve, cfg.m_order, _mi_rng(cfg), cfg.mi_samples)
-    return max(i_rx - i_eve, 0.0)
-
-
 def cmd_smi_sweep(cfg: ExperimentConfig) -> list[str]:
     """Secrecy MI vs. eavesdropper angle on a linear array, CSB vs. ASM-c."""
-    acfg = ArrayConfig(cfg.n_t, cfg.q, n_rows=1)
     rx_dir = (math.radians(cfg.rx_theta_deg), 0.0)
     rx_grid = nearest_grid_index(*rx_dir, cfg.n_t, 1)
-    f = dft_codeword(rx_grid, acfg)
-    g_rx0 = abs(beam_gain(array_response(*rx_dir, cfg.n_t, 1), f))
-    asm_cfgs = [AsmConfig(c, cfg.n_t, 1) for c in cfg.asm_c]
-
+    f = dft_codeword(rx_grid, ArrayConfig(cfg.n_t, cfg.q, n_rows=1))
     if cfg.tiny:
         angles = [math.degrees(grid_angle(i, cfg.n_t)) for i in range(cfg.n_t)]
     else:
         angles = [float(a) for a in np.arange(-90, 91)]
-    rows = []
-    for a_deg in sorted(angles):
-        eve_dir = (math.radians(a_deg), 0.0)
-        row = [a_deg]
-        val = _smi_point(cfg, f, rx_dir, eve_dir, rx_grid, g_rx0, "csb")
-        row.append("" if val is None else val)
-        for ci, asm_cfg in enumerate(asm_cfgs):
-            val = _smi_point(cfg, f, rx_dir, eve_dir, rx_grid, g_rx0, "asm", asm_cfg, ci)
-            row.append("" if val is None else val)
-        rows.append(row)
+    angles.sort()
+    smi = smi_sweep(
+        f, rx_dir, [(math.radians(a), 0.0) for a in angles],
+        cfg.rx_snr_db, cfg.m_order, cfg.asm_c, cfg.mi_samples, cfg.seed,
+    )
+    # an empty field: no trained channel in that direction
+    rows = ([a, *("" if math.isnan(v) else v for v in row)] for a, row in zip(angles, smi))
     header = "eve_theta_deg,csb_smi," + ",".join(f"asm_smi_{c:g}" for c in cfg.asm_c)
     sweep_path = _write_csv(os.path.join(cfg.out_dir, "smi_sweep.csv"), header, rows)
 
@@ -345,7 +324,7 @@ def cmd_attack(cfg: ExperimentConfig) -> list[str]:
     constraints = run_cfg.constraints()
     paths = []
     for q in (1, 2):
-        scenario = run_cfg.scenario(q)
+        scenario = dataclasses.replace(run_cfg, q=q).scenario()
         table = value_iteration(scenario, constraints)
         traj = extract_trajectory(table, scenario, constraints)
         profile = episode_secrecy_profile(traj, scenario, constraints)
@@ -400,20 +379,20 @@ def cmd_ser(cfg: ExperimentConfig) -> list[str]:
     p_eve = path_power(eve_r, cfg.p0, cfg.r0)
     g_rx0 = abs(beam_gain(array_response(*rx_dir, cols, rows), f))
 
-    defenses = [("none", None), ("csb", None)] + [(f"asm-{c:g}", c) for c in cfg.asm_c]
+    defenses = [("none", "none", None), ("csb", "csb", None)] + [(f"asm-{c:g}", "asm", c) for c in cfg.asm_c]
     ser_rows = []
     for si, snr_db in enumerate(cfg.snr_sweep):
         sigma2 = sigma2_for_snr(p_rx, g_rx0, snr_db)
         rx_link = LinkState(p_rx, 0.0, sigma2)
         eve_link = LinkState(p_eve, 0.0, sigma2)
-        for label, c in defenses:
+        for label, defense, c in defenses:
             res = run_ser_experiment(
                 rx_link,
                 rx_dir,
                 eve_link,
                 eve_dir,
                 acfg,
-                "asm" if c is not None else label,
+                defense,
                 cfg.m_order,
                 num_symbols,
                 np.random.default_rng([cfg.seed, si]),
@@ -428,18 +407,8 @@ def cmd_ser(cfg: ExperimentConfig) -> list[str]:
 
     # mean received-power penalty of each defense at the RX, relative to the
     # fixed beam (0 dB); ASM loses gain, the shift defense does not
-    v_rx = array_response(*rx_dir, cols, rows)
-    w_rx = (v_rx * f.conj()).ravel()
-    snr_rows = []
-    g2 = np.abs(shift_gains(v_rx, f, rx_grid)) ** 2
-    snr_rows.append(("csb", 10 * math.log10(float(np.mean(g2)) / g_rx0**2)))
-    for ci, c in enumerate(cfg.asm_c):
-        asm_cfg = AsmConfig(c, acfg.n_t, acfg.n_rows)
-        masks = random_subset_masks(
-            f.size, asm_cfg.active_count, 4000, np.random.default_rng([cfg.seed, 55, ci])
-        )
-        mean_p = float(np.mean(np.abs(masks @ w_rx) ** 2))
-        snr_rows.append((f"asm-{c:g}", 10 * math.log10(mean_p / g_rx0**2)))
+    labels = [label for label, _, _ in defenses[1:]]
+    snr_rows = zip(labels, rx_power_penalty_db(f, rx_dir, cfg.asm_c, cfg.seed))
     snr_path = _write_csv(
         os.path.join(cfg.out_dir, "rx_snr_penalty.csv"),
         "defense,rx_snr_delta_db",

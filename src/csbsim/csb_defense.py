@@ -20,8 +20,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .array import GridIndex, array_response, beam_gain
-
 
 class ShiftPair(NamedTuple):
     """Row shift m (elevation axis) and column shift n (azimuth axis)."""
@@ -66,7 +64,8 @@ def shift_gains(v: np.ndarray, f: np.ndarray, rx_grid) -> np.ndarray:
     Entry k is <V, circulant_shift(F, s)> * conj(shift_phase_factor(s, rx_grid)).
     The gains over all shifts are one circular cross-correlation,
     ifft2(fft2(V) * conj(fft2(F))); the compensation phase uses the exact
-    integer numerators of shift_phase_fraction.
+    integer numerators of shift_phase_fraction. v may be a stack of
+    responses (..., rows, cols); the result is then (..., rows * cols).
     """
     rows, cols = f.shape
     i, j = rx_grid
@@ -74,25 +73,8 @@ def shift_gains(v: np.ndarray, f: np.ndarray, rx_grid) -> np.ndarray:
     n = np.arange(cols)[None, :]
     num = ((m * j) % rows * cols + (n * i) % cols * rows) % (rows * cols)
     comp = np.exp(2j * np.pi * (num / (rows * cols)))
-    return (np.fft.ifft2(np.fft.fft2(v) * np.conj(np.fft.fft2(f))) * comp).ravel()
-
-
-def compensated_symbol(x: complex, s, rx_grid, n_t: int, n_rows: int | None = None) -> complex:
-    """Pre-rotate a transmit symbol so the intended grid direction sees no
-    phase change from the shift: x' = x * conj(shift_phase_factor)."""
-    return x * shift_phase_factor(s, rx_grid, n_t, n_rows).conjugate()
-
-
-def csb_transmit(f: np.ndarray, x: complex, rx_grid, rng: np.random.Generator):
-    """One defended transmission: draw a uniform shift, shift the beamformer,
-    and compensate the symbol for the receiver's grid point.
-
-    Returns:
-        (shifted beamformer, compensated symbol, ShiftPair drawn).
-    """
-    rows, cols = f.shape
-    s = ShiftPair(int(rng.integers(rows)), int(rng.integers(cols)))
-    return circulant_shift(f, s), compensated_symbol(x, s, rx_grid, cols, rows), s
+    gains = np.fft.ifft2(np.fft.fft2(v) * np.conj(np.fft.fft2(f))) * comp
+    return gains.reshape(*gains.shape[:-2], -1)
 
 
 @dataclass(frozen=True)
@@ -253,27 +235,6 @@ def smi(rx_snr_term: float, eve_snr_term: float, m_order: int, g: int, n_t: int)
     i_rx = psk_mutual_information(rx_snr_term, m_order)
     i_eve = psk_mutual_information(eve_snr_term, report.num_classes)
     return max(i_rx - i_eve, 0.0)
-
-
-def csb_shift_atoms(f: np.ndarray, theta: float, phi: float, rx_grid) -> np.ndarray:
-    """Relative post-equalization channel atoms at a probe direction.
-
-    A receiver at (theta, phi) that equalized on the unshifted beamformer
-    sees, for shift (m, n), the relative channel
-    <V, P_{m,n}(F)> * conj(rx compensation) / <V, F>. Returns the flat array
-    over all rows*cols shifts. At the intended receiver's own grid point all
-    atoms collapse to 1.
-
-    Raises:
-        ValueError: if the unshifted gain at the probe direction is (near)
-            zero, in which case equalization-based reception is undefined.
-    """
-    rows, cols = f.shape
-    v = array_response(theta, phi, cols, rows)
-    base = beam_gain(v, f)
-    if abs(base) < 1e-12 * math.sqrt(f.size):
-        raise ValueError("probe direction has no trained channel (zero gain)")
-    return shift_gains(v, f, rx_grid) / base
 
 
 def mixture_mi(

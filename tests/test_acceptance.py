@@ -32,8 +32,8 @@ from csbsim.array import (
     steering_vector,
 )
 from csbsim.asm_baseline import AsmConfig, random_subset_masks
-from csbsim.channel_sim import LinkState, run_ser_experiment, sigma2_for_snr, simulate_symbols
-from csbsim.cli import ExperimentConfig, _smi_point
+from csbsim.channel_sim import LinkState, run_ser_experiment, sigma2_for_snr, simulate_symbols, smi_sweep
+from csbsim.cli import ExperimentConfig
 from csbsim.csb_defense import ShiftPair, apn_law, circulant_shift, partition_report, shift_phase_fraction
 from csbsim.geometry import UavPlaneSpec
 
@@ -283,13 +283,12 @@ def test_criterion_10_shift_defense_dominates_subset_masking():
         f = dft_codeword(rx_grid, acfg)
         g_rx0 = abs(beam_gain(array_response(*rx_dir, cfg.n_t, 1), f))
         asm_cfgs = [AsmConfig(c, cfg.n_t, 1) for c in cfg.asm_c]
-        for i in range(cfg.n_t):
-            eve_dir = (grid_angles(GridIndex(i, 0), cfg.n_t)[0], 0.0)
-            csb = _smi_point(cfg, f, rx_dir, eve_dir, rx_grid, g_rx0, "csb")
-            assert csb is not None
-            for ci, asm_cfg in enumerate(asm_cfgs):
-                asm = _smi_point(cfg, f, rx_dir, eve_dir, rx_grid, g_rx0, "asm", asm_cfg, ci)
-                assert asm is not None
+        eve_dirs = [(grid_angles(GridIndex(i, 0), cfg.n_t)[0], 0.0) for i in range(cfg.n_t)]
+        smi = smi_sweep(f, rx_dir, eve_dirs, cfg.rx_snr_db, cfg.m_order, cfg.asm_c, cfg.mi_samples, cfg.seed)
+        for i, (csb, *asms) in enumerate(smi):
+            assert not math.isnan(csb)
+            for asm_cfg, asm in zip(asm_cfgs, asms):
+                assert not math.isnan(asm)
                 assert csb + 1e-12 >= asm, f"direction {i}, c={asm_cfg.c}: {csb} < {asm}"
 
         # mean receive power: shifting preserves it, masking forfeits gain

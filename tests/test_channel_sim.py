@@ -28,6 +28,7 @@ from csbsim.channel_sim import (
     LinkState,
     PskConstellation,
     SerResult,
+    defense_gains,
     equalize_and_detect,
     path_power,
     received_symbol,
@@ -35,11 +36,11 @@ from csbsim.channel_sim import (
     sigma2_for_snr,
     simulate_symbols,
 )
+from csbsim.asm_baseline import AsmConfig, random_subset_masks
 from csbsim.csb_defense import (
     ShiftPair,
     apn_law,
     circulant_shift,
-    compensated_symbol,
     shift_phase_factor,
 )
 
@@ -91,9 +92,13 @@ def test_received_symbol_formula():
     link = LinkState(4.0, math.pi / 2, 1.0)
     v = np.array([[1.0 + 0j, 1.0]])
     f = np.array([[0.5 + 0j, 0.5]])  # gain = 1
-    y = received_symbol(link, v, f, 1 + 0j, 0.25 - 0.5j)
+    g = beam_gain(v, f)
+    y = received_symbol(link, g, 1 + 0j, 0.25 - 0.5j)
     assert y == pytest.approx(2j + 0.25 - 0.5j, abs=1e-12)
-    assert received_symbol(link, v, f, 0.0, 0.7j) == pytest.approx(0.7j)
+    assert received_symbol(link, g, 0.0, 0.7j) == pytest.approx(0.7j)
+    # Elementwise over arrays of gains, symbols and noise.
+    ys = received_symbol(link, np.array([g, 2 * g]), np.array([1.0, 1j]), np.array([0.0, 0.5]))
+    assert_allclose(ys, [2j, -4 + 0.5], atol=1e-12)
 
 
 def test_received_magnitude_matched_beam():
@@ -103,25 +108,72 @@ def test_received_magnitude_matched_beam():
     v = array_response(theta, phi, 16)
     f = dft_codeword(g, cfg)
     link = LinkState(9.0, 0.3, 1.0)
-    y = received_symbol(link, v, f, 1 + 0j, 0.0)
+    y = received_symbol(link, beam_gain(v, f), 1 + 0j, 0.0)
     assert abs(y) == pytest.approx(3.0 * 16.0, abs=1e-9)
 
 
 def test_equalize_and_detect_cases():
     c = PskConstellation(4)
     h = 0.3 - 1.1j
-    for k in range(4):
-        y = h * c.symbols[k]
-        assert equalize_and_detect(y, h, c) == k
+    z, idx = equalize_and_detect(h * c.symbols, h, 4)
+    assert_allclose(z, c.symbols, atol=1e-12)
+    assert idx.tolist() == [0, 1, 2, 3]
     # Quarter-turn phase noise moves the decision by one index.
-    for k in range(4):
-        y = h * c.symbols[k] * np.exp(1j * np.pi / 2)
-        assert equalize_and_detect(y, h, c) == (k + 1) % 4
+    _, idx = equalize_and_detect(h * c.symbols * np.exp(1j * np.pi / 2), h, 4)
+    assert idx.tolist() == [1, 2, 3, 0]
     # Binary flip.
-    b = PskConstellation(2)
-    assert equalize_and_detect(h * np.exp(1j * np.pi), h, b) == 1
-    # Dead channel is an erasure.
-    assert equalize_and_detect(1 + 1j, 0, c) == -1
+    assert equalize_and_detect(h * np.exp(1j * np.pi), h, 2)[1] == 1
+    # Dead channel is an erasure: no division, a zero sample, index -1.
+    z, idx = equalize_and_detect(np.array([1 + 1j, -2.0]), 0, 4)
+    assert z.tolist() == [0, 0]
+    assert idx.tolist() == [-1, -1]
+
+
+@pytest.mark.parametrize("rows,cols", [(8, 8), (4, 8), (1, 16)])
+@pytest.mark.parametrize("on_grid", [True, False])
+def test_defense_gains_match_scalar_oracles(rows, cols, on_grid):
+    # Every defense's gains against the per-transmission scalar construction:
+    # shift then compensate (CSB), zero the unused elements then rotate by
+    # the receiver's phase (ASM), the plain beam (none).
+    rng = np.random.default_rng(rows * cols + on_grid)
+    f = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+    for _ in range(3):
+        rx = GridIndex(int(rng.integers(cols)), int(rng.integers(rows)))
+        if on_grid:
+            grid = [GridIndex(int(rng.integers(cols)), int(rng.integers(rows))) for _ in range(3)]
+            dirs = [grid_angles(g, cols, rows) for g in grid]
+        else:
+            dirs = [tuple(rng.uniform(-1.5, 1.5, size=2)) for _ in range(3)]
+        v = np.stack([array_response(theta, phi, cols, rows) for theta, phi in dirs])
+
+        fixed = defense_gains("none", f, v, rx)
+        assert_allclose(fixed[:, 0], [beam_gain(v_p, f) for v_p in v], rtol=0, atol=1e-12)
+
+        csb = defense_gains("csb", f, v, rx)
+        assert csb.shape == (3, rows * cols)
+        for k in range(rows * cols):
+            s = ShiftPair(k // cols, k % cols)
+            comp = shift_phase_factor(s, rx, cols, rows).conjugate()
+            oracle = [beam_gain(v_p, circulant_shift(f, s)) * comp for v_p in v]
+            assert_allclose(csb[:, k], oracle, rtol=0, atol=1e-12)
+
+        c = 0.5
+        seed = int(rng.integers(1000))
+        asm = defense_gains("asm", f, v, rx, np.random.default_rng(seed), 10, c)
+        active = AsmConfig(c, cols, rows).active_count
+        masks = random_subset_masks(f.size, active, 10, np.random.default_rng(seed))
+        for k, mask in enumerate(masks):
+            f_asm = np.where(mask.reshape(f.shape), f, 0)
+            rot = np.exp(-1j * np.angle(beam_gain(v[0], f_asm)))
+            assert_allclose(asm[:, k], [beam_gain(v_p, f_asm) * rot for v_p in v], rtol=0, atol=1e-12)
+
+
+def test_defense_gains_asm_needs_an_rng():
+    # Unknown defenses and a missing asm_c are covered by test_simulate_validation.
+    f = dft_codeword(GridIndex(1, 0), ArrayConfig(8, 1, n_rows=1))
+    v = array_response(0.1, 0.0, 8, 1)[None]
+    with pytest.raises(ValueError, match="requires asm_c and an rng"):
+        defense_gains("asm", f, v, GridIndex(1, 0), None, 4, 0.5)
 
 
 # ---------------------------------------------------------------- simulate
@@ -177,14 +229,10 @@ def test_csb_single_symbol_transparency():
     link = LinkState(2.0, 0.9, 0.01)
     x = np.exp(1j * 2 * np.pi * 3 / 8)
     noise = 0.01 - 0.02j
-    y0 = received_symbol(link, v, f, x, noise)
-    for m in range(16):
-        for n in range(16):
-            s = ShiftPair(m, n)
-            y1 = received_symbol(
-                link, v, circulant_shift(f, s), compensated_symbol(x, s, rx_grid, 16, 16), noise
-            )
-            assert y1 == pytest.approx(y0, abs=1e-12)
+    y0 = received_symbol(link, beam_gain(v, f), x, noise)
+    y1 = received_symbol(link, defense_gains("csb", f, v[None], rx_grid)[0], x, noise)
+    assert y1.shape == (256,)
+    assert_allclose(y1, y0, rtol=0, atol=1e-12)
 
 
 def test_csb_paired_run_identical_rx_stream():

@@ -120,6 +120,30 @@ class TestExitCodes:
         assert code == 3
         assert "i/o error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command,text",
+        [
+            ("attack", "[scenario]\nh = nan\n"),
+            ("attack", "[scenario]\nt_s = inf\n"),
+            ("attack", "[attack]\nv_max = inf\n"),
+            ("beam-pattern", "[array]\nn_t = 7\n"),
+            ("apn-dist", "[array]\nn_t = 7\n"),
+            ("beam-pattern", "[array]\nq = 0\n"),
+            ("ser", "[array]\nn_rows = 3\n"),
+            ("smi-sweep", "[experiment]\nasm_c = 0.001\n"),
+            ("ser", "[experiment]\nasm_c = 0.3,nan\n"),
+        ],
+    )
+    def test_bad_config_is_one_line_config_error(self, tmp_path, capsys, command, text):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(text)
+        code = main([command, "--tiny", "--config", str(bad), "--seed", "0", "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error:"), err
+
     def test_success_returns_0_and_prints_paths(self, tmp_path, capsys):
         out = tmp_path / "o"
         code = main(["apn-dist", "--seed", "0", "--out", str(out)])

@@ -22,14 +22,12 @@ from csbsim.array import (
     dft_codeword,
     grid_angles,
 )
+from csbsim.channel_sim import defense_gains, smi_sweep
 from csbsim.csb_defense import (
     ApnLaw,
     ShiftPair,
     apn_law,
     circulant_shift,
-    compensated_symbol,
-    csb_shift_atoms,
-    csb_transmit,
     mixture_mi,
     partition_report,
     psk_mutual_information,
@@ -112,32 +110,36 @@ def test_shift_gains_match_per_shift_oracle(rows, cols, on_grid):
 
 
 def test_compensation_round_trip_on_grid():
+    # Every compensated shift delivers the unshifted gain to the receiver's
+    # grid point, whatever the beamformer.
     rng = np.random.default_rng(9)
     f = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     rx = GridIndex(3, 1)
     theta, phi = grid_angles(rx, 4)
     v = array_response(theta, phi, 4)
     x = 0.8 - 0.6j
-    base = beam_gain(v, f) * x
-    for m in range(4):
-        for n in range(4):
-            s = ShiftPair(m, n)
-            got = beam_gain(v, circulant_shift(f, s)) * compensated_symbol(x, s, rx, 4, 4)
-            assert got == pytest.approx(base, abs=1e-12)
+    got = defense_gains("csb", f, v[None], rx)[0] * x
+    assert got.shape == (16,)
+    assert_allclose(got, beam_gain(v, f) * x, rtol=0, atol=1e-12)
 
 
-def test_csb_transmit_reproducible_and_consistent():
-    f = dft_codeword(GridIndex(2, 1), ArrayConfig(8, 2))
+def test_csb_draws_reproducible_and_consistent():
+    # With an rng, each transmission is the compensated gain of one uniformly
+    # drawn shift: the draw repeats for a seed, and it is the shift-and-
+    # compensate oracle at the shift the same stream picks.
     rx = GridIndex(2, 1)
-    out1 = csb_transmit(f, 1 + 0j, rx, np.random.default_rng(42))
-    out2 = csb_transmit(f, 1 + 0j, rx, np.random.default_rng(42))
-    shifted, sym, s = out1
-    assert np.array_equal(shifted, out2[0])
-    assert sym == out2[1]
-    assert s == out2[2]
-    assert 0 <= s.m < 8 and 0 <= s.n < 8
-    assert np.array_equal(shifted, circulant_shift(f, s))
-    assert sym == compensated_symbol(1 + 0j, s, rx, 8, 8)
+    f = dft_codeword(rx, ArrayConfig(8, 2))
+    v = np.stack([array_response(*grid_angles(g, 8), 8) for g in (rx, GridIndex(5, 3))])
+    a = defense_gains("csb", f, v, rx, np.random.default_rng(42), 50)
+    b = defense_gains("csb", f, v, rx, np.random.default_rng(42), 50)
+    assert a.shape == (2, 50)
+    assert np.array_equal(a, b)
+    shifts = np.random.default_rng(42).integers(64, size=50)
+    for col, k in enumerate(shifts):
+        s = ShiftPair(int(k) // 8, int(k) % 8)
+        for p in range(2):
+            oracle = beam_gain(v[p], circulant_shift(f, s)) * shift_phase_factor(s, rx, 8, 8).conjugate()
+            assert a[p, col] == pytest.approx(oracle, abs=1e-12)
 
 
 # ---------------------------------------------------------------- phase-noise law
@@ -259,12 +261,20 @@ def test_smi_clamps_at_zero():
 
 # ---------------------------------------------------------------- atoms / mixtures
 
+def _shift_atoms(f, theta, phi, rx):
+    """Relative channels of every shift at a probe: compensated gain over the
+    unshifted gain the probe equalizes on."""
+    rows, cols = f.shape
+    v = array_response(theta, phi, cols, rows)
+    return defense_gains("csb", f, v[None], rx)[0] / beam_gain(v, f)
+
+
 def test_shift_atoms_collapse_at_receiver():
     cfg = ArrayConfig(8, 1)
     rx = GridIndex(3, 2)
     f = dft_codeword(rx, cfg)
     theta, phi = grid_angles(rx, 8)
-    atoms = csb_shift_atoms(f, theta, phi, rx)
+    atoms = _shift_atoms(f, theta, phi, rx)
     assert atoms.shape == (64,)
     assert_allclose(atoms, 1.0, atol=1e-10)
 
@@ -277,7 +287,7 @@ def test_shift_atoms_match_phase_noise_support():
     eve = GridIndex(2, 0)
     f = dft_codeword(rx, cfg)
     theta, phi = grid_angles(eve, 16)
-    atoms = csb_shift_atoms(f, theta, phi, rx)
+    atoms = _shift_atoms(f, theta, phi, rx)
     assert_allclose(np.abs(atoms), 1.0, atol=1e-9)
     law = apn_law(rx.i - eve.i, rx.j - eve.j, 16)
     k = np.mod(np.rint(np.angle(atoms) / (2 * np.pi / 16)), 16).astype(int)
@@ -288,11 +298,12 @@ def test_shift_atoms_match_phase_noise_support():
 
 
 def test_shift_atoms_zero_gain_raises():
+    # A receiver at a null of the beam has no trained channel to divide by.
     cfg = ArrayConfig(8, None)
     f = dft_codeword(GridIndex(1, 1), cfg)
-    theta, phi = grid_angles(GridIndex(4, 1), 8)  # orthogonal grid point
-    with pytest.raises(ValueError):
-        csb_shift_atoms(f, theta, phi, GridIndex(1, 1))
+    rx_dir = grid_angles(GridIndex(4, 1), 8)  # orthogonal grid point
+    with pytest.raises(ValueError, match="no trained channel"):
+        smi_sweep(f, rx_dir, [], 10.0, 4, (), 100, 0)
 
 
 def test_mixture_mi_single_atom_matches_quadrature():
