@@ -169,16 +169,13 @@ class _Tables:
         gain_cache: dict[GridIndex, np.ndarray] = {}
         snr = path_power(self.r[self.valid], scenario.p0, scenario.r0) / scenario.sigma2
         self.reward = np.full((g, g, n), NEG_INF)
-        self.gain2 = np.zeros((g, g, n))
         for t in range(n):
             beam_grid = self.rx_grids[t]
             if beam_grid not in gain_cache:
                 f = dft_codeword(beam_grid, cfg)
                 amp = np.abs(gains(f, self.theta[self.valid], self.phi[self.valid]))
                 gain_cache[beam_grid] = amp * amp
-            gain2 = gain_cache[beam_grid]
-            self.gain2[:, :, t][self.valid] = gain2
-            self.reward[:, :, t][self.valid] = np.log2(1.0 + snr * gain2)
+            self.reward[:, :, t][self.valid] = np.log2(1.0 + snr * gain_cache[beam_grid])
 
         # feasibility: valid geometry and eps-separation from the RX angles
         eps2 = constraints.epsilon**2

@@ -4,12 +4,13 @@ Signal model per symbol: y = sqrt(P_r) * exp(j nu) * g * x + n, where g is
 the transmitter-compensated gain of the defended beamformer toward the
 receiver (defense_gains: the fixed beam, a circulant shift, or an antenna
 subset). Both receivers equalize on the fixed, unshifted beamformer's gain
-(perfect training) and detect the nearest PSK symbol. Monte-Carlo SER runs
-share one noise stream per receiver per run so defended and undefended runs
-with the same seed are exactly paired: symbols first, then RX noise, then
-eavesdropper noise, then any defense randomness. smi_sweep and
-rx_power_penalty_db evaluate the same gains as secrecy mutual information
-and as mean receive power.
+(perfect training) and detect the nearest PSK symbol. simulate_symbols is
+the one Monte-Carlo run; its runs share one noise stream per receiver so
+defended and undefended runs with the same seed are exactly paired:
+symbols first, then RX noise, then eavesdropper noise, then any defense
+randomness. ser_sweep counts its errors per defense and SNR point;
+smi_sweep and rx_power_penalty_db evaluate the same gains as secrecy mutual
+information and as mean receive power.
 """
 
 from __future__ import annotations
@@ -20,13 +21,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .array import ArrayConfig, array_response, beam_gain, dft_codeword, nearest_grid_index
+from .array import array_response, beam_gain, nearest_grid_index
 from .asm_baseline import AsmConfig, random_subset_masks
-from .csb_defense import mixture_mi, shift_gains
+from .csb_defense import mixture_mi, psk_symbols, shift_gains
 
 DEFENSES = ("none", "csb", "asm")
 
 CONSTELLATION_CAP = 10_000
+
+# ASM subsets drawn, and multiplied out, per block of rows: bounds the
+# float64 scores of a draw and the complex copy of the masks a product makes
+MASK_BLOCK = 256
 
 # ASM subsets sampled for each MI estimate and for the mean-power penalty;
 # CSB uses its exact ensemble of shifts in both.
@@ -47,32 +52,6 @@ class LinkState:
             raise ValueError(f"p_r must be nonnegative, got {self.p_r}")
         if self.sigma2 <= 0:
             raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
-
-
-@dataclass(frozen=True)
-class PskConstellation:
-    m_order: int
-
-    def __post_init__(self):
-        if self.m_order < 2:
-            raise ValueError(f"m_order must be >= 2, got {self.m_order}")
-
-    @property
-    def symbols(self) -> np.ndarray:
-        return np.exp(2j * np.pi * np.arange(self.m_order) / self.m_order)
-
-
-@dataclass(frozen=True)
-class SerResult:
-    trials: int
-    rx_errors: int
-    eve_errors: int
-    rx_ser: float
-    eve_ser: float
-
-    @classmethod
-    def from_counts(cls, trials: int, rx_errors: int, eve_errors: int) -> "SerResult":
-        return cls(trials, rx_errors, eve_errors, rx_errors / trials, eve_errors / trials)
 
 
 def path_power(r, p0: float = 1.0, r0: float = 1.0):
@@ -147,10 +126,16 @@ def defense_gains(defense: str, f: np.ndarray, v, rx_grid, rng=None, num=None, a
         if asm_c is None or rng is None:
             raise ValueError("defense 'asm' requires asm_c and an rng")
         rows, cols = f.shape
-        masks = random_subset_masks(f.size, AsmConfig(asm_c, cols, rows).active_count, num, rng)
+        active = AsmConfig(asm_c, cols, rows).active_count
+        starts = range(0, num, MASK_BLOCK)
+        # every draw before any product: BLAS threads spin on after each
+        # product, and interleaving the two cost about 40% more CPU time on
+        # a 4000 x 4096 draw
+        masks = np.concatenate([random_subset_masks(f.size, active, min(MASK_BLOCK, num - lo), rng) for lo in starts])
+        w = (v * np.conj(f)).reshape(len(v), -1)
         # one matrix-vector product per response: a single matrix-matrix
         # product measured about 9 MB more peak RSS (BLAS GEMM buffers)
-        g = np.stack([masks @ w for w in (v * np.conj(f)).reshape(len(v), -1)])
+        g = np.concatenate([np.stack([masks[lo:lo + MASK_BLOCK] @ w_p for w_p in w]) for lo in starts], axis=1)
         return g * np.exp(-1j * np.angle(g[0]))
     raise ValueError(f"defense must be one of {DEFENSES}, got {defense!r}")
 
@@ -236,11 +221,11 @@ class SymbolRun(NamedTuple):
 
 
 def simulate_symbols(
+    f: np.ndarray,
     rx_link: LinkState,
     rx_direction,
     eve_link: LinkState,
     eve_direction,
-    cfg: ArrayConfig,
     defense: str,
     m_order: int,
     num_symbols: int,
@@ -249,7 +234,7 @@ def simulate_symbols(
 ) -> SymbolRun:
     """Simulate num_symbols transmissions and detect at RX and eavesdropper.
 
-    The transmit beam is the codeword for the RX's nearest grid point; both
+    f is the fixed beamformer steered at the RX's nearest grid point; both
     receivers equalize on its unshifted gain (perfect training). Each symbol
     goes out on its own draw of the defense (defense_gains): a uniform
     circulant shift compensated for the RX grid point ("csb"), a random
@@ -262,14 +247,13 @@ def simulate_symbols(
     """
     if num_symbols < 1:
         raise ValueError(f"num_symbols must be >= 1, got {num_symbols}")
-    rows, cols = cfg.shape
-    rx_grid = nearest_grid_index(*rx_direction, cfg.n_t, cfg.n_rows)
-    f = dft_codeword(rx_grid, cfg)
+    rows, cols = f.shape
+    rx_grid = nearest_grid_index(*rx_direction, cols, rows)
     v = np.stack([array_response(*d, cols, rows) for d in (rx_direction, eve_direction)])
     links = (rx_link, eve_link)
 
     true_idx = rng.integers(m_order, size=num_symbols)
-    x = PskConstellation(m_order).symbols[true_idx]
+    x = psk_symbols(m_order)[true_idx]
     noise = [
         (rng.standard_normal(num_symbols) + 1j * rng.standard_normal(num_symbols)) * math.sqrt(link.sigma2 / 2)
         for link in links
@@ -283,37 +267,52 @@ def simulate_symbols(
     return SymbolRun(true_idx, rx_idx, eve_idx, eve_equalized)
 
 
-def run_ser_experiment(
-    rx_link: LinkState,
+def ser_sweep(
+    f: np.ndarray,
     rx_direction,
-    eve_link: LinkState,
     eve_direction,
-    cfg: ArrayConfig,
-    defense: str,
+    p_rx: float,
+    p_eve: float,
+    snr_dbs,
     m_order: int,
+    asm_c,
     num_symbols: int,
-    rng: np.random.Generator,
-    asm_c: float | None = None,
-    capture_constellation: bool = False,
-):
-    """Count RX and eavesdropper symbol errors over a Monte-Carlo run.
+    seed: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Symbol errors at the RX and the eavesdropper, per defense and SNR point.
 
-    Returns a SerResult, or (SerResult, dump) with capture_constellation
-    where dump is an (n, 3) array of eavesdropper-equalized samples
-    (re, im, true symbol index), capped at 10^4 rows.
+    f is the fixed beam steered at the RX's nearest grid point, p_rx and
+    p_eve the received reference powers. At each point both receivers see
+    the noise power that gives the RX a post-beamforming SNR of snr_db on
+    f, and every defense runs simulate_symbols on the stream [seed, si],
+    so the defenses are exactly paired at a point.
+
+    Returns:
+        (errors, constellation). errors is an int array of shape
+        (len(snr_dbs), 2 + len(asm_c), 2): the (RX, eavesdropper) error
+        counts out of num_symbols, for none, csb, then asm at each fraction
+        of asm_c. constellation holds the eavesdropper's (re, im, true
+        symbol index) rows under CSB at the last SNR point, from the stream
+        [seed, len(snr_dbs)], at most CONSTELLATION_CAP of them.
     """
-    run = simulate_symbols(
-        rx_link, rx_direction, eve_link, eve_direction, cfg, defense, m_order, num_symbols, rng, asm_c
-    )
-    result = SerResult.from_counts(
-        num_symbols,
-        int(np.count_nonzero(run.rx_idx != run.true_idx)),
-        int(np.count_nonzero(run.eve_idx != run.true_idx)),
-    )
-    if not capture_constellation:
-        return result
-    cap = min(num_symbols, CONSTELLATION_CAP)
-    dump = np.column_stack(
-        [run.eve_equalized[:cap].real, run.eve_equalized[:cap].imag, run.true_idx[:cap].astype(float)]
-    )
-    return result, dump
+    rows, cols = f.shape
+    g_rx = abs(beam_gain(array_response(*rx_direction, cols, rows), f))
+
+    def run(snr_db, defense, c, stream):
+        sigma2 = sigma2_for_snr(p_rx, g_rx, snr_db)
+        return simulate_symbols(
+            f, LinkState(p_rx, 0.0, sigma2), rx_direction, LinkState(p_eve, 0.0, sigma2), eve_direction,
+            defense, m_order, num_symbols, np.random.default_rng([seed, stream]), c,
+        )
+
+    defenses = [("none", None), ("csb", None)] + [("asm", c) for c in asm_c]
+    errors = np.array([
+        [
+            [np.count_nonzero(r.rx_idx != r.true_idx), np.count_nonzero(r.eve_idx != r.true_idx)]
+            for r in (run(snr_db, defense, c, si) for defense, c in defenses)
+        ]
+        for si, snr_db in enumerate(snr_dbs)
+    ])
+    last = run(snr_dbs[-1], "csb", None, len(snr_dbs))
+    z, k = last.eve_equalized[:CONSTELLATION_CAP], last.true_idx[:CONSTELLATION_CAP]
+    return errors, np.column_stack([z.real, z.imag, k.astype(float)])

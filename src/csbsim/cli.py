@@ -29,9 +29,9 @@ from .airspy import (
     trajectory_rewards,
     value_iteration,
 )
-from .array import ArrayConfig, array_response, beam_gain, beam_pattern, dft_codeword, grid_angle, nearest_grid_index
+from .array import ArrayConfig, beam_pattern, dft_codeword, grid_angle, nearest_grid_index
 from .asm_baseline import AsmConfig
-from .channel_sim import LinkState, path_power, run_ser_experiment, rx_power_penalty_db, sigma2_for_snr, smi_sweep
+from .channel_sim import path_power, rx_power_penalty_db, ser_sweep, smi_sweep
 from .csb_defense import apn_law, partition_report, psk_mutual_information
 from .geometry import UavPlaneSpec, uav_plane_to_rect, msph_angles_of_plane_coord
 
@@ -86,24 +86,19 @@ class ExperimentConfig:
             entries = value if field.name == "asm_c" else (value,)
             if any(isinstance(x, float) and not math.isfinite(x) for x in entries):
                 raise ConfigError(f"{field.name} must be finite, got {value}")
-        for name in ("h", "lane_x", "rx_speed", "t_s", "sigma2", "p0", "r0", "d", "v_max", "epsilon_deg"):
+        # checked here in the config's units; the objects built below check
+        # every other field
+        for name in ("d", "epsilon_deg"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if not 0 < self.beta_deg < 180:
             raise ConfigError(f"beta_deg must be in (0, 180), got {self.beta_deg}")
-        if self.grid_g < 2:
-            raise ConfigError(f"grid_g must be >= 2, got {self.grid_g}")
-        if self.y_max <= self.y_min:
-            raise ConfigError(f"empty y range [{self.y_min}, {self.y_max}]")
         if self.m_order < 2 or self.m_order & (self.m_order - 1):
             raise ConfigError(f"m_order must be a power of two >= 2, got {self.m_order}")
         if self.snr_step_db <= 0 or self.snr_max_db < self.snr_min_db:
             raise ConfigError("bad SNR sweep bounds")
         if self.num_symbols < 1 or self.mi_samples < 1:
             raise ConfigError("num_symbols and mi_samples must be >= 1")
-        for c in self.asm_c:
-            if not 0 < c <= 1:
-                raise ConfigError(f"asm_c entries must be in (0, 1], got {c}")
         # the objects the commands build, for the planar (n_rows x n_t) and
         # the linear (1 x n_t) array, so their own checks fail here
         try:
@@ -372,33 +367,18 @@ def cmd_ser(cfg: ExperimentConfig) -> list[str]:
     _, rx_dir, rx_r = rx_state_at(scenario, t_mid)
 
     acfg = run_cfg.array_config()
-    rows, cols = acfg.shape
-    rx_grid = nearest_grid_index(*rx_dir, acfg.n_t, acfg.n_rows)
-    f = dft_codeword(rx_grid, acfg)
-    p_rx = path_power(rx_r, cfg.p0, cfg.r0)
-    p_eve = path_power(eve_r, cfg.p0, cfg.r0)
-    g_rx0 = abs(beam_gain(array_response(*rx_dir, cols, rows), f))
-
-    defenses = [("none", "none", None), ("csb", "csb", None)] + [(f"asm-{c:g}", "asm", c) for c in cfg.asm_c]
-    ser_rows = []
-    for si, snr_db in enumerate(cfg.snr_sweep):
-        sigma2 = sigma2_for_snr(p_rx, g_rx0, snr_db)
-        rx_link = LinkState(p_rx, 0.0, sigma2)
-        eve_link = LinkState(p_eve, 0.0, sigma2)
-        for label, defense, c in defenses:
-            res = run_ser_experiment(
-                rx_link,
-                rx_dir,
-                eve_link,
-                eve_dir,
-                acfg,
-                defense,
-                cfg.m_order,
-                num_symbols,
-                np.random.default_rng([cfg.seed, si]),
-                asm_c=c,
-            )
-            ser_rows.append((snr_db, label, res.rx_ser, res.eve_ser, res.trials))
+    f = dft_codeword(nearest_grid_index(*rx_dir, acfg.n_t, acfg.n_rows), acfg)
+    snr_dbs = cfg.snr_sweep
+    errors, constellation = ser_sweep(
+        f, rx_dir, eve_dir, path_power(rx_r, cfg.p0, cfg.r0), path_power(eve_r, cfg.p0, cfg.r0),
+        snr_dbs, cfg.m_order, cfg.asm_c, num_symbols, cfg.seed,
+    )
+    labels = ["none", "csb"] + [f"asm-{c:g}" for c in cfg.asm_c]
+    ser_rows = (
+        (snr_db, label, rx / num_symbols, eve / num_symbols, num_symbols)
+        for snr_db, point in zip(snr_dbs, errors)
+        for label, (rx, eve) in zip(labels, point)
+    )
     ser_path = _write_csv(
         os.path.join(cfg.out_dir, "ser_sweep.csv"),
         "snr_db,defense,rx_ser,eve_ser,trials",
@@ -407,8 +387,7 @@ def cmd_ser(cfg: ExperimentConfig) -> list[str]:
 
     # mean received-power penalty of each defense at the RX, relative to the
     # fixed beam (0 dB); ASM loses gain, the shift defense does not
-    labels = [label for label, _, _ in defenses[1:]]
-    snr_rows = zip(labels, rx_power_penalty_db(f, rx_dir, cfg.asm_c, cfg.seed))
+    snr_rows = zip(labels[1:], rx_power_penalty_db(f, rx_dir, cfg.asm_c, cfg.seed))
     snr_path = _write_csv(
         os.path.join(cfg.out_dir, "rx_snr_penalty.csv"),
         "defense,rx_snr_delta_db",
@@ -416,23 +395,10 @@ def cmd_ser(cfg: ExperimentConfig) -> list[str]:
     )
 
     # eavesdropper constellation under the shift defense at the top SNR point
-    sigma2 = sigma2_for_snr(p_rx, g_rx0, cfg.snr_sweep[-1])
-    _, dump = run_ser_experiment(
-        LinkState(p_rx, 0.0, sigma2),
-        rx_dir,
-        LinkState(p_eve, 0.0, sigma2),
-        eve_dir,
-        acfg,
-        "csb",
-        cfg.m_order,
-        num_symbols,
-        np.random.default_rng([cfg.seed, len(cfg.snr_sweep)]),
-        capture_constellation=True,
-    )
     const_path = _write_csv(
         os.path.join(cfg.out_dir, "eve_constellation.csv"),
         "re,im,true_symbol_index",
-        ((re, im, int(k)) for re, im, k in dump),
+        ((re, im, int(k)) for re, im, k in constellation),
     )
     return [ser_path, snr_path, const_path]
 

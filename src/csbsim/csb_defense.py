@@ -161,6 +161,17 @@ def partition_report(m_order: int, g: int, n_t: int) -> PartitionReport:
     return PartitionReport(m_order, class_size, num_classes, classes)
 
 
+def psk_symbols(m_order: int) -> np.ndarray:
+    """The unit-energy M-PSK constellation exp(j 2 pi k / M), k = 0..M-1.
+
+    Raises:
+        ValueError: if m_order < 2.
+    """
+    if m_order < 2:
+        raise ValueError(f"m_order must be >= 2, got {m_order}")
+    return np.exp(2j * np.pi * np.arange(m_order) / m_order)
+
+
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     mx = a.max(axis=axis, keepdims=True)
     out = mx[..., 0] if axis == -1 else np.squeeze(mx, axis=axis)
@@ -194,7 +205,7 @@ def psk_mutual_information(rho: float, m_order: int, tol: float = 1e-3) -> float
         raise ValueError(f"m_order must be >= 1, got {m_order}")
     if m_order == 1:
         return 0.0
-    syms = np.exp(2j * np.pi * np.arange(m_order) / m_order)
+    syms = psk_symbols(m_order)
     d = math.sqrt(rho) * (syms[0] - syms)  # PSK symmetry: condition on x_0
     prev = None
     nodes = 16
@@ -265,7 +276,7 @@ def mixture_mi(
     if m_order == 1:
         return 0.0
     atoms = np.sqrt(rho) * np.asarray(atoms, dtype=complex).ravel()
-    syms = np.exp(2j * np.pi * np.arange(m_order) / m_order)
+    syms = psk_symbols(m_order)
     idx = rng.integers(m_order, size=num_samples)
     draw = rng.integers(atoms.size, size=num_samples)
     noise = (rng.standard_normal(num_samples) + 1j * rng.standard_normal(num_samples)) * math.sqrt(0.5)

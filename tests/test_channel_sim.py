@@ -25,14 +25,13 @@ from csbsim.array import (
 )
 from csbsim.channel_sim import (
     CONSTELLATION_CAP,
+    MASK_BLOCK,
     LinkState,
-    PskConstellation,
-    SerResult,
     defense_gains,
     equalize_and_detect,
     path_power,
     received_symbol,
-    run_ser_experiment,
+    ser_sweep,
     sigma2_for_snr,
     simulate_symbols,
 )
@@ -41,6 +40,7 @@ from csbsim.csb_defense import (
     ShiftPair,
     apn_law,
     circulant_shift,
+    psk_symbols,
     shift_phase_factor,
 )
 
@@ -54,20 +54,13 @@ def test_link_state_validation():
     with pytest.raises(ValueError):
         LinkState(1.0, 0.0, 0.0)
     with pytest.raises(ValueError):
-        PskConstellation(1)
+        psk_symbols(1)
 
 
 def test_constellation_unit_energy():
-    c = PskConstellation(8)
-    assert_allclose(np.abs(c.symbols), 1.0, atol=1e-15)
-    assert np.mean(np.abs(c.symbols) ** 2) == pytest.approx(1.0)
-
-
-def test_ser_result_from_counts():
-    r = SerResult.from_counts(200, 3, 150)
-    assert r.rx_ser == pytest.approx(0.015)
-    assert r.eve_ser == pytest.approx(0.75)
-    assert 0 <= r.rx_ser <= 1 and 0 <= r.eve_ser <= 1
+    symbols = psk_symbols(8)
+    assert_allclose(np.abs(symbols), 1.0, atol=1e-15)
+    assert np.mean(np.abs(symbols) ** 2) == pytest.approx(1.0)
 
 
 def test_path_power_inverse_square():
@@ -113,13 +106,13 @@ def test_received_magnitude_matched_beam():
 
 
 def test_equalize_and_detect_cases():
-    c = PskConstellation(4)
+    symbols = psk_symbols(4)
     h = 0.3 - 1.1j
-    z, idx = equalize_and_detect(h * c.symbols, h, 4)
-    assert_allclose(z, c.symbols, atol=1e-12)
+    z, idx = equalize_and_detect(h * symbols, h, 4)
+    assert_allclose(z, symbols, atol=1e-12)
     assert idx.tolist() == [0, 1, 2, 3]
     # Quarter-turn phase noise moves the decision by one index.
-    _, idx = equalize_and_detect(h * c.symbols * np.exp(1j * np.pi / 2), h, 4)
+    _, idx = equalize_and_detect(h * symbols * np.exp(1j * np.pi / 2), h, 4)
     assert idx.tolist() == [1, 2, 3, 0]
     # Binary flip.
     assert equalize_and_detect(h * np.exp(1j * np.pi), h, 2)[1] == 1
@@ -168,6 +161,20 @@ def test_defense_gains_match_scalar_oracles(rows, cols, on_grid):
             assert_allclose(asm[:, k], [beam_gain(v_p, f_asm) * rot for v_p in v], rtol=0, atol=1e-12)
 
 
+def test_asm_gains_drawn_in_blocks_match_one_draw():
+    # Gains over several mask blocks equal, bitwise, the products of one
+    # whole draw of masks from the same stream.
+    rows, cols, c, num = 8, 8, 0.3, 2 * MASK_BLOCK + 37
+    rx = GridIndex(2, 5)
+    f = dft_codeword(rx, ArrayConfig(cols, 1, n_rows=rows))
+    v = np.stack([array_response(theta, phi, cols, rows) for theta, phi in ((0.2, 0.6), (-0.4, 0.1))])
+    blocked = defense_gains("asm", f, v, rx, np.random.default_rng(9), num, c)
+    masks = random_subset_masks(f.size, AsmConfig(c, cols, rows).active_count, num, np.random.default_rng(9))
+    g = np.stack([masks @ w for w in (v * np.conj(f)).reshape(len(v), -1)])
+    assert blocked.shape == (2, num)
+    assert np.array_equal(blocked, g * np.exp(-1j * np.angle(g[0])))
+
+
 def test_defense_gains_asm_needs_an_rng():
     # Unknown defenses and a missing asm_c are covered by test_simulate_validation.
     f = dft_codeword(GridIndex(1, 0), ArrayConfig(8, 1, n_rows=1))
@@ -179,6 +186,7 @@ def test_defense_gains_asm_needs_an_rng():
 # ---------------------------------------------------------------- simulate
 
 def _links(rx_snr_db, eve_snr_db, cfg, rx_dir, eve_dir):
+    """The fixed beam steered at rx_dir's grid point, and both links."""
     rows, cols = cfg.shape
     f = dft_codeword(nearest_grid_index(*rx_dir, cfg.n_t, cfg.n_rows), cfg)
     g_rx = abs(beam_gain(array_response(*rx_dir, cols, rows), f))
@@ -186,37 +194,48 @@ def _links(rx_snr_db, eve_snr_db, cfg, rx_dir, eve_dir):
     assert g_eve > 0
     rx = LinkState(1.0, 0.4, sigma2_for_snr(1.0, g_rx, rx_snr_db))
     eve = LinkState(1.0, -1.1, sigma2_for_snr(1.0, g_eve, eve_snr_db))
-    return rx, eve
+    return f, rx, eve
+
+
+def _errors(run):
+    """(RX, eavesdropper) symbol error counts of a simulate_symbols run."""
+    return [np.count_nonzero(run.rx_idx != run.true_idx), np.count_nonzero(run.eve_idx != run.true_idx)]
+
+
+def _error_rates(run):
+    """(RX SER, eavesdropper SER) of a simulate_symbols run."""
+    return [e / run.true_idx.size for e in _errors(run)]
 
 
 def test_simulate_validation():
     cfg = ArrayConfig(8, 1)
-    rx, eve = _links(10, 10, cfg, grid_angles(GridIndex(1, 0), 8), grid_angles(GridIndex(2, 0), 8))
+    f, rx, eve = _links(10, 10, cfg, grid_angles(GridIndex(1, 0), 8), grid_angles(GridIndex(2, 0), 8))
     with pytest.raises(ValueError):
-        simulate_symbols(rx, (0, 0), eve, (0.1, 0), cfg, "none", 4, 0, np.random.default_rng(0))
+        simulate_symbols(f, rx, (0, 0), eve, (0.1, 0), "none", 4, 0, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        simulate_symbols(rx, (0, 0), eve, (0.1, 0), cfg, "jam", 4, 10, np.random.default_rng(0))
+        simulate_symbols(f, rx, (0, 0), eve, (0.1, 0), "jam", 4, 10, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        simulate_symbols(rx, (0, 0), eve, (0.1, 0), cfg, "asm", 4, 10, np.random.default_rng(0))
+        simulate_symbols(f, rx, (0, 0), eve, (0.1, 0), "asm", 4, 10, np.random.default_rng(0))
 
 
 def test_rx_clean_at_20db():
     cfg = ArrayConfig(16, 1)
     rx_dir = grid_angles(GridIndex(3, 0), 16)
     eve_dir = grid_angles(GridIndex(2, 0), 16)
-    rx, eve = _links(20, 10, cfg, rx_dir, eve_dir)
-    res = run_ser_experiment(rx, rx_dir, eve, eve_dir, cfg, "none", 4, 20000, np.random.default_rng(0))
-    assert res.rx_ser < 1e-4
+    f, rx, eve = _links(20, 10, cfg, rx_dir, eve_dir)
+    run = simulate_symbols(f, rx, rx_dir, eve, eve_dir, "none", 4, 20000, np.random.default_rng(0))
+    assert _error_rates(run)[0] < 1e-4
 
 
 def test_seed_determinism_bitwise():
     cfg = ArrayConfig(16, 1)
     rx_dir = grid_angles(GridIndex(3, 0), 16)
     eve_dir = grid_angles(GridIndex(2, 0), 16)
-    rx, eve = _links(8, 15, cfg, rx_dir, eve_dir)
-    a = run_ser_experiment(rx, rx_dir, eve, eve_dir, cfg, "csb", 4, 5000, np.random.default_rng(31))
-    b = run_ser_experiment(rx, rx_dir, eve, eve_dir, cfg, "csb", 4, 5000, np.random.default_rng(31))
-    assert a == b
+    f, rx, eve = _links(8, 15, cfg, rx_dir, eve_dir)
+    a = simulate_symbols(f, rx, rx_dir, eve, eve_dir, "csb", 4, 5000, np.random.default_rng(31))
+    b = simulate_symbols(f, rx, rx_dir, eve, eve_dir, "csb", 4, 5000, np.random.default_rng(31))
+    for field_a, field_b in zip(a, b):
+        assert np.array_equal(field_a, field_b)
 
 
 def test_csb_single_symbol_transparency():
@@ -241,9 +260,9 @@ def test_csb_paired_run_identical_rx_stream():
     cfg = ArrayConfig(16, 1)
     rx_dir = grid_angles(GridIndex(3, 0), 16)
     eve_dir = grid_angles(GridIndex(2, 0), 16)
-    rx, eve = _links(10, 20, cfg, rx_dir, eve_dir)
-    plain = simulate_symbols(rx, rx_dir, eve, eve_dir, cfg, "none", 4, 20000, np.random.default_rng(7))
-    shifted = simulate_symbols(rx, rx_dir, eve, eve_dir, cfg, "csb", 4, 20000, np.random.default_rng(7))
+    f, rx, eve = _links(10, 20, cfg, rx_dir, eve_dir)
+    plain = simulate_symbols(f, rx, rx_dir, eve, eve_dir, "none", 4, 20000, np.random.default_rng(7))
+    shifted = simulate_symbols(f, rx, rx_dir, eve, eve_dir, "csb", 4, 20000, np.random.default_rng(7))
     assert np.array_equal(plain.true_idx, shifted.true_idx)
     assert np.array_equal(plain.rx_idx, shifted.rx_idx)
     assert np.count_nonzero(plain.rx_idx != plain.true_idx) > 0  # regime is not trivial
@@ -281,27 +300,23 @@ def test_eve_ser_matches_atom_expectation(eve_grid, m_order, expected):
     law = apn_law(rx_grid.i - eve_grid.i, rx_grid.j - eve_grid.j, 16)
     pred = _eve_ser_expectation(law, m_order)
     assert pred == pytest.approx(expected, abs=1e-12)
-    rx, eve = _links(10, 40, cfg, rx_dir, eve_dir)
+    f, rx, eve = _links(10, 40, cfg, rx_dir, eve_dir)
     n = 40000
-    res = run_ser_experiment(rx, rx_dir, eve, eve_dir, cfg, "csb", m_order, n, np.random.default_rng(19))
+    run = simulate_symbols(f, rx, rx_dir, eve, eve_dir, "csb", m_order, n, np.random.default_rng(19))
     sigma = math.sqrt(pred * (1 - pred) / n)
-    assert abs(res.eve_ser - pred) < 3 * sigma + 1e-9
+    assert abs(_error_rates(run)[1] - pred) < 3 * sigma + 1e-9
 
 
 def test_eve_with_zero_power_is_erased():
-    # Exactly dead eavesdropper channel: every decision is an erasure.
-    cfg = ArrayConfig(8, None)
+    # Exactly dead eavesdropper channel: every decision of every defense is
+    # an erasure, and the captured samples are zero.
     rx_grid = GridIndex(1, 1)
+    f = dft_codeword(rx_grid, ArrayConfig(8, None))
     rx_dir = grid_angles(rx_grid, 8)
     eve_dir = grid_angles(GridIndex(5, 1), 8)
-    rx = LinkState(1.0, 0.0, 0.001)
-    eve = LinkState(0.0, 0.0, 0.001)
-    res, dump = run_ser_experiment(
-        rx, rx_dir, eve, eve_dir, cfg, "none", 4, 500, np.random.default_rng(2),
-        capture_constellation=True,
-    )
-    assert res.eve_ser == 1.0
-    assert_allclose(dump[:, :2], 0.0)
+    errors, constellation = ser_sweep(f, rx_dir, eve_dir, 1.0, 0.0, [48.0], 4, (0.5,), 500, 2)
+    assert np.all(errors[..., 1] == 500)
+    assert_allclose(constellation[:, :2], 0.0)
 
 
 def test_eve_at_codebook_null_decides_noise():
@@ -311,30 +326,60 @@ def test_eve_at_codebook_null_decides_noise():
     rx_grid = GridIndex(1, 1)
     rx_dir = grid_angles(rx_grid, 8)
     eve_dir = grid_angles(GridIndex(5, 1), 8)  # codeword null, gain ~ 1e-16
+    f = dft_codeword(rx_grid, cfg)
     rx = LinkState(1.0, 0.0, 0.001)
     eve = LinkState(1.0, 0.0, 0.001)
-    res = run_ser_experiment(
-        rx, rx_dir, eve, eve_dir, cfg, "none", 4, 2000, np.random.default_rng(2)
-    )
-    assert abs(res.eve_ser - 0.75) < 0.05
+    run = simulate_symbols(f, rx, rx_dir, eve, eve_dir, "none", 4, 2000, np.random.default_rng(2))
+    assert abs(_error_rates(run)[1] - 0.75) < 0.05
 
 
 def test_constellation_capture_cap_and_content():
+    # The capture is the eavesdropper's side of the CSB run at the last SNR
+    # point, on the stream [seed, number of points], capped in length.
     cfg = ArrayConfig(8, 1)
     rx_dir = grid_angles(GridIndex(1, 0), 8)
     eve_dir = grid_angles(GridIndex(3, 0), 8)
-    rx, eve = _links(10, 10, cfg, rx_dir, eve_dir)
-    res, dump = run_ser_experiment(
-        rx, rx_dir, eve, eve_dir, cfg, "csb", 4, 300, np.random.default_rng(3),
-        capture_constellation=True,
-    )
+    f = dft_codeword(GridIndex(1, 0), cfg)
+    snr_dbs = [0.0, 10.0]
+    _, dump = ser_sweep(f, rx_dir, eve_dir, 1.0, 0.5, snr_dbs, 4, (), 300, 3)
     assert dump.shape == (300, 3)
     assert set(np.unique(dump[:, 2])) <= {0.0, 1.0, 2.0, 3.0}
-    big = run_ser_experiment(
-        rx, rx_dir, eve, eve_dir, cfg, "asm", 4, CONSTELLATION_CAP + 500,
-        np.random.default_rng(3), asm_c=0.5, capture_constellation=True,
+    sigma2 = sigma2_for_snr(1.0, abs(beam_gain(array_response(*rx_dir, 8, 8), f)), snr_dbs[-1])
+    run = simulate_symbols(
+        f, LinkState(1.0, 0.0, sigma2), rx_dir, LinkState(0.5, 0.0, sigma2), eve_dir,
+        "csb", 4, 300, np.random.default_rng([3, len(snr_dbs)]),
     )
-    assert big[1].shape == (CONSTELLATION_CAP, 3)
+    assert np.array_equal(dump[:, 0] + 1j * dump[:, 1], run.eve_equalized)
+    assert np.array_equal(dump[:, 2], run.true_idx)
+    _, big = ser_sweep(f, rx_dir, eve_dir, 1.0, 0.5, [10.0], 4, (), CONSTELLATION_CAP + 500, 3)
+    assert big.shape == (CONSTELLATION_CAP, 3)
+
+
+def test_ser_sweep_pairs_defenses():
+    # At an on-grid RX, CSB's receiver makes the same errors as no defense
+    # at every SNR point, while the eavesdropper on the one-bit mirror lobe
+    # is scrambled; columns are none, csb, then asm per fraction, each the
+    # (RX, eavesdropper) error counts of simulate_symbols on [seed, si].
+    rx_grid = GridIndex(1, 2)
+    f = dft_codeword(rx_grid, ArrayConfig(8, 1))
+    rx_dir = grid_angles(rx_grid, 8)
+    eve_dir = grid_angles(GridIndex(7, 6), 8)
+    snr_dbs, asm_c, n, seed = [0.0, 5.0, 10.0], (0.3, 0.7), 2000, 11
+    errors, _ = ser_sweep(f, rx_dir, eve_dir, 1.0, 0.8, snr_dbs, 4, asm_c, n, seed)
+    assert errors.shape == (len(snr_dbs), 2 + len(asm_c), 2)
+    assert errors.dtype.kind == "i"
+    assert np.array_equal(errors[:, 1, 0], errors[:, 0, 0])
+    assert np.all(errors[:, 1, 1] > errors[:, 0, 1])
+    assert errors[0, 0, 0] > 0  # the sweep exercises a non-trivial regime
+    g_rx = abs(beam_gain(array_response(*rx_dir, 8, 8), f))
+    for si, snr_db in enumerate(snr_dbs):
+        sigma2 = sigma2_for_snr(1.0, g_rx, snr_db)
+        links = LinkState(1.0, 0.0, sigma2), LinkState(0.8, 0.0, sigma2)
+        for col, (defense, c) in enumerate([("none", None), ("csb", None), ("asm", 0.3), ("asm", 0.7)]):
+            run = simulate_symbols(
+                f, links[0], rx_dir, links[1], eve_dir, defense, 4, n, np.random.default_rng([seed, si]), c
+            )
+            assert errors[si, col].tolist() == _errors(run)
 
 
 def test_asm_rx_keeps_phase_but_pays_amplitude():
@@ -344,11 +389,9 @@ def test_asm_rx_keeps_phase_but_pays_amplitude():
     cfg = ArrayConfig(16, 1)
     rx_dir = grid_angles(GridIndex(3, 0), 16)
     eve_dir = grid_angles(GridIndex(2, 0), 16)
-    rx, eve = _links(20, 20, cfg, rx_dir, eve_dir)
-    res = run_ser_experiment(
-        rx, rx_dir, eve, eve_dir, cfg, "asm", 4, 20000, np.random.default_rng(5), asm_c=0.7
-    )
-    assert res.rx_ser < 0.02
+    f, rx, eve = _links(20, 20, cfg, rx_dir, eve_dir)
+    run = simulate_symbols(f, rx, rx_dir, eve, eve_dir, "asm", 4, 20000, np.random.default_rng(5), asm_c=0.7)
+    assert _error_rates(run)[0] < 0.02
 
 
 # ---------------------------------------------------------------- off-grid sweep
@@ -402,7 +445,7 @@ def test_offgrid_oracle_matches_monte_carlo_at_6db():
     rx = LinkState(1.0, 0.3, sigma2_for_snr(1.0, g0, 10 * math.log10(gamma)))
     eve = LinkState(1.0, 0.0, 1.0)
     n = 100000
-    run = simulate_symbols(rx, (th, ph), eve, (0.5, 0.5), cfg, "csb", 4, n, np.random.default_rng(4))
+    run = simulate_symbols(f, rx, (th, ph), eve, (0.5, 0.5), "csb", 4, n, np.random.default_rng(4))
     mc = np.count_nonzero(run.rx_idx != run.true_idx) / n
     sigma = math.sqrt(pred * (1 - pred) / n)
     assert abs(mc - pred) < 4 * sigma

@@ -132,6 +132,11 @@ class TestExitCodes:
             ("ser", "[array]\nn_rows = 3\n"),
             ("smi-sweep", "[experiment]\nasm_c = 0.001\n"),
             ("ser", "[experiment]\nasm_c = 0.3,nan\n"),
+            ("attack", "[scenario]\nlane_x = 0\n"),
+            ("ser", "[attack]\ngrid_g = 1\n"),
+            ("attack", "[scenario]\ny_min = 5\ny_max = -5\n"),
+            ("smi-sweep", "[experiment]\nasm_c = 1.5\n"),
+            ("ser", "[attack]\nv_max = 0\n"),
         ],
     )
     def test_bad_config_is_one_line_config_error(self, tmp_path, capsys, command, text):
