@@ -20,7 +20,7 @@ import numpy as np
 
 from .array import ArrayConfig, GridIndex, dft_codeword, gains, nearest_grid_index
 from .channel_sim import path_power
-from .geometry import RectPoint, UavPlaneSpec, UavPlaneCoord, rect_to_msph
+from .geometry import RectPoint, UavPlaneSpec, rect_to_msph
 
 NEG_INF = float("-inf")
 
@@ -90,11 +90,24 @@ class AttackConstraints:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Planned eavesdropper path: one plane coordinate per episode step."""
+    """Planned eavesdropper path, one entry per episode step in each column.
 
-    steps: tuple[UavPlaneCoord, ...]
+    cells are the visited (grid u, grid v) cells; u, v their plane
+    coordinates; theta, phi and r their angles and range. reward is the
+    eavesdropper's rate under the step's beam (index 0, the start cell's, is
+    not counted in total_reward), and secrecy_rate the receiver's rate minus
+    reward, unclamped.
+    """
+
     cells: tuple[tuple[int, int], ...]
     total_reward: float
+    u: np.ndarray
+    v: np.ndarray
+    theta: np.ndarray
+    phi: np.ndarray
+    r: np.ndarray
+    reward: np.ndarray
+    secrecy_rate: np.ndarray
 
 
 def rx_state_at(scenario: Scenario, t: int):
@@ -137,11 +150,10 @@ class _Tables:
         self.scenario = scenario
         self.constraints = constraints
         self.u_grid = -1.0 + 2.0 * np.arange(g) / g
-        self.v_grid = self.u_grid.copy()
         half = spec.d * math.tan(spec.beta / 2)
         sin_t, cos_t = math.sin(spec.theta_tilt), math.cos(spec.theta_tilt)
         uu = self.u_grid[:, None]
-        vv = self.v_grid[None, :]
+        vv = self.u_grid[None, :]
         x = uu * half * sin_t + spec.d * cos_t + 0.0 * vv
         y = np.broadcast_to(vv * half, (g, g))
         z = uu * half * cos_t - spec.d * sin_t + 0.0 * vv
@@ -154,34 +166,28 @@ class _Tables:
         self.theta = np.where(self.valid, theta, 0.0)
         self.phi = np.where(self.valid, phi, 0.0)
 
+        # per step: each valid cell's rate under that step's beam, the
+        # receiver's own rate, and feasibility (valid geometry and
+        # eps-separation from the receiver angles)
         cfg = scenario.array_cfg
         n = scenario.num_steps
-        self.rx_grids = []
-        self.rx_angles = []
-        self.rx_ranges = []
-        for t in range(n):
-            grid, angles, rng = rx_state_at(scenario, t)
-            self.rx_grids.append(grid)
-            self.rx_angles.append(angles)
-            self.rx_ranges.append(rng)
-
-        # per-step |gain|^2 of each valid cell under that step's beam
-        gain_cache: dict[GridIndex, np.ndarray] = {}
-        snr = path_power(self.r[self.valid], scenario.p0, scenario.r0) / scenario.sigma2
-        self.reward = np.full((g, g, n), NEG_INF)
-        for t in range(n):
-            beam_grid = self.rx_grids[t]
-            if beam_grid not in gain_cache:
-                f = dft_codeword(beam_grid, cfg)
-                amp = np.abs(gains(f, self.theta[self.valid], self.phi[self.valid]))
-                gain_cache[beam_grid] = amp * amp
-            self.reward[:, :, t][self.valid] = np.log2(1.0 + snr * gain_cache[beam_grid])
-
-        # feasibility: valid geometry and eps-separation from the RX angles
         eps2 = constraints.epsilon**2
+        snr = path_power(self.r[self.valid], scenario.p0, scenario.r0) / scenario.sigma2
+        beams: dict[GridIndex, tuple[np.ndarray, np.ndarray]] = {}  # codeword, |gain|^2 of valid cells
+        self.reward = np.full((g, g, n), NEG_INF)
+        self.rx_rate = np.empty(n)
         self.feasible = np.empty((g, g, n), dtype=bool)
         for t in range(n):
-            th_r, ph_r = self.rx_angles[t]
+            beam_grid, (th_r, ph_r), rx_r = rx_state_at(scenario, t)
+            if beam_grid not in beams:
+                f = dft_codeword(beam_grid, cfg)
+                amp = np.abs(gains(f, self.theta[self.valid], self.phi[self.valid]))
+                beams[beam_grid] = f, amp * amp
+            f, gain2 = beams[beam_grid]
+            self.reward[:, :, t][self.valid] = np.log2(1.0 + snr * gain2)
+            g_rx = abs(gains(f, (th_r,), (ph_r,))[0])
+            snr_rx = path_power(rx_r, scenario.p0, scenario.r0) / scenario.sigma2
+            self.rx_rate[t] = math.log2(1 + snr_rx * g_rx * g_rx)
             sep2 = (self.theta - th_r) ** 2 + (self.phi - ph_r) ** 2
             self.feasible[:, :, t] = self.valid & (sep2 > eps2)
 
@@ -193,9 +199,6 @@ class _Tables:
             for dj in range(-lim, lim + 1)
             if di * di + dj * dj <= rad_idx * rad_idx
         ]
-
-    def coord(self, cell) -> UavPlaneCoord:
-        return UavPlaneCoord(float(self.u_grid[cell[0]]), float(self.v_grid[cell[1]]))
 
 
 @lru_cache(maxsize=8)
@@ -304,22 +307,11 @@ def extract_trajectory(h: np.ndarray, scenario: Scenario, constraints: AttackCon
     cell = (flat // g, flat % g)
     cells = [cell]
     for t in range(n - 1):
-        candidates = []
-        for di, dj in tab.offsets:
-            aa, bb = cell[0] + di, cell[1] + dj
-            if 0 <= aa < g and 0 <= bb < g and tab.feasible[aa, bb, t + 1]:
-                candidates.append((aa, bb))
-        candidates.sort()
-        best_val = NEG_INF
-        best_cell = None
-        for aa, bb in candidates:
-            val = tab.reward[aa, bb, t + 1] + h[aa, bb, t + 1]
-            if val > best_val:
-                best_val = val
-                best_cell = (aa, bb)
-        if best_cell is None:
+        successors = sorted(valid_actions((*cell, t), constraints, scenario))
+        best = max(successors, key=lambda c: tab.reward[(*c, t + 1)] + h[(*c, t + 1)], default=None)
+        if best is None or h[(*best, t + 1)] == NEG_INF:  # successors' rewards are finite
             raise InfeasibleError(f"dead end at step {t} from cell {cell}")
-        cell = best_cell
+        cell = best
         cells.append(cell)
 
     total = 0.0
@@ -328,43 +320,23 @@ def extract_trajectory(h: np.ndarray, scenario: Scenario, constraints: AttackCon
     rad = constraints.step_radius * scenario.t_s
     for t in range(1, n):
         du = tab.u_grid[cells[t][0]] - tab.u_grid[cells[t - 1][0]]
-        dv = tab.v_grid[cells[t][1]] - tab.v_grid[cells[t - 1][1]]
+        dv = tab.u_grid[cells[t][1]] - tab.u_grid[cells[t - 1][1]]
         if math.hypot(du, dv) > rad + 1e-12:
             raise AssertionError(f"velocity bound violated at step {t}")
         if not tab.feasible[cells[t][0], cells[t][1], t]:
             raise AssertionError(f"separation violated at step {t}")
     if not tab.feasible[cells[0][0], cells[0][1], 0]:
         raise AssertionError("infeasible start cell")
+    a, b = np.array(cells).T
+    step_reward = tab.reward[a, b, np.arange(n)]
     return Trajectory(
-        steps=tuple(tab.coord(c) for c in cells),
         cells=tuple(cells),
         total_reward=total,
+        u=tab.u_grid[a],
+        v=tab.u_grid[b],
+        theta=tab.theta[a, b],
+        phi=tab.phi[a, b],
+        r=tab.r[a, b],
+        reward=step_reward,
+        secrecy_rate=tab.rx_rate - step_reward,
     )
-
-
-def trajectory_rewards(trajectory: Trajectory, scenario: Scenario, constraints: AttackConstraints) -> np.ndarray:
-    """Per-step rate reward of each visited cell under that step's beam.
-
-    The planner's objective counts steps 1..N-1 only; index 0 here is the
-    start cell's own (uncounted) reward.
-    """
-    tab = _tables(scenario, constraints)
-    return np.array([tab.reward[a, b, t] for t, (a, b) in enumerate(trajectory.cells)])
-
-
-def episode_secrecy_profile(trajectory: Trajectory, scenario: Scenario, constraints: AttackConstraints) -> np.ndarray:
-    """Per-step unclamped secrecy rate along a planned trajectory."""
-    tab = _tables(scenario, constraints)
-    cfg = scenario.array_cfg
-    out = np.empty(len(trajectory.cells))
-    for t, (a, b) in enumerate(trajectory.cells):
-        f = dft_codeword(tab.rx_grids[t], cfg)
-        out[t] = secrecy_rate(
-            f,
-            tab.rx_angles[t],
-            tab.rx_ranges[t],
-            (float(tab.theta[a, b]), float(tab.phi[a, b])),
-            float(tab.r[a, b]),
-            scenario,
-        )
-    return out

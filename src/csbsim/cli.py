@@ -23,17 +23,22 @@ from .airspy import (
     AttackConstraints,
     InfeasibleError,
     Scenario,
-    episode_secrecy_profile,
+    Trajectory,
     extract_trajectory,
     rx_state_at,
-    trajectory_rewards,
     value_iteration,
 )
 from .array import ArrayConfig, beam_pattern, dft_codeword, grid_angle, nearest_grid_index
 from .asm_baseline import AsmConfig
 from .channel_sim import path_power, rx_power_penalty_db, ser_sweep, smi_sweep
 from .csb_defense import apn_law, partition_report, psk_mutual_information
-from .geometry import UavPlaneSpec, uav_plane_to_rect, msph_angles_of_plane_coord
+from .geometry import UavPlaneSpec
+
+# Largest planner accepted, in estimated bytes: about 15 times the 68 MB
+# estimated for the wide-array benchmark's 128 x 128 grid, 41 steps and
+# 64 x 64 array (traced peak 45 MB). ExperimentConfig.__post_init__ makes
+# the estimate.
+MAX_PLANNER_BYTES = 2**30
 
 
 class ConfigError(ValueError):
@@ -100,16 +105,33 @@ class ExperimentConfig:
         if self.num_symbols < 1 or self.mi_samples < 1:
             raise ConfigError("num_symbols and mi_samples must be >= 1")
         # the objects the commands build, for the planar (n_rows x n_t) and
-        # the linear (1 x n_t) array, so their own checks fail here
+        # the linear (1 x n_t) array, so their own checks fail here, named
+        # after the config values they were built from
+        shapes = (self.n_rows, 1)
+        for where, build in (
+            ("[array]", lambda: [ArrayConfig(self.n_t, self.q, rows) for rows in shapes]),
+            ("[experiment] asm_c", lambda: [AsmConfig(c, self.n_t, rows) for rows in shapes for c in self.asm_c]),
+            ("[scenario]", self.scenario),
+            ("[attack]", self.constraints),
+        ):
+            try:
+                build()
+            except ValueError as exc:
+                raise ConfigError(f"{where}: {exc}") from exc
         try:
-            for rows in (self.n_rows, 1):
-                ArrayConfig(self.n_t, self.q, rows)
-                for c in self.asm_c:
-                    AsmConfig(c, self.n_t, rows)
-            self.scenario()
-            self.constraints()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+            steps = self.scenario().num_steps
+        except OverflowError:  # a step count past the float range
+            steps = math.inf
+        rows, cols = self.array_config().shape
+        # per plane cell and step: reward, value and the step beam's cached
+        # |gain|^2 (float64) and feasibility (bool); per cell: the gain
+        # kernel's complex128 steering rows and the float64 geometry arrays
+        planner_bytes = self.grid_g**2 * (25 * steps + 16 * (rows + 2 * cols) + 80)
+        if planner_bytes > MAX_PLANNER_BYTES:
+            raise ConfigError(
+                f"[attack] grid_g = {self.grid_g} with [scenario] {steps} steps on a {rows} x {cols} array: "
+                f"the planner needs about {planner_bytes:.3g} bytes, above the cap of {MAX_PLANNER_BYTES} bytes"
+            )
 
     def array_config(self) -> ArrayConfig:
         return ArrayConfig(self.n_t, self.q, self.n_rows)
@@ -308,37 +330,28 @@ def cmd_smi_sweep(cfg: ExperimentConfig) -> list[str]:
     return [sweep_path, theory_path]
 
 
-def _tiny_attack_config(cfg: ExperimentConfig) -> ExperimentConfig:
-    span = 3 * cfg.rx_speed * cfg.t_s
-    return dataclasses.replace(cfg, grid_g=5, y_min=-span / 2, y_max=span / 2)
+def _plan(cfg: ExperimentConfig, q: int | None) -> tuple[Scenario, Trajectory]:
+    """The scenario with q-bit phase shifters and the eavesdropper's planned
+    trajectory; --tiny shrinks the plane grid to 5 x 5 and the episode to 4 steps."""
+    if cfg.tiny:
+        span = 3 * cfg.rx_speed * cfg.t_s
+        cfg = dataclasses.replace(cfg, grid_g=5, y_min=-span / 2, y_max=span / 2)
+    scenario = dataclasses.replace(cfg, q=q).scenario()
+    constraints = cfg.constraints()
+    return scenario, extract_trajectory(value_iteration(scenario, constraints), scenario, constraints)
 
 
 def cmd_attack(cfg: ExperimentConfig) -> list[str]:
     """Plan the eavesdropper trajectory for the 1-bit and 2-bit transmitters."""
-    run_cfg = _tiny_attack_config(cfg) if cfg.tiny else cfg
-    constraints = run_cfg.constraints()
     paths = []
     for q in (1, 2):
-        scenario = dataclasses.replace(run_cfg, q=q).scenario()
-        table = value_iteration(scenario, constraints)
-        traj = extract_trajectory(table, scenario, constraints)
-        profile = episode_secrecy_profile(traj, scenario, constraints)
-        rewards = trajectory_rewards(traj, scenario, constraints)
-        spec = constraints.uav_plane
-        rows = []
-        for t, coord in enumerate(traj.steps):
-            theta, phi = msph_angles_of_plane_coord(coord, spec)
-            rows.append(
-                (
-                    t * scenario.t_s,
-                    coord.u,
-                    coord.v,
-                    math.degrees(theta),
-                    math.degrees(phi),
-                    rewards[t],
-                    profile[t],
-                )
+        scenario, traj = _plan(cfg, q)
+        rows = (
+            (t * scenario.t_s, u, v, math.degrees(theta), math.degrees(phi), rate, secrecy)
+            for t, (u, v, theta, phi, rate, secrecy) in enumerate(
+                zip(traj.u, traj.v, traj.theta, traj.phi, traj.reward, traj.secrecy_rate)
             )
+        )
         paths.append(
             _write_csv(
                 os.path.join(cfg.out_dir, f"attack_trajectory_q{q}.csv"),
@@ -352,25 +365,15 @@ def cmd_attack(cfg: ExperimentConfig) -> list[str]:
 def cmd_ser(cfg: ExperimentConfig) -> list[str]:
     """SER vs. SNR for {none, csb, asm-c} with the eavesdropper parked on the
     planned trajectory's midpoint cell."""
-    run_cfg = _tiny_attack_config(cfg) if cfg.tiny else cfg
     num_symbols = min(cfg.num_symbols, 2000) if cfg.tiny else cfg.num_symbols
-    constraints = run_cfg.constraints()
-    scenario = run_cfg.scenario()
-    table = value_iteration(scenario, constraints)
-    traj = extract_trajectory(table, scenario, constraints)
+    scenario, traj = _plan(cfg, cfg.q)
     t_mid = scenario.num_steps // 2
-    spec = constraints.uav_plane
-    eve_coord = traj.steps[t_mid]
-    eve_dir = msph_angles_of_plane_coord(eve_coord, spec)
-    rect = uav_plane_to_rect(eve_coord, spec)
-    eve_r = math.sqrt(rect.x**2 + rect.y**2 + rect.z**2)
-    _, rx_dir, rx_r = rx_state_at(scenario, t_mid)
-
-    acfg = run_cfg.array_config()
-    f = dft_codeword(nearest_grid_index(*rx_dir, acfg.n_t, acfg.n_rows), acfg)
+    rx_grid, rx_dir, rx_r = rx_state_at(scenario, t_mid)
+    f = dft_codeword(rx_grid, scenario.array_cfg)
+    eve_dir = (traj.theta[t_mid], traj.phi[t_mid])
     snr_dbs = cfg.snr_sweep
     errors, constellation = ser_sweep(
-        f, rx_dir, eve_dir, path_power(rx_r, cfg.p0, cfg.r0), path_power(eve_r, cfg.p0, cfg.r0),
+        f, rx_dir, eve_dir, path_power(rx_r, cfg.p0, cfg.r0), path_power(traj.r[t_mid], cfg.p0, cfg.r0),
         snr_dbs, cfg.m_order, cfg.asm_c, num_symbols, cfg.seed,
     )
     labels = ["none", "csb"] + [f"asm-{c:g}" for c in cfg.asm_c]

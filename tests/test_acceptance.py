@@ -18,7 +18,6 @@ from csbsim.airspy import (
     AttackConstraints,
     InfeasibleError,
     Scenario,
-    episode_secrecy_profile,
     extract_trajectory,
     value_iteration,
 )
@@ -267,7 +266,7 @@ def test_criterion_09_lane_crossing_secrecy_stays_nonpositive():
         assert scenario.num_steps == 41
         table = value_iteration(scenario, constraints)
         traj = extract_trajectory(table, scenario, constraints)
-        profile = episode_secrecy_profile(traj, scenario, constraints)
+        profile = traj.secrecy_rate
         elapsed = time.perf_counter() - start
         assert len(profile) == 41
         assert max(profile) <= 0.0, f"positive secrecy step: {max(profile)}"

@@ -20,13 +20,11 @@ from csbsim.airspy import (
     AttackConstraints,
     InfeasibleError,
     Scenario,
-    episode_secrecy_profile,
     extract_trajectory,
     feasible_cells,
     reward,
     rx_state_at,
     secrecy_rate,
-    trajectory_rewards,
     valid_actions,
     value_iteration,
 )
@@ -290,7 +288,7 @@ class TestPlanner:
         assert again.cells == traj.cells
         assert again.total_reward == traj.total_reward
 
-        rewards = trajectory_rewards(traj, sc, cons)
+        rewards = traj.reward
         assert len(rewards) == sc.num_steps
         # the starting cell earns nothing; later entries sum to the total
         assert float(np.sum(rewards[1:])) == pytest.approx(traj.total_reward, rel=1e-12)
@@ -306,7 +304,7 @@ class TestPlanner:
     def test_episode_profile_matches_pointwise_rates(self):
         sc, cons = lane_scenario(), lane_constraints()
         traj = extract_trajectory(value_iteration(sc, cons), sc, cons)
-        profile = episode_secrecy_profile(traj, sc, cons)
+        profile = traj.secrecy_rate
         assert len(profile) == sc.num_steps
         for t in (0, 20, 40):
             grid, rx_ang, rx_r = rx_state_at(sc, t)
@@ -316,6 +314,48 @@ class TestPlanner:
             f = dft_codeword(grid, sc.array_cfg)
             expected = secrecy_rate(f, rx_ang, rx_r, (sph.theta, sph.phi), sph.r, sc)
             assert profile[t] == pytest.approx(expected, rel=1e-12)
+
+    def test_ties_break_toward_smallest_cell(self):
+        # with H = -R every successor scores 0, so each step must take the
+        # lexicographically smallest permissible successor
+        sc = lane_scenario(y_range=(-1.0, 1.0))
+        cons = lane_constraints(v_max=60.0, grid_g=16)  # index radius 1.06: rook moves
+        g, n = cons.grid_g, sc.num_steps
+        h = np.zeros((g, g, n))
+        for a in range(g):
+            for b in range(g):
+                for t in range(n):
+                    try:
+                        h[a, b, t] = -reward((a, b, t), sc, cons)
+                    except ValueError:  # outside coverage: never feasible
+                        pass
+        traj = extract_trajectory(h, sc, cons)
+        choices = 0
+        for t in range(n - 1):
+            moves = valid_actions((*traj.cells[t], t), cons, sc)
+            assert traj.cells[t + 1] == min(moves)
+            choices += len(moves) > 1
+        assert choices == n - 1
+
+    def test_trajectory_columns_match_scalar_geometry(self):
+        # the planner's vectorised plane map against the scalar transforms
+        instances = [(lane_scenario(), lane_constraints())] + [tiny_instance(seed) for seed in range(8)]
+        checked = 0
+        for sc, cons in instances:
+            try:
+                traj = extract_trajectory(value_iteration(sc, cons), sc, cons)
+            except InfeasibleError:
+                continue
+            g = cons.grid_g
+            for t, (a, b) in enumerate(traj.cells):
+                assert (traj.u[t], traj.v[t]) == (-1.0 + 2.0 * a / g, -1.0 + 2.0 * b / g)
+                theta, phi = msph_angles_of_plane_coord((traj.u[t], traj.v[t]), cons.uav_plane)
+                rect = uav_plane_to_rect((traj.u[t], traj.v[t]), cons.uav_plane)
+                assert traj.theta[t] == pytest.approx(theta, abs=1e-12)
+                assert traj.phi[t] == pytest.approx(phi, abs=1e-12)
+                assert traj.r[t] == pytest.approx(math.hypot(*rect), abs=1e-12)
+            checked += 1
+        assert checked >= 5
 
 
 class TestMirrorTracking:

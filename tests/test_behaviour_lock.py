@@ -2,6 +2,8 @@
 
 Each subcommand runs with ``--tiny --seed 0`` on ``data/lock/lock.ini`` and
 its CSVs are compared with the expected copies in ``data/lock/<command>/``.
+``attack`` also runs at full size (the default 64 x 64 planner grid over 41
+steps, without ``--tiny``) against ``data/lock/attack-full/``.
 Headers, row counts, strings and integer fields must match exactly; float
 fields must agree within RTOL/ATOL, which leaves room for a refactor that
 reorders floating-point sums but not for one that changes a result.
@@ -11,6 +13,8 @@ the repository root, for each command:
 
     PYTHONPATH=src python -m csbsim.cli <command> --tiny --seed 0 \\
         --config tests/data/lock/lock.ini --out tests/data/lock/<command>
+
+and the same without ``--tiny`` for ``attack`` into ``tests/data/lock/attack-full``.
 """
 
 import math
@@ -21,7 +25,9 @@ import pytest
 from csbsim.cli import main
 
 LOCK_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "lock")
-COMMANDS = ("beam-pattern", "smi-sweep", "attack", "ser", "apn-dist")
+# (expected-copy directory, subcommand, extra flags)
+CASES = [(command, command, ["--tiny"]) for command in ("beam-pattern", "smi-sweep", "attack", "ser", "apn-dist")]
+CASES.append(("attack-full", "attack", []))
 RTOL = 1e-9
 ATOL = 1e-12
 # Columns written as integers; every other non-string column is a float.
@@ -52,10 +58,10 @@ def _field_matches(value, expected, is_int):
     return math.isfinite(a) and abs(a - b) <= ATOL + RTOL * abs(b)
 
 
-@pytest.mark.parametrize("command", COMMANDS)
-def test_outputs_match_locked_copies(command, tmp_path, capsys):
-    expected_dir = os.path.join(LOCK_DIR, command)
-    argv = [command, "--tiny", "--seed", "0", "--config", os.path.join(LOCK_DIR, "lock.ini")]
+@pytest.mark.parametrize("case,command,flags", CASES, ids=[case for case, _, _ in CASES])
+def test_outputs_match_locked_copies(case, command, flags, tmp_path, capsys):
+    expected_dir = os.path.join(LOCK_DIR, case)
+    argv = [command, *flags, "--seed", "0", "--config", os.path.join(LOCK_DIR, "lock.ini")]
     assert main(argv + ["--out", str(tmp_path)]) == 0
     capsys.readouterr()
     assert sorted(os.listdir(tmp_path)) == sorted(os.listdir(expected_dir))

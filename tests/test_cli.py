@@ -8,12 +8,37 @@ seed must reproduce identical CSV files.
 import dataclasses
 import math
 import os
+import re
 
 import numpy as np
 import pytest
 
 from csbsim.cli import ConfigError, ExperimentConfig, dump_config, load_config, main
 from csbsim.csb_defense import apn_law
+
+
+# (subcommand, config text, the key or section its error line must name)
+BAD_CONFIGS = [
+    ("attack", "[scenario]\nh = nan\n", "h"),
+    ("attack", "[scenario]\nt_s = inf\n", "t_s"),
+    ("attack", "[attack]\nv_max = inf\n", "v_max"),
+    ("beam-pattern", "[array]\nn_t = 7\n", "[array]"),
+    ("apn-dist", "[array]\nn_t = 7\n", "[array]"),
+    ("beam-pattern", "[array]\nq = 0\n", "[array]"),
+    ("ser", "[array]\nn_rows = 3\n", "[array]"),
+    ("smi-sweep", "[experiment]\nasm_c = 0.001\n", "[experiment] asm_c"),
+    ("ser", "[experiment]\nasm_c = 0.3,nan\n", "asm_c"),
+    ("attack", "[scenario]\nlane_x = 0\n", "[scenario]"),
+    ("ser", "[attack]\ngrid_g = 1\n", "[attack]"),
+    ("attack", "[scenario]\ny_min = 5\ny_max = -5\n", "[scenario]"),
+    ("smi-sweep", "[experiment]\nasm_c = 1.5\n", "[experiment] asm_c"),
+    ("ser", "[attack]\nv_max = 0\n", "[attack]"),
+    # planners far past the size cap, rejected before anything is allocated
+    ("attack", "[attack]\ngrid_g = 100000\n", "[attack] grid_g"),
+    ("attack", "[scenario]\nt_s = 1e-9\n", "[attack] grid_g"),
+    # one step, but a 4096 x 4096 plane grid through the gain kernel
+    ("attack", "[scenario]\nt_s = 100\n[attack]\ngrid_g = 4096\n", "[attack] grid_g"),
+]
 
 
 def read_csv(path):
@@ -121,25 +146,9 @@ class TestExitCodes:
         assert "i/o error" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "command,text",
-        [
-            ("attack", "[scenario]\nh = nan\n"),
-            ("attack", "[scenario]\nt_s = inf\n"),
-            ("attack", "[attack]\nv_max = inf\n"),
-            ("beam-pattern", "[array]\nn_t = 7\n"),
-            ("apn-dist", "[array]\nn_t = 7\n"),
-            ("beam-pattern", "[array]\nq = 0\n"),
-            ("ser", "[array]\nn_rows = 3\n"),
-            ("smi-sweep", "[experiment]\nasm_c = 0.001\n"),
-            ("ser", "[experiment]\nasm_c = 0.3,nan\n"),
-            ("attack", "[scenario]\nlane_x = 0\n"),
-            ("ser", "[attack]\ngrid_g = 1\n"),
-            ("attack", "[scenario]\ny_min = 5\ny_max = -5\n"),
-            ("smi-sweep", "[experiment]\nasm_c = 1.5\n"),
-            ("ser", "[attack]\nv_max = 0\n"),
-        ],
+        "command,text,where", BAD_CONFIGS, ids=[f"{command}-{text}" for command, text, _ in BAD_CONFIGS]
     )
-    def test_bad_config_is_one_line_config_error(self, tmp_path, capsys, command, text):
+    def test_bad_config_is_one_line_config_error(self, tmp_path, capsys, command, text, where):
         bad = tmp_path / "bad.ini"
         bad.write_text(text)
         code = main([command, "--tiny", "--config", str(bad), "--seed", "0", "--out", str(tmp_path / "o")])
@@ -148,6 +157,7 @@ class TestExitCodes:
         assert "Traceback" not in err
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("config error:"), err
+        assert re.search(rf"(?<!\w){re.escape(where)}(?!\w)", lines[0]), err
 
     def test_success_returns_0_and_prints_paths(self, tmp_path, capsys):
         out = tmp_path / "o"
