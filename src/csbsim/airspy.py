@@ -29,6 +29,10 @@ class InfeasibleError(RuntimeError):
     """No permissible trajectory exists (every start state is excluded)."""
 
 
+class PlannerInternalError(RuntimeError):
+    """A planned path breaks a constraint the planner enforces: a planner defect, not bad input."""
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Episode geometry: TX at the origin, RX driving the lane {x=lane_x, z=-h}."""
@@ -53,6 +57,9 @@ class Scenario:
             raise ValueError("rx_speed and t_s must be positive")
         if self.y_range[1] <= self.y_range[0]:
             raise ValueError(f"empty y_range {self.y_range}")
+        step = self.rx_speed * self.t_s
+        if step == 0 or not math.isfinite((self.y_range[1] - self.y_range[0]) / step):
+            raise ValueError(f"rx_speed {self.rx_speed} and t_s {self.t_s} give no finite step count")
         if self.sigma2 <= 0 or self.p0 <= 0 or self.r0 <= 0:
             raise ValueError("sigma2, p0, r0 must be positive")
 
@@ -297,6 +304,8 @@ def extract_trajectory(h: np.ndarray, scenario: Scenario, constraints: AttackCon
     Raises:
         InfeasibleError: if no step-0 cell is both feasible and has a
             permissible continuation.
+        PlannerInternalError: if the walked path breaks the velocity bound
+            or the feasibility table it was walked on.
     """
     tab = _tables(scenario, constraints)
     g, n = tab.g, scenario.num_steps
@@ -322,11 +331,11 @@ def extract_trajectory(h: np.ndarray, scenario: Scenario, constraints: AttackCon
         du = tab.u_grid[cells[t][0]] - tab.u_grid[cells[t - 1][0]]
         dv = tab.u_grid[cells[t][1]] - tab.u_grid[cells[t - 1][1]]
         if math.hypot(du, dv) > rad + 1e-12:
-            raise AssertionError(f"velocity bound violated at step {t}")
+            raise PlannerInternalError(f"velocity bound violated at step {t}")
         if not tab.feasible[cells[t][0], cells[t][1], t]:
-            raise AssertionError(f"separation violated at step {t}")
+            raise PlannerInternalError(f"separation violated at step {t}")
     if not tab.feasible[cells[0][0], cells[0][1], 0]:
-        raise AssertionError("infeasible start cell")
+        raise PlannerInternalError("infeasible start cell")
     a, b = np.array(cells).T
     step_reward = tab.reward[a, b, np.arange(n)]
     return Trajectory(

@@ -19,7 +19,9 @@ import pytest
 from csbsim.airspy import (
     AttackConstraints,
     InfeasibleError,
+    PlannerInternalError,
     Scenario,
+    _tables,
     extract_trajectory,
     feasible_cells,
     reward,
@@ -101,6 +103,14 @@ class TestScenario:
         base.update(kwargs)
         with pytest.raises(ValueError):
             Scenario(**base)
+
+    @pytest.mark.parametrize("rx_speed,t_s", [(20.0, 1e-320), (1e-10, 1e-320)])
+    def test_rejects_step_count_past_float_range(self, rx_speed, t_s):
+        # 20 m over 2e-319 m per step overflows to inf; 1e-10 * 1e-320 underflows to 0
+        with pytest.raises(ValueError, match="no finite step count"):
+            Scenario(CFG, TILT, 8.0, 3.0, rx_speed, (-10.0, 10.0), t_s, 0.01)
+        # a huge but finite step count is the planner size cap's business
+        assert Scenario(CFG, TILT, 8.0, 3.0, 20.0, (-10.0, 10.0), 1e-300, 0.01).num_steps > 10**299
 
 
 class TestConstraints:
@@ -336,6 +346,19 @@ class TestPlanner:
             assert traj.cells[t + 1] == min(moves)
             choices += len(moves) > 1
         assert choices == n - 1
+
+    def test_self_check_raises_planner_internal_error(self, monkeypatch):
+        # a plane grid stretched tenfold after planning makes the walked path
+        # break the speed limit, which only corrupt tables can do
+        sc = lane_scenario(y_range=(-1.0, 1.0))
+        cons = lane_constraints(v_max=60.0, grid_g=16)
+        h = value_iteration(sc, cons)
+        assert extract_trajectory(h, sc, cons).cells[:2] == ((9, 9), (10, 9))
+        tab = _tables(sc, cons)
+        monkeypatch.setattr(tab, "u_grid", 10 * tab.u_grid)
+        with pytest.raises(PlannerInternalError, match="velocity bound violated at step 1"):
+            extract_trajectory(h, sc, cons)
+        assert not issubclass(PlannerInternalError, AssertionError)
 
     def test_trajectory_columns_match_scalar_geometry(self):
         # the planner's vectorised plane map against the scalar transforms

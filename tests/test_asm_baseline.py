@@ -17,6 +17,8 @@ from csbsim.array import (
 from csbsim.asm_baseline import AsmConfig, random_subset_masks
 from csbsim.channel_sim import defense_gains, smi_sweep
 
+from oracles import argpartition_subset_masks
+
 
 def _responses(directions, cols, rows=None):
     return np.stack([array_response(theta, phi, cols, rows) for theta, phi in directions])
@@ -118,6 +120,20 @@ def test_random_subset_masks_counts_and_uniformity():
     # Each element active with frequency 1/2 within a 4-sigma binomial band.
     freq = masks.mean(axis=0)
     assert np.all(np.abs(freq - 0.5) < 4 * math.sqrt(0.25 / 4000) + 1e-12)
+
+
+@pytest.mark.parametrize("size", [16, 256, 4096])
+@pytest.mark.parametrize("fraction", ["one", "half", "all"])
+def test_threshold_masks_match_index_selection(size, fraction):
+    # the threshold sampler keeps the same entries as argpartition on the
+    # same scores, bitwise, over several seeds
+    active = {"one": 1, "half": size // 2, "all": size}[fraction]
+    num = 300 if size < 4096 else 40
+    for seed in range(4):
+        got = random_subset_masks(size, active, num, np.random.default_rng([seed, size]))
+        want = argpartition_subset_masks(size, active, num, np.random.default_rng([seed, size]))
+        assert got.dtype == bool and got.shape == (num, size)
+        assert np.array_equal(got, want)
 
 
 def test_relative_atoms_at_receiver_are_amplitudes():

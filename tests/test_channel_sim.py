@@ -162,17 +162,28 @@ def test_defense_gains_match_scalar_oracles(rows, cols, on_grid):
 
 
 def test_asm_gains_drawn_in_blocks_match_one_draw():
-    # Gains over several mask blocks equal, bitwise, the products of one
-    # whole draw of masks from the same stream.
+    # Gains drawn in several mask blocks equal, bitwise, one whole draw of
+    # masks from the same stream multiplied block by block as real products
+    # on [Re w | Im w] (one product over the whole draw may differ in the
+    # last bits, as BLAS splits its sums by the row count). They match the
+    # complex product masks @ w within 1e-12 of the largest gain (measured:
+    # at most 5.4e-14).
     rows, cols, c, num = 8, 8, 0.3, 2 * MASK_BLOCK + 37
     rx = GridIndex(2, 5)
     f = dft_codeword(rx, ArrayConfig(cols, 1, n_rows=rows))
     v = np.stack([array_response(theta, phi, cols, rows) for theta, phi in ((0.2, 0.6), (-0.4, 0.1))])
-    blocked = defense_gains("asm", f, v, rx, np.random.default_rng(9), num, c)
-    masks = random_subset_masks(f.size, AsmConfig(c, cols, rows).active_count, num, np.random.default_rng(9))
-    g = np.stack([masks @ w for w in (v * np.conj(f)).reshape(len(v), -1)])
-    assert blocked.shape == (2, num)
-    assert np.array_equal(blocked, g * np.exp(-1j * np.angle(g[0])))
+    w = (v * np.conj(f)).reshape(len(v), -1)
+    w_ri = np.concatenate([w.real, w.imag]).T
+    for seed in (0, 9):
+        blocked = defense_gains("asm", f, v, rx, np.random.default_rng(seed), num, c)
+        masks = random_subset_masks(f.size, AsmConfig(c, cols, rows).active_count, num, np.random.default_rng(seed))
+        g = np.concatenate([masks[lo:lo + MASK_BLOCK].astype(float) @ w_ri for lo in range(0, num, MASK_BLOCK)]).T
+        g = g[:2] + 1j * g[2:]
+        assert blocked.shape == (2, num)
+        assert np.array_equal(blocked, g * np.exp(-1j * np.angle(g[0])))
+        g = np.stack([masks @ w_p for w_p in w])
+        want = g * np.exp(-1j * np.angle(g[0]))
+        assert_allclose(blocked, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
 def test_defense_gains_asm_needs_an_rng():

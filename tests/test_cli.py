@@ -36,6 +36,8 @@ BAD_CONFIGS = [
     # planners far past the size cap, rejected before anything is allocated
     ("attack", "[attack]\ngrid_g = 100000\n", "[attack] grid_g"),
     ("attack", "[scenario]\nt_s = 1e-9\n", "[attack] grid_g"),
+    # a step count past the float range
+    ("attack", "[scenario]\nt_s = 1e-320\n", "[scenario]"),
     # one step, but a 4096 x 4096 plane grid through the gain kernel
     ("attack", "[scenario]\nt_s = 100\n[attack]\ngrid_g = 4096\n", "[attack] grid_g"),
 ]
@@ -269,6 +271,16 @@ class TestSmiSweepCommand:
         for out in (out_a, out_b):
             assert main(["smi-sweep", "--tiny", "--config", str(cfg), "--seed", "1", "--out", str(out)]) == 0
         assert (out_a / "smi_sweep.csv").read_bytes() == (out_b / "smi_sweep.csv").read_bytes()
+
+    def test_tiny_caps_mi_samples_at_500(self, tmp_path):
+        sweeps = []
+        for samples in (5000, 500):
+            cfg = tmp_path / f"smi{samples}.ini"
+            cfg.write_text(f"[array]\nn_t = 8\n[experiment]\nmi_samples = {samples}\n")
+            out = tmp_path / f"o{samples}"
+            assert main(["smi-sweep", "--tiny", "--config", str(cfg), "--seed", "1", "--out", str(out)]) == 0
+            sweeps.append((out / "smi_sweep.csv").read_bytes())
+        assert sweeps[0] == sweeps[1]
 
 
 class TestSerCommand:
