@@ -139,23 +139,6 @@ def quantize_phase(x, q: int | None):
     return out
 
 
-def quantized_beamformer(f: np.ndarray, q: int | None) -> np.ndarray:
-    """Project a matrix onto the q-bit analog beamformer set.
-
-    Every entry keeps only its (quantized) phase and is scaled so the
-    Frobenius norm is 1: entry (k, l) becomes
-    exp(j Q_q(angle(f[k, l]))) / sqrt(size).
-
-    Raises:
-        ValueError: if any entry is zero (its phase is undefined).
-    """
-    f = np.asarray(f)
-    if np.any(f == 0):
-        raise ValueError("cannot quantize a beamformer with zero entries")
-    scale = 1.0 / math.sqrt(f.size)
-    return np.exp(1j * quantize_phase(np.angle(f), q)) * scale
-
-
 @lru_cache(maxsize=4096)
 def _codeword_cached(i: int, j: int, n_t: int, rows: int, q: int | None) -> np.ndarray:
     k = np.arange(rows)[:, None]

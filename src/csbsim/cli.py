@@ -1,9 +1,13 @@
-"""Command-line front end: config parsing, experiment orchestration, CSV output.
+"""Command-line front end: config parsing and CSV output.
 
-Subcommands: beam-pattern, smi-sweep, attack, ser, apn-dist. Every run takes
-a mandatory --seed; identical config + seed produces byte-identical CSVs
-(LF line endings, %.12g float formatting). Exit codes: 0 success, 1 config
-error, 2 infeasible scenario, 3 I/O error.
+Subcommands: beam-pattern, smi-sweep, attack, ser, apn-dist. Each one is a
+few library calls whose result columns go to _write_csv, the one CSV writer:
+a header line of names, then one LF-terminated line per row, with str
+columns as %s, int columns as %d, float columns as %.12g, and an empty field
+for a NaN (an eavesdropper direction with no trained channel). Every run
+takes a mandatory --seed; identical config + seed produces byte-identical
+CSVs. Exit codes: 0 success, 1 config error, 2 infeasible scenario, 3 I/O
+error.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from .airspy import (
 from .array import ArrayConfig, beam_pattern, dft_codeword, grid_angle, nearest_grid_index
 from .asm_baseline import AsmConfig
 from .channel_sim import path_power, rx_power_penalty_db, ser_sweep, smi_sweep
-from .csb_defense import apn_law, partition_report, psk_mutual_information
+from .csb_defense import apn_law, smi_theory
 from .geometry import UavPlaneSpec
 
 # Largest planner accepted, in estimated bytes: about 15 times the 68 MB
@@ -239,84 +243,71 @@ def dump_config(cfg: ExperimentConfig) -> str:
     return buf.getvalue()
 
 
-def _write_csv(path: str, header: str, rows) -> str:
+# The format of a column's values by its numpy dtype kind: str, int, float.
+_FORMATS = {"U": "%s", "i": "%d", "u": "%d", "f": "%.12g"}
+
+
+def _write_csv(path: str, header, columns) -> str:
+    """Write columns (equal-length sequences or arrays) under a header of names.
+
+    Each row is one `%` call on a format built once from the columns' element
+    types; a NaN float is written as an empty field. Columns of unequal
+    length raise ValueError.
+    """
+    arrays = []
+    for column in map(np.asarray, columns):
+        if column.dtype.kind == "f" and np.isnan(column).any():
+            column = np.array(["" if math.isnan(x) else "%.12g" % x for x in column.tolist()])
+        arrays.append(column)
+    line = ",".join(_FORMATS[a.dtype.kind] for a in arrays) + "\n"
     with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write(",".join(header) + "\n")
+        fh.writelines(line % row for row in zip(*arrays, strict=True))
     return path
-
-
-def _fmt(v) -> str:
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return "%.12g" % float(v)
 
 
 def cmd_beam_pattern(cfg: ExperimentConfig) -> list[str]:
     """Normalized amplitude maps for the unquantized, 1-bit, and 2-bit beams."""
     step = 5 if cfg.tiny else 1
-    deg = np.arange(-90, 91, step)
-    th, ph = np.meshgrid(np.radians(deg), np.radians(deg), indexing="ij")
+    rad = np.radians(np.arange(-90, 91, step))
+    th, ph = np.meshgrid(rad, rad, indexing="ij")
     dirs = np.column_stack([th.ravel(), ph.ravel()])
-    target = (math.radians(cfg.target_theta_deg), math.radians(cfg.target_phi_deg))
-    paths = []
-    for label, q in (("inf", None), ("1", 1), ("2", 2)):
-        acfg = dataclasses.replace(cfg, q=q).array_config()
-        grid = nearest_grid_index(*target, cfg.n_t, cfg.n_rows)
-        amp = beam_pattern(dft_codeword(grid, acfg), dirs)
-        rows = (
-            (math.degrees(t), math.degrees(p), a)
-            for (t, p), a in zip(dirs, amp)
+    degrees = np.degrees(dirs.T)
+    grid = nearest_grid_index(math.radians(cfg.target_theta_deg), math.radians(cfg.target_phi_deg), cfg.n_t, cfg.n_rows)
+    return [
+        _write_csv(
+            os.path.join(cfg.out_dir, f"beam_pattern_q{label}.csv"),
+            ["theta_deg", "phi_deg", "normalized_amplitude"],
+            [*degrees, beam_pattern(dft_codeword(grid, ArrayConfig(cfg.n_t, q, cfg.n_rows)), dirs)],
         )
-        paths.append(
-            _write_csv(
-                os.path.join(cfg.out_dir, f"beam_pattern_q{label}.csv"),
-                "theta_deg,phi_deg,normalized_amplitude",
-                rows,
-            )
-        )
-    return paths
+        for label, q in (("inf", None), ("1", 1), ("2", 2))
+    ]
 
 
 def cmd_smi_sweep(cfg: ExperimentConfig) -> list[str]:
-    """Secrecy MI vs. eavesdropper angle on a linear array, CSB vs. ASM-c;
-    --tiny sweeps only the n_t grid angles, with at most 500 MI samples."""
+    """Secrecy MI vs. eavesdropper angle on a linear array, CSB vs. ASM-c, and
+    the partition-law floor at the grid angles; --tiny sweeps only the n_t
+    grid angles, with at most 500 MI samples."""
     rx_dir = (math.radians(cfg.rx_theta_deg), 0.0)
     rx_grid = nearest_grid_index(*rx_dir, cfg.n_t, 1)
-    f = dft_codeword(rx_grid, ArrayConfig(cfg.n_t, cfg.q, n_rows=1))
-    if cfg.tiny:
-        angles = [math.degrees(grid_angle(i, cfg.n_t)) for i in range(cfg.n_t)]
+    if cfg.tiny:  # the grid angles, ascending, as smi_theory lists them
+        angles = np.degrees([grid_angle(i, cfg.n_t) for i in range(1 - cfg.n_t // 2, cfg.n_t // 2 + 1)])
     else:
-        angles = [float(a) for a in np.arange(-90, 91)]
-    angles.sort()
+        angles = np.arange(-90.0, 91.0)
     smi = smi_sweep(
-        f, rx_dir, [(math.radians(a), 0.0) for a in angles],
+        dft_codeword(rx_grid, ArrayConfig(cfg.n_t, cfg.q, n_rows=1)),
+        rx_dir,
+        np.column_stack([np.radians(angles), np.zeros(len(angles))]),
         cfg.rx_snr_db, cfg.m_order, cfg.asm_c, min(cfg.mi_samples, 500) if cfg.tiny else cfg.mi_samples, cfg.seed,
     )
-    # an empty field: no trained channel in that direction
-    rows = ([a, *("" if math.isnan(v) else v for v in row)] for a, row in zip(angles, smi))
-    header = "eve_theta_deg,csb_smi," + ",".join(f"asm_smi_{c:g}" for c in cfg.asm_c)
-    sweep_path = _write_csv(os.path.join(cfg.out_dir, "smi_sweep.csv"), header, rows)
-
-    # exact partition-law markers at the on-grid directions
-    rho_rx = 10 ** (cfg.rx_snr_db / 10)
-    i_rx = psk_mutual_information(rho_rx, cfg.m_order)
-    theory_rows = []
-    for i in range(cfg.n_t):
-        g = math.gcd(rx_grid.i - i, 0)
-        eve_bits = math.log2(partition_report(cfg.m_order, g, cfg.n_t).num_classes)
-        signed_i = i if i <= cfg.n_t // 2 else i - cfg.n_t
-        theory_rows.append((signed_i, math.degrees(grid_angle(i, cfg.n_t)), g, eve_bits, max(i_rx - eve_bits, 0.0)))
-    theory_rows.sort(key=lambda r: r[1])
-    theory_path = _write_csv(
-        os.path.join(cfg.out_dir, "smi_theory.csv"),
-        "eve_grid_i,eve_theta_deg,g,eve_bits_max,smi_floor",
-        theory_rows,
-    )
-    return [sweep_path, theory_path]
+    # after the sweep: run first, the quadrature's freed temporaries raise
+    # the sweep's peak RSS by about 1.3 MB on a 16-element array
+    theory = smi_theory(rx_grid.i, cfg.n_t, cfg.m_order, cfg.rx_snr_db)
+    header = ["eve_theta_deg", "csb_smi", *(f"asm_smi_{c:g}" for c in cfg.asm_c)]
+    return [
+        _write_csv(os.path.join(cfg.out_dir, "smi_sweep.csv"), header, [angles, *smi.T]),
+        _write_csv(os.path.join(cfg.out_dir, "smi_theory.csv"), theory.keys(), theory.values()),
+    ]
 
 
 def _plan(cfg: ExperimentConfig, q: int | None) -> tuple[Scenario, Trajectory]:
@@ -335,17 +326,14 @@ def cmd_attack(cfg: ExperimentConfig) -> list[str]:
     paths = []
     for q in (1, 2):
         scenario, traj = _plan(cfg, q)
-        rows = (
-            (t * scenario.t_s, u, v, math.degrees(theta), math.degrees(phi), rate, secrecy)
-            for t, (u, v, theta, phi, rate, secrecy) in enumerate(
-                zip(traj.u, traj.v, traj.theta, traj.phi, traj.reward, traj.secrecy_rate)
-            )
-        )
         paths.append(
             _write_csv(
                 os.path.join(cfg.out_dir, f"attack_trajectory_q{q}.csv"),
-                "t_s,u,v,theta_deg,phi_deg,reward,secrecy_rate",
-                rows,
+                ["t_s", "u", "v", "theta_deg", "phi_deg", "reward", "secrecy_rate"],
+                [
+                    np.arange(len(traj.u)) * scenario.t_s, traj.u, traj.v,
+                    np.degrees(traj.theta), np.degrees(traj.phi), traj.reward, traj.secrecy_rate,
+                ],
             )
         )
     return paths
@@ -353,59 +341,51 @@ def cmd_attack(cfg: ExperimentConfig) -> list[str]:
 
 def cmd_ser(cfg: ExperimentConfig) -> list[str]:
     """SER vs. SNR for {none, csb, asm-c} with the eavesdropper parked on the
-    planned trajectory's midpoint cell."""
+    planned trajectory's midpoint cell, the defenses' mean receive-power
+    penalty at the RX (ASM loses gain, CSB does not), and the eavesdropper's
+    constellation under CSB at the top SNR point."""
     num_symbols = min(cfg.num_symbols, 2000) if cfg.tiny else cfg.num_symbols
     scenario, traj = _plan(cfg, cfg.q)
     t_mid = scenario.num_steps // 2
     rx_grid, rx_dir, rx_r = rx_state_at(scenario, t_mid)
     f = dft_codeword(rx_grid, scenario.array_cfg)
-    eve_dir = (traj.theta[t_mid], traj.phi[t_mid])
     snr_dbs = cfg.snr_sweep
     errors, constellation = ser_sweep(
-        f, rx_dir, eve_dir, path_power(rx_r, cfg.p0, cfg.r0), path_power(traj.r[t_mid], cfg.p0, cfg.r0),
+        f, rx_dir, (traj.theta[t_mid], traj.phi[t_mid]),
+        path_power(rx_r, cfg.p0, cfg.r0), path_power(traj.r[t_mid], cfg.p0, cfg.r0),
         snr_dbs, cfg.m_order, cfg.asm_c, num_symbols, cfg.seed,
     )
     labels = ["none", "csb"] + [f"asm-{c:g}" for c in cfg.asm_c]
-    ser_rows = (
-        (snr_db, label, rx / num_symbols, eve / num_symbols, num_symbols)
-        for snr_db, point in zip(snr_dbs, errors)
-        for label, (rx, eve) in zip(labels, point)
-    )
-    ser_path = _write_csv(
-        os.path.join(cfg.out_dir, "ser_sweep.csv"),
-        "snr_db,defense,rx_ser,eve_ser,trials",
-        ser_rows,
-    )
-
-    # mean received-power penalty of each defense at the RX, relative to the
-    # fixed beam (0 dB); ASM loses gain, the shift defense does not
-    snr_rows = zip(labels[1:], rx_power_penalty_db(f, rx_dir, cfg.asm_c, cfg.seed))
-    snr_path = _write_csv(
-        os.path.join(cfg.out_dir, "rx_snr_penalty.csv"),
-        "defense,rx_snr_delta_db",
-        snr_rows,
-    )
-
-    # eavesdropper constellation under the shift defense at the top SNR point
-    const_path = _write_csv(
-        os.path.join(cfg.out_dir, "eve_constellation.csv"),
-        "re,im,true_symbol_index",
-        ((re, im, int(k)) for re, im, k in constellation),
-    )
-    return [ser_path, snr_path, const_path]
+    rates = errors.reshape(-1, 2) / num_symbols
+    return [
+        _write_csv(
+            os.path.join(cfg.out_dir, "ser_sweep.csv"),
+            ["snr_db", "defense", "rx_ser", "eve_ser", "trials"],
+            [np.repeat(snr_dbs, len(labels)), labels * len(snr_dbs), *rates.T, np.full(len(rates), num_symbols)],
+        ),
+        _write_csv(
+            os.path.join(cfg.out_dir, "rx_snr_penalty.csv"),
+            ["defense", "rx_snr_delta_db"],
+            [labels[1:], rx_power_penalty_db(f, rx_dir, cfg.asm_c, cfg.seed)],
+        ),
+        _write_csv(
+            os.path.join(cfg.out_dir, "eve_constellation.csv"),
+            ["re", "im", "true_symbol_index"],
+            [*constellation[:, :2].T, constellation[:, 2].astype(int)],
+        ),
+    ]
 
 
 def cmd_apn_dist(cfg: ExperimentConfig) -> list[str]:
     """Exact phase-noise support and probabilities for each gcd value."""
-    rows = []
-    for g in range(cfg.n_t + 1):
-        law = apn_law(g, 0, cfg.n_t)
-        for phase in law.support:
-            rows.append((g, math.degrees(phase), law.prob))
-    path = _write_csv(
-        os.path.join(cfg.out_dir, "apn_dist.csv"), "g,phase_deg,probability", rows
-    )
-    return [path]
+    laws = [apn_law(g, 0, cfg.n_t) for g in range(cfg.n_t + 1)]
+    sizes = [law.support.size for law in laws]
+    columns = [
+        np.repeat([law.g for law in laws], sizes),
+        np.degrees(np.concatenate([law.support for law in laws])),
+        np.repeat([law.prob for law in laws], sizes),
+    ]
+    return [_write_csv(os.path.join(cfg.out_dir, "apn_dist.csv"), ["g", "phase_deg", "probability"], columns)]
 
 
 _COMMANDS = {

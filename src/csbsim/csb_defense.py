@@ -20,6 +20,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .array import grid_angle
+
 
 class ShiftPair(NamedTuple):
     """Row shift m (elevation axis) and column shift n (azimuth axis)."""
@@ -226,26 +228,31 @@ def psk_mutual_information(rho: float, m_order: int, tol: float = 1e-3) -> float
         nodes *= 2
 
 
-def smi(rx_snr_term: float, eve_snr_term: float, m_order: int, g: int, n_t: int) -> float:
-    """Secrecy mutual information with the shift defense active.
+def smi_theory(rx_i: int, n_t: int, m_order: int, rx_snr_db: float) -> dict[str, np.ndarray]:
+    """Partition-law secrecy floor at every on-grid eavesdropper direction.
 
-    The eavesdropper's effective constellation shrinks to the
-    distinguishable-class count from partition_report; the result is the
-    clamped difference max(I_rx - I_eve, 0).
+    On an n_t-element linear array with the receiver at grid index rx_i, the
+    eavesdropper at index i has offset g = |rx_i - i| and can resolve at most
+    eve_bits_max = log2 of partition_report's class count; smi_floor is
+    max(I_rx - eve_bits_max, 0), the secrecy MI with the eavesdropper's SNR
+    taken to infinity, I_rx the PSK MI at rx_snr_db.
 
-    Args:
-        rx_snr_term: receiver post-beamforming SNR (linear).
-        eve_snr_term: eavesdropper post-beamforming SNR (linear).
-        m_order: PSK order at the transmitter.
-        g: gcd of the grid offsets between receiver and eavesdropper.
-        n_t: per-axis element count.
+    Returns:
+        The columns of smi_theory.csv by name, ascending in angle:
+        eve_grid_i (signed grid index), eve_theta_deg, g, eve_bits_max,
+        smi_floor.
     """
-    if rx_snr_term < 0 or eve_snr_term < 0:
-        raise ValueError("SNR terms must be nonnegative")
-    report = partition_report(m_order, g, n_t)
-    i_rx = psk_mutual_information(rx_snr_term, m_order)
-    i_eve = psk_mutual_information(eve_snr_term, report.num_classes)
-    return max(i_rx - i_eve, 0.0)
+    i_rx = psk_mutual_information(10 ** (rx_snr_db / 10), m_order)
+    signed_i = np.arange(1 - n_t // 2, n_t // 2 + 1)
+    g = np.abs(rx_i - signed_i % n_t)
+    eve_bits = np.log2([partition_report(m_order, int(x), n_t).num_classes for x in g])
+    return {
+        "eve_grid_i": signed_i,
+        "eve_theta_deg": np.degrees([grid_angle(int(i), n_t) for i in signed_i]),
+        "g": g,
+        "eve_bits_max": eve_bits,
+        "smi_floor": np.maximum(i_rx - eve_bits, 0.0),
+    }
 
 
 def mixture_mi(

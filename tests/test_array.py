@@ -20,7 +20,6 @@ from csbsim.array import (
     grid_angles,
     nearest_grid_index,
     quantize_phase,
-    quantized_beamformer,
     steering_vector,
 )
 
@@ -127,23 +126,12 @@ def test_quantize_phase_lands_on_lattice_within_half_step(x, q):
     assert d <= step / 2 + 1e-9
 
 
-def test_quantized_beamformer_norm_and_zero_rejection():
-    rng = np.random.default_rng(3)
-    f = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    for q in (1, 2, 3, UNQUANTIZED):
-        w = quantized_beamformer(f, q)
-        assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-14)
-    f[2, 1] = 0
-    with pytest.raises(ValueError):
-        quantized_beamformer(f, 1)
-
-
 def test_quantization_idempotent_exactly():
     rng = np.random.default_rng(7)
-    f = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    phases = np.angle(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
     for q in (1, 2, 4):
-        once = quantized_beamformer(f, q)
-        twice = quantized_beamformer(once, q)
+        once = quantize_phase(phases, q)
+        twice = quantize_phase(once, q)
         assert np.array_equal(once, twice)
 
 

@@ -15,13 +15,21 @@ the repository root, for each command:
         --config tests/data/lock/lock.ini --out tests/data/lock/<command>
 
 and the same without ``--tiny`` for ``attack`` into ``tests/data/lock/attack-full``.
+
+A second check runs the BLAS-heavy subcommands in a child process limited to
+one OpenBLAS thread and requires the same bytes as this process writes at
+the default thread count. It shows a difference only when the suite itself
+runs at the default thread count.
 """
 
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
+import csbsim
 from csbsim.cli import main
 
 LOCK_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "lock")
@@ -78,3 +86,37 @@ def test_outputs_match_locked_copies(case, command, flags, tmp_path, capsys):
                 assert _field_matches(value, expected, col in int_cols), (
                     f"{name} row {r + 1} column {col}: {value!r} != {expected!r}"
                 )
+
+
+# A child process that runs each named subcommand --tiny on a config into
+# <out>/<command>: python -c CHILD <config> <out> <command>...
+CHILD = """
+import os, sys
+from csbsim.cli import main
+config, out, commands = sys.argv[1], sys.argv[2], sys.argv[3:]
+for command in commands:
+    assert main([command, "--tiny", "--seed", "0", "--config", config, "--out", os.path.join(out, command)]) == 0
+"""
+
+
+def test_one_blas_thread_writes_identical_bytes(tmp_path, capsys):
+    commands = ["beam-pattern", "smi-sweep", "ser"]
+    config = os.path.join(LOCK_DIR, "lock.ini")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(csbsim.__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    with subprocess.Popen(
+        [sys.executable, "-c", CHILD, config, str(tmp_path / "one"), *commands],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+    ) as child:
+        for command in commands:
+            argv = [command, "--tiny", "--seed", "0", "--config", config]
+            assert main(argv + ["--out", str(tmp_path / "default" / command)]) == 0
+        stderr = child.communicate()[1]
+    assert child.returncode == 0, stderr
+    for command in commands:
+        names = sorted(os.listdir(tmp_path / "default" / command))
+        assert names == sorted(os.listdir(tmp_path / "one" / command))
+        for name in names:
+            one = (tmp_path / "one" / command / name).read_bytes()
+            assert (tmp_path / "default" / command / name).read_bytes() == one, f"{command}: {name}"
+    capsys.readouterr()

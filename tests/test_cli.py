@@ -13,7 +13,7 @@ import re
 import numpy as np
 import pytest
 
-from csbsim.cli import ConfigError, ExperimentConfig, dump_config, load_config, main
+from csbsim.cli import ConfigError, ExperimentConfig, _write_csv, dump_config, load_config, main
 from csbsim.csb_defense import apn_law
 
 
@@ -49,6 +49,30 @@ def read_csv(path):
     header = lines[0].split(",")
     rows = [line.split(",") for line in lines[1:]]
     return header, rows
+
+
+# (header, columns, the file's expected bytes)
+WRITER_CASES = [
+    (["s"], [["none", "asm-0.5"]], b"s\nnone\nasm-0.5\n"),
+    (["i", "u"], [[3, -12], np.array([7, 2**40], dtype=np.uint64)], b"i,u\n3,7\n-12,1099511627776\n"),
+    (["x"], [np.array([0.1, 1 / 3, -2.0, 1e-20, 123456789012345.0])],
+     b"x\n0.1\n0.333333333333\n-2\n1e-20\n1.23456789012e+14\n"),
+    (["a", "b"], [[np.nan, 0.5], [1.0, np.nan]], b"a,b\n,1\n0.5,\n"),
+    (["k", "s", "x"], [[1, 2], ["p", "q"], [2.5, np.nan]], b"k,s,x\n1,p,2.5\n2,q,\n"),
+    (["x", "y"], [[], []], b"x,y\n"),
+]
+
+
+@pytest.mark.parametrize("header,columns,expected", WRITER_CASES, ids=[",".join(h) for h, _, _ in WRITER_CASES])
+def test_write_csv_formats_columns_by_type(tmp_path, header, columns, expected):
+    path = tmp_path / "t.csv"
+    assert _write_csv(str(path), header, columns) == str(path)
+    assert path.read_bytes() == expected
+
+
+def test_write_csv_rejects_unequal_columns(tmp_path):
+    with pytest.raises(ValueError):
+        _write_csv(str(tmp_path / "t.csv"), ["a", "b"], [[1, 2, 3], [0.5, 0.25]])
 
 
 class TestConfigFile:
@@ -281,6 +305,20 @@ class TestSmiSweepCommand:
             assert main(["smi-sweep", "--tiny", "--config", str(cfg), "--seed", "1", "--out", str(out)]) == 0
             sweeps.append((out / "smi_sweep.csv").read_bytes())
         assert sweeps[0] == sweeps[1]
+
+
+def test_empty_asm_c_headers_match_rows(tmp_path):
+    cfg = tmp_path / "no_asm.ini"
+    cfg.write_text("[array]\nn_t = 8\n[experiment]\nasm_c =\nmi_samples = 500\n")
+    out = tmp_path / "o"
+    for command in ("smi-sweep", "ser"):
+        assert main([command, "--tiny", "--config", str(cfg), "--seed", "0", "--out", str(out)]) == 0
+    names = sorted(os.listdir(out))
+    assert names == ["eve_constellation.csv", "rx_snr_penalty.csv", "ser_sweep.csv", "smi_sweep.csv", "smi_theory.csv"]
+    for name in names:
+        header, rows = read_csv(out / name)
+        assert rows and all(len(row) == len(header) for row in rows), name
+    assert read_csv(out / "smi_sweep.csv")[0] == ["eve_theta_deg", "csb_smi"]
 
 
 class TestSerCommand:

@@ -34,7 +34,7 @@ from csbsim.csb_defense import (
     shift_gains,
     shift_phase_factor,
     shift_phase_fraction,
-    smi,
+    smi_theory,
 )
 
 BPSK_MI_SNR0DB = 0.7215   # I(rho=1, M=2), frozen MC oracle
@@ -249,14 +249,20 @@ def test_psk_mi_validation():
 
 def test_smi_coprime_offset_keeps_full_rate():
     # One distinguishable class means the eavesdropper term vanishes.
-    v = smi(2.0, 1000.0, 4, 1, 16)
-    assert v == pytest.approx(psk_mutual_information(2.0, 4), abs=1e-12)
+    theory = smi_theory(0, 16, 4, 3.0)
+    row = list(theory["eve_grid_i"]).index(1)
+    assert theory["g"][row] == 1
+    assert theory["eve_bits_max"][row] == 0.0
+    assert theory["smi_floor"][row] == pytest.approx(psk_mutual_information(10**0.3, 4), abs=1e-12)
 
 
 def test_smi_clamps_at_zero():
-    assert smi(0.1, 1000.0, 4, 0, 16) == 0.0
-    with pytest.raises(ValueError):
-        smi(-1.0, 1.0, 4, 1, 16)
+    # The receiver's own direction resolves every symbol class.
+    for rx_snr_db in (-10.0, 10.0):
+        theory = smi_theory(3, 16, 4, rx_snr_db)
+        row = list(theory["eve_grid_i"]).index(3)
+        assert theory["eve_bits_max"][row] == 2.0
+        assert theory["smi_floor"][row] == 0.0
 
 
 # ---------------------------------------------------------------- atoms / mixtures
