@@ -133,14 +133,6 @@ def rx_state_at(scenario: Scenario, t: int):
     return grid, (sph.theta, sph.phi), sph.r
 
 
-def secrecy_rate(f, rx_angles, rx_range, eve_angles, eve_range, scenario: Scenario) -> float:
-    """Unclamped log2(1 + snr_rx*|g_rx|^2) - log2(1 + snr_eve*|g_eve|^2)."""
-    g_rx, g_eve = np.abs(gains(f, (rx_angles[0], eve_angles[0]), (rx_angles[1], eve_angles[1])))
-    snr_rx = path_power(rx_range, scenario.p0, scenario.r0) / scenario.sigma2
-    snr_eve = path_power(eve_range, scenario.p0, scenario.r0) / scenario.sigma2
-    return math.log2(1 + snr_rx * g_rx * g_rx) - math.log2(1 + snr_eve * g_eve * g_eve)
-
-
 class _Tables:
     """Static cell geometry plus per-step beams, rewards, and feasibility.
 
@@ -211,41 +203,6 @@ class _Tables:
 @lru_cache(maxsize=8)
 def _tables(scenario: Scenario, constraints: AttackConstraints) -> _Tables:
     return _Tables(scenario, constraints)
-
-
-def reward(s, scenario: Scenario, constraints: AttackConstraints) -> float:
-    """Rate reward log2(1 + snr * |gain|^2) of state s = (a, b, t).
-
-    Evaluated at the cell's angles under the beamformer of the state's own
-    step t (the planner credits this value when s is entered at step t).
-
-    Raises:
-        ValueError: if the cell maps behind the array or outside the
-            transmitter's field of view, where the link model is undefined.
-    """
-    a, b, t = s
-    tab = _tables(scenario, constraints)
-    if not 0 <= t < scenario.num_steps:
-        raise ValueError(f"step {t} outside episode of {scenario.num_steps} steps")
-    if not tab.valid[a, b]:
-        raise ValueError(f"cell ({a}, {b}) is outside the coverage region")
-    return float(tab.reward[a, b, t])
-
-
-def feasible_cells(t: int, scenario: Scenario, constraints: AttackConstraints) -> np.ndarray:
-    """Boolean (grid_g, grid_g) mask of cells permissible at step t.
-
-    A cell is permissible when it maps in front of the array inside the
-    field of view and keeps angular separation epsilon from the step-t
-    receiver direction.
-
-    Raises:
-        ValueError: if t is outside the episode.
-    """
-    if not 0 <= t < scenario.num_steps:
-        raise ValueError(f"step {t} outside episode of {scenario.num_steps} steps")
-    tab = _tables(scenario, constraints)
-    return tab.feasible[:, :, t].copy()
 
 
 def valid_actions(s, constraints: AttackConstraints, scenario: Scenario) -> set[tuple[int, int]]:

@@ -98,12 +98,6 @@ def grid_angle(i: int, n: int) -> float:
     return math.asin(2 * (i - n) / n)
 
 
-def grid_angles(g: GridIndex, n_t: int, n_rows: int | None = None) -> tuple[float, float]:
-    """(theta, phi) of a beam-grid index."""
-    rows = n_t if n_rows is None else n_rows
-    return grid_angle(g.i, n_t), grid_angle(g.j, rows)
-
-
 def nearest_grid_index(theta: float, phi: float, n_t: int, n_rows: int | None = None) -> GridIndex:
     """Snap a direction to the nearest beam-grid index (round in sin-space)."""
     rows = n_t if n_rows is None else n_rows

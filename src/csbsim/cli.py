@@ -108,6 +108,10 @@ class ExperimentConfig:
             raise ConfigError("bad SNR sweep bounds")
         if self.num_symbols < 1 or self.mi_samples < 1:
             raise ConfigError("num_symbols and mi_samples must be >= 1")
+        labels = [f"{c:g}" for c in self.asm_c]  # the fractions' CSV column and row labels
+        if len(set(labels)) < len(labels):
+            shared = next(x for x in labels if labels.count(x) > 1)
+            raise ConfigError(f"[experiment] asm_c: fractions {self.asm_c} share the label {shared!r}")
         # the objects the commands build, for the planar (n_rows x n_t) and
         # the linear (1 x n_t) array, so their own checks fail here, named
         # after the config values they were built from
@@ -181,7 +185,8 @@ _SECTIONS: dict[str, tuple[str, ...]] = {
     ),
 }
 
-_INT_FIELDS = {"n_t", "grid_g", "m_order", "num_symbols", "mi_samples"}
+_FILE_KEYS = {key for keys in _SECTIONS.values() for key in keys}
+_INT_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig) if f.type == "int" and f.name in _FILE_KEYS}
 
 
 def _parse_value(key: str, raw: str):

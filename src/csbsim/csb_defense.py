@@ -3,71 +3,33 @@
 Circularly shifting a beamformer by (m, n) rotates the gain seen at any
 on-grid direction (i, j) by exactly exp(-j 2 pi (m j / rows + n i / cols)),
 for every beamformer matrix. The transmitter compensates that rotation for
-the intended receiver's grid point; every other grid direction is left with
-a shift-dependent artificial phase-noise (APN) term whose exact distribution
-under uniform random shifts is derived here, together with the resulting
-constellation-partition law and secrecy mutual information for PSK inputs.
+the intended receiver's grid point (shift_gains, every shift at once); every
+other grid direction is left with a shift-dependent artificial phase-noise
+(APN) term whose exact distribution under uniform random shifts is derived
+here, together with the resulting constellation-partition law and secrecy
+mutual information for PSK inputs.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
 from .array import grid_angle
 
 
-class ShiftPair(NamedTuple):
-    """Row shift m (elevation axis) and column shift n (azimuth axis)."""
-
-    m: int
-    n: int
-
-
-def circulant_shift(f: np.ndarray, s) -> np.ndarray:
-    """2D circulant shift: output[k, l] = input[(k - m) mod rows, (l - n) mod cols]."""
-    m, n = s
-    return np.roll(f, (m, n), axis=(0, 1))
-
-
-def shift_phase_fraction(s, g, n_t: int, n_rows: int | None = None) -> Fraction:
-    """Exact phase of the gain rotation a shift induces at a grid direction.
-
-    Returns the fraction p such that the rotation factor is exp(-j 2 pi p),
-    reduced to [0, 1). Kept rational so tests and the phase-noise law can do
-    exact integer arithmetic.
-    """
-    rows = n_t if n_rows is None else n_rows
-    m, n = s
-    i, j = g
-    frac = Fraction(m * j, rows) + Fraction(n * i, n_t)
-    return frac % 1
-
-
-def shift_phase_factor(s, g, n_t: int, n_rows: int | None = None) -> complex:
-    """Unit complex factor relating shifted and unshifted gain at grid g.
-
-    For every beamformer F and on-grid response V at grid g:
-    <V, circulant_shift(F, s)> = <V, F> * shift_phase_factor(s, g, ...).
-    """
-    frac = shift_phase_fraction(s, g, n_t, n_rows)
-    return cmath.exp(-2j * math.pi * float(frac))
-
-
 def shift_gains(v: np.ndarray, f: np.ndarray, rx_grid) -> np.ndarray:
     """Compensated gain of every circulant shift s = (m, n), flat at k = m * cols + n.
 
-    Entry k is <V, circulant_shift(F, s)> * conj(shift_phase_factor(s, rx_grid)).
-    The gains over all shifts are one circular cross-correlation,
-    ifft2(fft2(V) * conj(fft2(F))); the compensation phase uses the exact
-    integer numerators of shift_phase_fraction. v may be a stack of
-    responses (..., rows, cols); the result is then (..., rows * cols).
+    Entry k is <V, F_s> * exp(2j pi p), where F_s moves entry (a, b) of F to
+    ((a + m) mod rows, (b + n) mod cols) and p = (m j / rows + n i / cols) mod 1
+    is the exact rotation fraction at rx_grid = (i, j). All shifts' gains are
+    one circular cross-correlation, ifft2(fft2(V) * conj(fft2(F))), and p enters
+    as its integer numerator over rows * cols. v may be a stack of responses
+    (..., rows, cols); the result is then (..., rows * cols).
     """
     rows, cols = f.shape
     i, j = rx_grid
@@ -180,18 +142,21 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     return out + np.log(np.sum(np.exp(a - mx), axis=axis))
 
 
+MI_TOL = 1e-3  # accuracy target of psk_mutual_information, in bits
+
+
 @lru_cache(maxsize=None)
 def _hermgauss(n: int):
     t, w = np.polynomial.hermite.hermgauss(n)
     return t, w
 
 
-def psk_mutual_information(rho: float, m_order: int, tol: float = 1e-3) -> float:
+def psk_mutual_information(rho: float, m_order: int) -> float:
     """Mutual information of equiprobable M-PSK over a complex AWGN channel.
 
     Computed by 2D Gauss-Hermite quadrature over the noise, doubling the
     per-axis node count from 16 until the estimate moves by less than
-    tol/10 bits (capped at 256 nodes). Monotone nondecreasing in rho and
+    MI_TOL/10 bits (capped at 256 nodes). Monotone nondecreasing in rho and
     bounded by log2 M; rho = 0 or M = 1 give exactly 0.
 
     Args:
@@ -220,7 +185,7 @@ def psk_mutual_information(rho: float, m_order: int, tol: float = 1e-3) -> float
         )
         inner = _logsumexp(ex, axis=0) / math.log(2)
         val = math.log2(m_order) - float(w @ inner @ w) / math.pi
-        if prev is not None and abs(val - prev) < tol / 10:
+        if prev is not None and abs(val - prev) < MI_TOL / 10:
             return val
         if nodes >= 256:
             return val

@@ -8,7 +8,8 @@ Three frames are used throughout the toolkit:
   use the single-argument arctangent (valid because x > 0 is enforced),
 * a normalized 2D plane at distance d in front of the array that bounds
   where an airborne eavesdropper may hover, with coordinates (u, v) in
-  [-1, 1]^2.
+  [-1, 1]^2; UavPlaneSpec holds its geometry, and the planner's tables
+  (airspy._Tables) map every grid cell to its point and angles at once.
 
 All angles are radians internally; degrees appear only at CLI boundaries.
 """
@@ -56,20 +57,6 @@ class UavPlaneSpec(NamedTuple):
     theta_tilt: float = 0.0
 
 
-class UavPlaneCoord(NamedTuple):
-    """Normalized coordinates on the hover plane, each in [-1, 1]."""
-
-    u: float
-    v: float
-
-
-def _check_plane_spec(spec: UavPlaneSpec) -> None:
-    if not spec.d > 0:
-        raise ValueError(f"plane distance must be positive, got d={spec.d}")
-    if not 0 < spec.beta < math.pi:
-        raise ValueError(f"plane aperture must lie in (0, pi), got beta={spec.beta}")
-
-
 def rect_to_msph(p, theta_tilt: float = 0.0) -> SphPoint:
     """Convert a rectangular point to the modified spherical frame.
 
@@ -95,44 +82,3 @@ def rect_to_msph(p, theta_tilt: float = 0.0) -> SphPoint:
     theta = math.atan(y / x)
     phi = math.atan(z / x) + theta_tilt
     return SphPoint(r, theta, phi)
-
-
-def uav_plane_to_rect(c, spec: UavPlaneSpec) -> RectPoint:
-    """Map normalized plane coordinates to rectangular space.
-
-    The plane is perpendicular to the tilted boresight, at distance d:
-    every output satisfies x*cos(tilt) - z*sin(tilt) = d exactly.
-
-    Args:
-        c: (u, v) pair or UavPlaneCoord, each component in [-1, 1].
-        spec: plane geometry.
-
-    Returns:
-        RectPoint on the plane. u moves the point in elevation, v in azimuth.
-
-    Raises:
-        ValueError: if |u| > 1 or |v| > 1, or the spec is invalid.
-    """
-    _check_plane_spec(spec)
-    u, v = c
-    if abs(u) > 1 or abs(v) > 1:
-        raise ValueError(f"plane coordinates must lie in [-1,1]^2, got ({u}, {v})")
-    half = spec.d * math.tan(spec.beta / 2)
-    sin_t = math.sin(spec.theta_tilt)
-    cos_t = math.cos(spec.theta_tilt)
-    x = u * half * sin_t + spec.d * cos_t
-    y = v * half
-    z = u * half * cos_t - spec.d * sin_t
-    return RectPoint(x, y, z)
-
-
-def msph_angles_of_plane_coord(c, spec: UavPlaneSpec) -> tuple[float, float]:
-    """Angles (theta, phi) of a hover-plane point, composing the two maps above.
-
-    Raises:
-        ValueError: if the plane point falls on or behind the array plane
-            (possible for tilted arrays at extreme u).
-    """
-    p = uav_plane_to_rect(c, spec)
-    s = rect_to_msph(p, spec.theta_tilt)
-    return s.theta, s.phi

@@ -1,9 +1,10 @@
 """Independent reference for the attacker planning problem.
 
 Enumerates every velocity-permissible trajectory through the public
-``valid_actions`` / ``reward`` operations and keeps the best one, with the
-same tie rule as the planner (first in lexicographic order).  Suffix values
-are memoised per (cell, step), which prunes the walk without changing the
+``valid_actions`` operation, scoring each step from the planner's reward
+table (``_tables(...).reward``), and keeps the best one, with the same tie
+rule as the planner (first in lexicographic order).  Suffix values are
+memoised per (cell, step), which prunes the walk without changing the
 argmax; totals are accumulated back-to-front so they are bit-identical to
 the planner's fold over the same reward floats.
 """
@@ -14,7 +15,7 @@ import math
 
 import numpy as np
 
-from csbsim.airspy import AttackConstraints, Scenario, feasible_cells, reward, valid_actions
+from csbsim.airspy import AttackConstraints, Scenario, _tables, valid_actions
 from csbsim.array import ArrayConfig
 from csbsim.geometry import UavPlaneSpec
 
@@ -27,6 +28,7 @@ def brute_force_trajectory(scenario: Scenario, constraints: AttackConstraints):
     reward resolve to the lexicographically smallest cell sequence.
     """
     n = scenario.num_steps
+    tab = _tables(scenario, constraints)
     # memo[(cell, t)] = (suffix_total, suffix_cells) for the best completion
     # from cell at step t, or None when every continuation dead-ends.
     memo: dict[tuple[tuple[int, int], int], tuple[float, list] | None] = {}
@@ -43,7 +45,7 @@ def brute_force_trajectory(scenario: Scenario, constraints: AttackConstraints):
                 tail = best_suffix(succ, t + 1)
                 if tail is None:
                     continue
-                total = reward((succ[0], succ[1], t + 1), scenario, constraints) + tail[0]
+                total = tab.reward[succ[0], succ[1], t + 1] + tail[0]
                 if result is None or total > result[0]:
                     result = (total, [cell] + tail[1])
         memo[key] = result
@@ -51,7 +53,7 @@ def brute_force_trajectory(scenario: Scenario, constraints: AttackConstraints):
 
     best: tuple[float, list] | None = None
     g = constraints.grid_g
-    feas0 = feasible_cells(0, scenario, constraints)
+    feas0 = tab.feasible[:, :, 0]
     for a in range(g):
         for b in range(g):
             if not feas0[a, b]:

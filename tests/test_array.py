@@ -17,11 +17,12 @@ from csbsim.array import (
     dft_codeword,
     gains,
     grid_angle,
-    grid_angles,
     nearest_grid_index,
     quantize_phase,
     steering_vector,
 )
+
+from oracles import grid_angles
 
 
 # ---------------------------------------------------------------- config

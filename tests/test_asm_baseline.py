@@ -12,12 +12,11 @@ from csbsim.array import (
     array_response,
     beam_gain,
     dft_codeword,
-    grid_angles,
 )
 from csbsim.asm_baseline import AsmConfig, random_subset_masks
 from csbsim.channel_sim import defense_gains, smi_sweep
 
-from oracles import argpartition_subset_masks
+from oracles import argpartition_subset_masks, grid_angles
 
 
 def _responses(directions, cols, rows=None):

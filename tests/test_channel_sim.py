@@ -20,29 +20,26 @@ from csbsim.array import (
     array_response,
     beam_gain,
     dft_codeword,
-    grid_angles,
     nearest_grid_index,
 )
 from csbsim.channel_sim import (
     CONSTELLATION_CAP,
     MASK_BLOCK,
+    PENALTY_SUBSETS,
     LinkState,
     defense_gains,
     equalize_and_detect,
     path_power,
     received_symbol,
+    rx_power_penalty_db,
     ser_sweep,
     sigma2_for_snr,
     simulate_symbols,
 )
 from csbsim.asm_baseline import AsmConfig, random_subset_masks
-from csbsim.csb_defense import (
-    ShiftPair,
-    apn_law,
-    circulant_shift,
-    psk_symbols,
-    shift_phase_factor,
-)
+from csbsim.csb_defense import apn_law, psk_symbols
+
+from oracles import circulant_shift, grid_angles, shift_phase_factor
 
 
 # ---------------------------------------------------------------- basics
@@ -145,7 +142,7 @@ def test_defense_gains_match_scalar_oracles(rows, cols, on_grid):
         csb = defense_gains("csb", f, v, rx)
         assert csb.shape == (3, rows * cols)
         for k in range(rows * cols):
-            s = ShiftPair(k // cols, k % cols)
+            s = (k // cols, k % cols)
             comp = shift_phase_factor(s, rx, cols, rows).conjugate()
             oracle = [beam_gain(v_p, circulant_shift(f, s)) * comp for v_p in v]
             assert_allclose(csb[:, k], oracle, rtol=0, atol=1e-12)
@@ -192,6 +189,34 @@ def test_defense_gains_asm_needs_an_rng():
     v = array_response(0.1, 0.0, 8, 1)[None]
     with pytest.raises(ValueError, match="requires asm_c and an rng"):
         defense_gains("asm", f, v, GridIndex(1, 0), None, 4, 0.5)
+
+
+def test_rx_power_penalty_matches_exact_means():
+    # off-grid receiver: CSB averages every shift's power, and ASM at k of N
+    # active elements has mean power p2 |sum w|^2 + (p1 - p2) sum |w|^2,
+    # with w = V * conj(F), p1 = k / N and p2 = k (k - 1) / (N (N - 1))
+    rx_dir = (0.4, -0.2)
+    rx_grid = nearest_grid_index(*rx_dir, 8, 8)
+    f = dft_codeword(rx_grid, ArrayConfig(8, 1))
+    v = array_response(*rx_dir, 8)
+    asm_c, seed = (0.3, 0.5, 0.7, 1.0), 0
+    got = rx_power_penalty_db(f, rx_dir, asm_c, seed)
+    assert got.shape == (1 + len(asm_c),)
+    p_fixed = abs(beam_gain(v, f)) ** 2
+    csb = np.mean([abs(beam_gain(v, circulant_shift(f, (m, n)))) ** 2 for m in range(8) for n in range(8)])
+    assert abs(got[0] - 10 * math.log10(csb / p_fixed)) <= 1e-12
+    w = (v * np.conj(f)).ravel()
+    size = w.size
+    for ci, c in enumerate(asm_c[:-1]):
+        k = AsmConfig(c, 8, 8).active_count
+        p1, p2 = k / size, k * (k - 1) / (size * (size - 1))
+        exact = p2 * abs(w.sum()) ** 2 + (p1 - p2) * np.sum(np.abs(w) ** 2)
+        # the subsets rx_power_penalty_db averages, from the same stream
+        rng = np.random.default_rng([seed, 55, ci])
+        power = np.abs(defense_gains("asm", f, v[None], rx_grid, rng, PENALTY_SUBSETS, c)[0]) ** 2
+        se = power.std(ddof=1) / math.sqrt(power.size)
+        assert abs(p_fixed * 10 ** (got[1 + ci] / 10) - exact) <= 4 * se
+    assert abs(got[-1]) <= 1e-12  # c = 1: every element, the fixed beam
 
 
 # ---------------------------------------------------------------- simulate
@@ -422,7 +447,7 @@ def _relative_shift_atoms(cfg, theta, phi_ang):
     k = 0
     for m in range(rows):
         for n in range(cols):
-            s = ShiftPair(m, n)
+            s = (m, n)
             g = beam_gain(v, circulant_shift(f, s))
             out[k] = g * shift_phase_factor(s, rx_grid, cols, rows).conjugate() / base
             k += 1

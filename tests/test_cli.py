@@ -33,6 +33,9 @@ BAD_CONFIGS = [
     ("attack", "[scenario]\ny_min = 5\ny_max = -5\n", "[scenario]"),
     ("smi-sweep", "[experiment]\nasm_c = 1.5\n", "[experiment] asm_c"),
     ("ser", "[attack]\nv_max = 0\n", "[attack]"),
+    # fractions whose column and row labels ({c:g}) coincide
+    ("ser", "[experiment]\nasm_c = 0.5,0.5\n", "[experiment] asm_c"),
+    ("smi-sweep", "[array]\nn_t = 8\n[experiment]\nasm_c = 0.5,0.5000001\n", "[experiment] asm_c"),
     # planners far past the size cap, rejected before anything is allocated
     ("attack", "[attack]\ngrid_g = 100000\n", "[attack] grid_g"),
     ("attack", "[scenario]\nt_s = 1e-9\n", "[attack] grid_g"),
@@ -107,6 +110,9 @@ class TestConfigFile:
             ("[nosuch]\nx = 1\n", "unknown config section"),
             ("[array]\nbogus = 1\n", "unknown key"),
             ("[array]\nn_t = sixteen\n", "bad value"),
+            # every int field of the file reads as int, not float
+            ("[attack]\ngrid_g = 5.5\n", "bad value"),
+            ("[experiment]\nmi_samples = 1e3\n", "bad value"),
             ("n_t = 16\n", "malformed"),
         ],
     )
@@ -129,6 +135,11 @@ class TestConfigFile:
     def test_validation_errors(self, kwargs):
         with pytest.raises(ConfigError):
             ExperimentConfig(**kwargs)
+
+    def test_colliding_asm_labels_name_the_label(self):
+        with pytest.raises(ConfigError, match=r"^\[experiment\] asm_c: .* label '0\.5'$"):
+            ExperimentConfig(asm_c=(0.3, 0.5, 0.5000001))
+        assert ExperimentConfig(asm_c=(0.5, 0.50001)).asm_c == (0.5, 0.50001)  # labels 0.5 and 0.50001
 
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="cannot read"):

@@ -20,22 +20,19 @@ from csbsim.array import (
     array_response,
     beam_gain,
     dft_codeword,
-    grid_angles,
 )
 from csbsim.channel_sim import defense_gains, smi_sweep
 from csbsim.csb_defense import (
     ApnLaw,
-    ShiftPair,
     apn_law,
-    circulant_shift,
     mixture_mi,
     partition_report,
     psk_mutual_information,
     shift_gains,
-    shift_phase_factor,
-    shift_phase_fraction,
     smi_theory,
 )
+
+from oracles import circulant_shift, grid_angles, shift_phase_factor, shift_phase_fraction
 
 BPSK_MI_SNR0DB = 0.7215   # I(rho=1, M=2), frozen MC oracle
 QPSK_MI_SNR10DB = 1.9936  # I(rho=10, M=4)
@@ -63,12 +60,12 @@ def test_circulant_shift_composes_and_preserves_norm():
 
 def test_shift_phase_fraction_examples():
     # Unit column shift, azimuth grid 1, 16 columns: 1/16 of a turn.
-    assert shift_phase_fraction(ShiftPair(0, 1), GridIndex(1, 0), 16) == Fraction(1, 16)
+    assert shift_phase_fraction((0, 1), GridIndex(1, 0), 16) == Fraction(1, 16)
     # Wraps mod 1 exactly.
-    assert shift_phase_fraction(ShiftPair(8, 8), GridIndex(2, 2), 16) == Fraction(0)
+    assert shift_phase_fraction((8, 8), GridIndex(2, 2), 16) == Fraction(0)
     # Row shifts are inert on a single-row array.
-    assert shift_phase_fraction(ShiftPair(0, 3), GridIndex(5, 0), 8, 1) == Fraction(15, 8) % 1
-    f = shift_phase_fraction(ShiftPair(2, 3), GridIndex(4, 6), 16, 8)
+    assert shift_phase_fraction((0, 3), GridIndex(5, 0), 8, 1) == Fraction(15, 8) % 1
+    f = shift_phase_fraction((2, 3), GridIndex(4, 6), 16, 8)
     assert f == (Fraction(2 * 6, 8) + Fraction(3 * 4, 16)) % 1
 
 
@@ -80,7 +77,7 @@ def test_gain_rotation_identity_any_beamformer():
         f = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
         for _ in range(20):
             g = GridIndex(int(rng.integers(cols)), int(rng.integers(rows)))
-            s = ShiftPair(int(rng.integers(rows)), int(rng.integers(cols)))
+            s = (int(rng.integers(rows)), int(rng.integers(cols)))
             theta, phi = grid_angles(g, cols, rows)
             v = array_response(theta, phi, cols, rows)
             lhs = beam_gain(v, circulant_shift(f, s))
@@ -101,8 +98,8 @@ def test_shift_gains_match_per_shift_oracle(rows, cols, on_grid):
             probe = tuple(rng.uniform(-1.5, 1.5, size=2))
         v = array_response(*probe, cols, rows)
         oracle = [
-            beam_gain(v, circulant_shift(f, ShiftPair(m, n)))
-            * shift_phase_factor(ShiftPair(m, n), rx, cols, rows).conjugate()
+            beam_gain(v, circulant_shift(f, (m, n)))
+            * shift_phase_factor((m, n), rx, cols, rows).conjugate()
             for m in range(rows)
             for n in range(cols)
         ]
@@ -136,7 +133,7 @@ def test_csb_draws_reproducible_and_consistent():
     assert np.array_equal(a, b)
     shifts = np.random.default_rng(42).integers(64, size=50)
     for col, k in enumerate(shifts):
-        s = ShiftPair(int(k) // 8, int(k) % 8)
+        s = (int(k) // 8, int(k) % 8)
         for p in range(2):
             oracle = beam_gain(v[p], circulant_shift(f, s)) * shift_phase_factor(s, rx, 8, 8).conjugate()
             assert a[p, col] == pytest.approx(oracle, abs=1e-12)
