@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -136,8 +135,9 @@ def rx_state_at(scenario: Scenario, t: int):
 class _Tables:
     """Static cell geometry plus per-step beams, rewards, and feasibility.
 
-    Obtain instances through _tables(); construction does the full per-step
-    gain evaluation and is worth caching across the planning calls.
+    value_iteration builds one per plan and hands it to extract_trajectory
+    with the values; nothing else keeps it, so it is freed with the plan.
+    offsets are the per-step moves in lexicographic order.
     """
 
     def __init__(self, scenario: Scenario, constraints: AttackConstraints):
@@ -200,40 +200,16 @@ class _Tables:
         ]
 
 
-@lru_cache(maxsize=8)
-def _tables(scenario: Scenario, constraints: AttackConstraints) -> _Tables:
-    return _Tables(scenario, constraints)
-
-
-def valid_actions(s, constraints: AttackConstraints, scenario: Scenario) -> set[tuple[int, int]]:
-    """Successor cells of state s = (grid u index, grid v index, t).
-
-    A successor is any in-bounds cell within the velocity radius whose step
-    t+1 angles exist (in front of the array, inside the field of view) and
-    keep the squared angular separation from the receiver above epsilon^2.
-    The empty set is a valid result.
-    """
-    a, b, t = s
-    tab = _tables(scenario, constraints)
-    if not 0 <= t < scenario.num_steps - 1:
-        return set()
-    out = set()
-    for di, dj in tab.offsets:
-        aa, bb = a + di, b + dj
-        if 0 <= aa < tab.g and 0 <= bb < tab.g and tab.feasible[aa, bb, t + 1]:
-            out.add((aa, bb))
-    return out
-
-
-def value_iteration(scenario: Scenario, constraints: AttackConstraints) -> np.ndarray:
+def value_iteration(scenario: Scenario, constraints: AttackConstraints) -> tuple[_Tables, np.ndarray]:
     """Finite-horizon backward induction over (cell, step).
 
-    Returns the values H indexed (grid u, grid v, time step). Terminal-layer
-    values are 0; earlier layers satisfy
+    Returns the tables it built and the values H indexed (grid u, grid v,
+    time step). Terminal-layer values are 0; earlier layers satisfy
     H(s, t) = max over permissible successors s' of R(s', t+1) + H(s', t+1),
-    with -inf where no successor is permissible.
+    with -inf where no successor is permissible. A successor is an in-bounds
+    cell at one of the tables' offsets that is feasible at step t+1.
     """
-    tab = _tables(scenario, constraints)
+    tab = _Tables(scenario, constraints)
     g, n = tab.g, scenario.num_steps
     h = np.zeros((g, g, n))
     for t in range(n - 2, -1, -1):
@@ -247,11 +223,11 @@ def value_iteration(scenario: Scenario, constraints: AttackConstraints) -> np.nd
             dst_b = slice(max(0, dj), g + min(0, dj))
             np.maximum(best[src_a, src_b], cand[dst_a, dst_b], out=best[src_a, src_b])
         h[:, :, t] = best
-    return h
+    return tab, h
 
 
-def extract_trajectory(h: np.ndarray, scenario: Scenario, constraints: AttackConstraints) -> Trajectory:
-    """Greedy forward walk through the value table.
+def extract_trajectory(tab: _Tables, h: np.ndarray) -> Trajectory:
+    """Greedy forward walk through value_iteration's tables and values.
 
     The start is the feasible step-0 cell with maximal finite value; each
     step follows the successor maximizing R + H at the next layer. All ties
@@ -264,7 +240,7 @@ def extract_trajectory(h: np.ndarray, scenario: Scenario, constraints: AttackCon
         PlannerInternalError: if the walked path breaks the velocity bound
             or the feasibility table it was walked on.
     """
-    tab = _tables(scenario, constraints)
+    scenario, constraints = tab.scenario, tab.constraints
     g, n = tab.g, scenario.num_steps
     start_vals = np.where(tab.feasible[:, :, 0], h[:, :, 0], NEG_INF)
     if not np.isfinite(start_vals).any():
@@ -272,12 +248,16 @@ def extract_trajectory(h: np.ndarray, scenario: Scenario, constraints: AttackCon
     flat = int(np.argmax(start_vals))  # first maximum in C order = lexicographic
     cell = (flat // g, flat % g)
     cells = [cell]
+    offsets = np.array(tab.offsets)
     for t in range(n - 1):
-        successors = sorted(valid_actions((*cell, t), constraints, scenario))
-        best = max(successors, key=lambda c: tab.reward[(*c, t + 1)] + h[(*c, t + 1)], default=None)
-        if best is None or h[(*best, t + 1)] == NEG_INF:  # successors' rewards are finite
+        # the offsets are lexicographic, so argmax's first maximum is the smallest cell
+        nxt = offsets + cell
+        a, b = nxt[((nxt >= 0) & (nxt < g)).all(axis=1)].T
+        score = np.where(tab.feasible[a, b, t + 1], tab.reward[a, b, t + 1] + h[a, b, t + 1], NEG_INF)
+        k = int(np.argmax(score))
+        if score[k] == NEG_INF:
             raise InfeasibleError(f"dead end at step {t} from cell {cell}")
-        cell = best
+        cell = (int(a[k]), int(b[k]))
         cells.append(cell)
 
     total = 0.0

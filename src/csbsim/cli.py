@@ -38,11 +38,11 @@ from .channel_sim import path_power, rx_power_penalty_db, ser_sweep, smi_sweep
 from .csb_defense import apn_law, smi_theory
 from .geometry import UavPlaneSpec
 
-# Largest planner accepted, in estimated bytes: about 15 times the 68 MB
-# estimated for the wide-array benchmark's 128 x 128 grid, 41 steps and
-# 64 x 64 array (traced peak 45 MB). ExperimentConfig.__post_init__ makes
-# the estimate.
-MAX_PLANNER_BYTES = 2**30
+# Largest planner or Monte-Carlo run accepted, in estimated bytes: about 15
+# times the 68 MB estimated for the wide-array benchmark's planner (128 x 128
+# grid, 41 steps, 64 x 64 array; traced peak 45 MB).
+# ExperimentConfig.__post_init__ makes the estimates.
+MAX_BYTES = 2**30
 
 
 class ConfigError(ValueError):
@@ -95,6 +95,9 @@ class ExperimentConfig:
             entries = value if field.name == "asm_c" else (value,)
             if any(isinstance(x, float) and not math.isfinite(x) for x in entries):
                 raise ConfigError(f"{field.name} must be finite, got {value}")
+            # config counts reach numpy as int64s; _parse_seed bounds the seed
+            if field.name != "seed" and any(isinstance(x, int) and abs(x) >= 2**63 for x in entries):
+                raise ConfigError(f"{field.name} must be below 2**63, got {value}")
         # checked here in the config's units; the objects built below check
         # every other field
         for name in ("d", "epsilon_deg"):
@@ -131,11 +134,27 @@ class ExperimentConfig:
         # per plane cell and step: reward, value and the step beam's cached
         # |gain|^2 (float64) and feasibility (bool); per cell: the gain
         # kernel's complex128 steering rows and the float64 geometry arrays
-        planner_bytes = self.grid_g**2 * (25 * steps + 16 * (rows + 2 * cols) + 80)
-        if planner_bytes > MAX_PLANNER_BYTES:
+        planner_bytes = self.grid_g**2 * (25 * float(steps) + 16 * (rows + 2 * cols) + 80)
+        if planner_bytes > MAX_BYTES:
             raise ConfigError(
                 f"[attack] grid_g = {self.grid_g} with [scenario] {steps} steps on a {rows} x {cols} array: "
-                f"the planner needs about {planner_bytes:.3g} bytes, above the cap of {MAX_PLANNER_BYTES} bytes"
+                f"the planner needs about {planner_bytes:.3g} bytes, above the cap of {MAX_BYTES} bytes"
+            )
+        # peak-RSS growth per draw, measured: a ser symbol takes about 96 B
+        # plus two per array element (its ASM mask, held twice while a run's
+        # mask blocks are joined): 609 B on 16 x 16, 8.3 kB on 64 x 64; a
+        # mixture_mi sample takes 48 B above its chunk's fixed working set
+        symbol_bytes = self.num_symbols * (96 + 2 * rows * cols)
+        if symbol_bytes > MAX_BYTES:
+            raise ConfigError(
+                f"[experiment] num_symbols: {self.num_symbols} symbols on a {rows} x {cols} array need "
+                f"about {symbol_bytes:.3g} bytes, above the cap of {MAX_BYTES} bytes"
+            )
+        sample_bytes = self.mi_samples * 48
+        if sample_bytes > MAX_BYTES:
+            raise ConfigError(
+                f"[experiment] mi_samples: {self.mi_samples} samples need about {sample_bytes:.3g} bytes, "
+                f"above the cap of {MAX_BYTES} bytes"
             )
 
     def array_config(self) -> ArrayConfig:
@@ -322,8 +341,7 @@ def _plan(cfg: ExperimentConfig, q: int | None) -> tuple[Scenario, Trajectory]:
         span = 3 * cfg.rx_speed * cfg.t_s
         cfg = dataclasses.replace(cfg, grid_g=5, y_min=-span / 2, y_max=span / 2)
     scenario = dataclasses.replace(cfg, q=q).scenario()
-    constraints = cfg.constraints()
-    return scenario, extract_trajectory(value_iteration(scenario, constraints), scenario, constraints)
+    return scenario, extract_trajectory(*value_iteration(scenario, cfg.constraints()))
 
 
 def cmd_attack(cfg: ExperimentConfig) -> list[str]:
@@ -347,8 +365,10 @@ def cmd_attack(cfg: ExperimentConfig) -> list[str]:
 def cmd_ser(cfg: ExperimentConfig) -> list[str]:
     """SER vs. SNR for {none, csb, asm-c} with the eavesdropper parked on the
     planned trajectory's midpoint cell, the defenses' mean receive-power
-    penalty at the RX (ASM loses gain, CSB does not), and the eavesdropper's
-    constellation under CSB at the top SNR point."""
+    penalty at the RX, and the eavesdropper's constellation under CSB at the
+    top SNR point. The RX sits at its true, off-grid angles, so CSB's penalty
+    is not 0 dB: the compensation keeps the gain exactly only on the beam
+    grid (-1.44 dB on the default 16 x 16 config)."""
     num_symbols = min(cfg.num_symbols, 2000) if cfg.tiny else cfg.num_symbols
     scenario, traj = _plan(cfg, cfg.q)
     t_mid = scenario.num_steps // 2

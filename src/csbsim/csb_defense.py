@@ -138,8 +138,7 @@ def psk_symbols(m_order: int) -> np.ndarray:
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     mx = a.max(axis=axis, keepdims=True)
-    out = mx[..., 0] if axis == -1 else np.squeeze(mx, axis=axis)
-    return out + np.log(np.sum(np.exp(a - mx), axis=axis))
+    return np.squeeze(mx, axis=axis) + np.log(np.sum(np.exp(a - mx), axis=axis))
 
 
 MI_TOL = 1e-3  # accuracy target of psk_mutual_information, in bits

@@ -1,12 +1,14 @@
 """Independent reference for the attacker planning problem.
 
-Enumerates every velocity-permissible trajectory through the public
-``valid_actions`` operation, scoring each step from the planner's reward
-table (``_tables(...).reward``), and keeps the best one, with the same tie
-rule as the planner (first in lexicographic order).  Suffix values are
-memoised per (cell, step), which prunes the walk without changing the
-argmax; totals are accumulated back-to-front so they are bit-identical to
-the planner's fold over the same reward floats.
+Enumerates every velocity-permissible trajectory and keeps the best one,
+with the same tie rule as the planner (first in lexicographic order).  It
+takes only the per-step reward and feasibility tables from the planner
+(``_Tables(...).reward`` and ``.feasible``); its successor rule, every
+in-bounds cell within the per-step index radius that is feasible at the
+next step, is its own (``successors``).  Suffix values are memoised per
+(cell, step), which prunes the walk without changing the argmax; totals are
+accumulated back-to-front so they are bit-identical to the planner's fold
+over the same reward floats.
 """
 
 from __future__ import annotations
@@ -15,9 +17,26 @@ import math
 
 import numpy as np
 
-from csbsim.airspy import AttackConstraints, Scenario, _tables, valid_actions
+from csbsim.airspy import AttackConstraints, Scenario, _Tables
 from csbsim.array import ArrayConfig
 from csbsim.geometry import UavPlaneSpec
+
+
+def successors(cell, t: int, feasible: np.ndarray, scenario: Scenario, constraints: AttackConstraints):
+    """Cells the eavesdropper may take at step t+1 from cell at step t, ascending.
+
+    A successor is in bounds, within constraints.step_radius * t_s * grid_g / 2
+    grid cells of cell (the velocity bound in cell units), and feasible[:, :, t+1].
+    """
+    g = constraints.grid_g
+    rad = constraints.step_radius * scenario.t_s * g / 2
+    a, b = cell
+    return [
+        (aa, bb)
+        for aa in range(g)
+        for bb in range(g)
+        if (aa - a) ** 2 + (bb - b) ** 2 <= rad * rad and feasible[aa, bb, t + 1]
+    ]
 
 
 def brute_force_trajectory(scenario: Scenario, constraints: AttackConstraints):
@@ -28,7 +47,7 @@ def brute_force_trajectory(scenario: Scenario, constraints: AttackConstraints):
     reward resolve to the lexicographically smallest cell sequence.
     """
     n = scenario.num_steps
-    tab = _tables(scenario, constraints)
+    tab = _Tables(scenario, constraints)
     # memo[(cell, t)] = (suffix_total, suffix_cells) for the best completion
     # from cell at step t, or None when every continuation dead-ends.
     memo: dict[tuple[tuple[int, int], int], tuple[float, list] | None] = {}
@@ -41,7 +60,7 @@ def brute_force_trajectory(scenario: Scenario, constraints: AttackConstraints):
             result = (0.0, [cell])
         else:
             result = None
-            for succ in sorted(valid_actions((cell[0], cell[1], t), constraints, scenario)):
+            for succ in successors(cell, t, tab.feasible, scenario, constraints):
                 tail = best_suffix(succ, t + 1)
                 if tail is None:
                     continue

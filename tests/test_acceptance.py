@@ -241,12 +241,12 @@ def test_criterion_08_planner_is_exactly_optimal_on_tiny_instances():
             scenario, constraints = tiny_instance(seed)
             seed += 1
             oracle = brute_force_trajectory(scenario, constraints)
-            table = value_iteration(scenario, constraints)
+            table, h = value_iteration(scenario, constraints)
             if oracle is None:
                 with pytest.raises(InfeasibleError):
-                    extract_trajectory(table, scenario, constraints)
+                    extract_trajectory(table, h)
                 continue
-            traj = extract_trajectory(table, scenario, constraints)
+            traj = extract_trajectory(table, h)
             cells, total = oracle
             assert traj.total_reward == total
             assert list(traj.cells) == [tuple(c) for c in cells]
@@ -264,8 +264,7 @@ def test_criterion_09_lane_crossing_secrecy_stays_nonpositive():
             UavPlaneSpec(1.0, math.radians(160.0), tilt), 17.0, math.radians(3.0), 64
         )
         assert scenario.num_steps == 41
-        table = value_iteration(scenario, constraints)
-        traj = extract_trajectory(table, scenario, constraints)
+        traj = extract_trajectory(*value_iteration(scenario, constraints))
         profile = traj.secrecy_rate
         elapsed = time.perf_counter() - start
         assert len(profile) == 41

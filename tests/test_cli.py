@@ -9,11 +9,13 @@ import dataclasses
 import math
 import os
 import re
+import weakref
 
 import numpy as np
 import pytest
 
-from csbsim.cli import ConfigError, ExperimentConfig, _write_csv, dump_config, load_config, main
+from csbsim import airspy
+from csbsim.cli import ConfigError, ExperimentConfig, _plan, _write_csv, dump_config, load_config, main
 from csbsim.csb_defense import apn_law
 
 
@@ -43,6 +45,12 @@ BAD_CONFIGS = [
     ("attack", "[scenario]\nt_s = 1e-320\n", "[scenario]"),
     # one step, but a 4096 x 4096 plane grid through the gain kernel
     ("attack", "[scenario]\nt_s = 100\n[attack]\ngrid_g = 4096\n", "[attack] grid_g"),
+    # estimates past the float range
+    ("attack", "[scenario]\nt_s = 1e-306\n", "[attack] grid_g"),
+    ("attack", f"[attack]\ngrid_g = {10**160}\n", "grid_g"),
+    # Monte-Carlo runs far past the size cap, rejected whatever the subcommand
+    ("ser", "[experiment]\nnum_symbols = 1000000000000\n", "[experiment] num_symbols"),
+    ("smi-sweep", "[experiment]\nmi_samples = 1000000000000\n", "[experiment] mi_samples"),
 ]
 
 
@@ -161,6 +169,12 @@ class TestExitCodes:
             main(["apn-dist", "--seed", str(2**64)])
         assert err.value.code == 1
 
+    @pytest.mark.parametrize("command", ["apn-dist", "ser"])
+    def test_largest_seed_runs(self, tmp_path, command):
+        out = tmp_path / "o"
+        assert main([command, "--tiny", "--seed", str(2**64 - 1), "--out", str(out)]) == 0
+        assert os.listdir(out)
+
     def test_config_error_returns_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"
         bad.write_text("[array]\nbogus = 1\n")
@@ -244,6 +258,21 @@ class TestAttackCommand:
             for row in rows:
                 u, v = float(row[1]), float(row[2])
                 assert -1.0 <= u <= 1.0 and -1.0 <= v <= 1.0
+
+    def test_plan_leaves_no_table_alive(self, monkeypatch):
+        # attack plans twice per run: a table kept past its plan would double
+        # what the size cap allows
+        built = []
+        init = airspy._Tables.__init__
+
+        def record(self, scenario, constraints):
+            init(self, scenario, constraints)
+            built.append(weakref.ref(self))
+
+        monkeypatch.setattr(airspy._Tables, "__init__", record)
+        _plan(ExperimentConfig(tiny=True), 1)
+        assert len(built) == 1
+        assert built[0]() is None
 
 
 class TestBeamPatternCommand:
