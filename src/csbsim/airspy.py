@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .array import ArrayConfig, GridIndex, dft_codeword, gains, nearest_grid_index
+from .array import ArrayConfig, dft_codeword, gains, nearest_grid_index
 from .channel_sim import path_power
 from .geometry import RectPoint, UavPlaneSpec, rect_to_msph
 
@@ -172,19 +172,19 @@ class _Tables:
         n = scenario.num_steps
         eps2 = constraints.epsilon**2
         snr = path_power(self.r[self.valid], scenario.p0, scenario.r0) / scenario.sigma2
-        beams: dict[GridIndex, tuple[np.ndarray, np.ndarray]] = {}  # codeword, |gain|^2 of valid cells
+        states = [rx_state_at(scenario, t) for t in range(n)]
+        beam_of = {grid: b for b, grid in enumerate(dict.fromkeys(s[0] for s in states))}
+        f = np.stack([dft_codeword(grid, cfg) for grid in beam_of])
+        # |gain|^2 of every valid cell under every distinct beam, in one call
+        gain2 = np.abs(gains(f, self.theta[self.valid], self.phi[self.valid]))
+        gain2 *= gain2
         self.reward = np.full((g, g, n), NEG_INF)
         self.rx_rate = np.empty(n)
         self.feasible = np.empty((g, g, n), dtype=bool)
-        for t in range(n):
-            beam_grid, (th_r, ph_r), rx_r = rx_state_at(scenario, t)
-            if beam_grid not in beams:
-                f = dft_codeword(beam_grid, cfg)
-                amp = np.abs(gains(f, self.theta[self.valid], self.phi[self.valid]))
-                beams[beam_grid] = f, amp * amp
-            f, gain2 = beams[beam_grid]
-            self.reward[:, :, t][self.valid] = np.log2(1.0 + snr * gain2)
-            g_rx = abs(gains(f, (th_r,), (ph_r,))[0])
+        for t, (beam_grid, (th_r, ph_r), rx_r) in enumerate(states):
+            b = beam_of[beam_grid]
+            self.reward[:, :, t][self.valid] = np.log2(1.0 + snr * gain2[b])
+            g_rx = abs(gains(f[b], (th_r,), (ph_r,))[0])
             snr_rx = path_power(rx_r, scenario.p0, scenario.r0) / scenario.sigma2
             self.rx_rate[t] = math.log2(1 + snr_rx * g_rx * g_rx)
             sep2 = (self.theta - th_r) ** 2 + (self.phi - ph_r) ** 2

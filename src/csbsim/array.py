@@ -166,12 +166,25 @@ def beam_gain(v: np.ndarray, f: np.ndarray) -> complex:
 
 
 def gains(f: np.ndarray, thetas, phis) -> np.ndarray:
-    """Gains <V(theta, phi), F> of a (rows, cols) beamformer, one per direction
-    pair (thetas[d], phis[d]) in radians, as a 1D complex array."""
-    rows, cols = f.shape
-    a_el = np.exp(-1j * np.pi * np.sin(np.asarray(phis, dtype=float))[:, None] * np.arange(rows))
-    a_az = np.exp(-1j * np.pi * np.sin(np.asarray(thetas, dtype=float))[:, None] * np.arange(cols))
-    return np.sum((a_el @ np.conj(f)) * a_az, axis=1)
+    """Gains <V(theta, phi), F> over direction pairs (thetas[d], phis[d]), radians.
+
+    f is one (rows, cols) beamformer, giving a (D,) complex array, or a stack
+    (B, rows, cols), giving (B, D). Each distinct angle's steering factor is
+    built once and shared by every direction and beam that uses it.
+    """
+    f = np.asarray(f)
+    rows, cols = f.shape[-2:]
+    u_phi, ip = np.unique(np.asarray(phis, dtype=float), return_inverse=True)
+    u_theta, it = np.unique(np.asarray(thetas, dtype=float), return_inverse=True)
+    a_el = np.exp(-1j * np.pi * np.sin(u_phi)[:, None] * np.arange(rows))
+    a_az = np.exp(-1j * np.pi * np.sin(u_theta)[:, None] * np.arange(cols))[it]
+    stack = f.reshape(-1, rows, cols)
+    out = np.empty((len(stack), len(ip)), dtype=complex)
+    for b, f_b in enumerate(stack):
+        t = (a_el @ np.conj(f_b))[ip]
+        t *= a_az
+        out[b] = np.sum(t, axis=1)
+    return out.reshape(f.shape[:-2] + (len(ip),))
 
 
 def beam_pattern(f: np.ndarray, directions) -> np.ndarray:

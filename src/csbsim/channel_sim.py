@@ -131,7 +131,9 @@ def defense_gains(defense: str, f: np.ndarray, v, rx_grid, rng=None, num=None, a
         # every draw before any product: BLAS threads spin on after each
         # product, and interleaving the two cost about 40% more CPU time on
         # a 4000 x 4096 draw
-        masks = np.concatenate([random_subset_masks(f.size, active, min(MASK_BLOCK, num - lo), rng) for lo in starts])
+        masks = np.empty((num, f.size), dtype=bool)
+        for lo in starts:
+            masks[lo:lo + MASK_BLOCK] = random_subset_masks(f.size, active, min(MASK_BLOCK, num - lo), rng)
         w = (v * np.conj(f)).reshape(len(v), -1)
         # one real product per block on the (size, 2P) matrix [Re w | Im w]: a complex
         # product copies the block to complex128, and P matrix-vector products each wake

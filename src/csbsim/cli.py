@@ -131,7 +131,7 @@ class ExperimentConfig:
                 raise ConfigError(f"{where}: {exc}") from exc
         steps = self.scenario().num_steps
         rows, cols = self.array_config().shape
-        # per plane cell and step: reward, value and the step beam's cached
+        # per plane cell and step: reward, value and each distinct beam's
         # |gain|^2 (float64) and feasibility (bool); per cell: the gain
         # kernel's complex128 steering rows and the float64 geometry arrays
         planner_bytes = self.grid_g**2 * (25 * float(steps) + 16 * (rows + 2 * cols) + 80)
@@ -140,11 +140,11 @@ class ExperimentConfig:
                 f"[attack] grid_g = {self.grid_g} with [scenario] {steps} steps on a {rows} x {cols} array: "
                 f"the planner needs about {planner_bytes:.3g} bytes, above the cap of {MAX_BYTES} bytes"
             )
-        # peak-RSS growth per draw, measured: a ser symbol takes about 96 B
-        # plus two per array element (its ASM mask, held twice while a run's
-        # mask blocks are joined): 609 B on 16 x 16, 8.3 kB on 64 x 64; a
-        # mixture_mi sample takes 48 B above its chunk's fixed working set
-        symbol_bytes = self.num_symbols * (96 + 2 * rows * cols)
+        # peak-RSS growth per draw, measured: a ser symbol takes about 272 B
+        # plus one per array element (its ASM mask): 269 B on 2 x 2, 483 B on
+        # 16 x 16, 1.28 kB on 32 x 32, 4.28 kB on 64 x 64; a mixture_mi
+        # sample takes 48 B above its chunk's fixed working set
+        symbol_bytes = self.num_symbols * (272 + rows * cols)
         if symbol_bytes > MAX_BYTES:
             raise ConfigError(
                 f"[experiment] num_symbols: {self.num_symbols} symbols on a {rows} x {cols} array need "

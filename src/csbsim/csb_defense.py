@@ -252,14 +252,21 @@ def mixture_mi(
     draw = rng.integers(atoms.size, size=num_samples)
     noise = (rng.standard_normal(num_samples) + 1j * rng.standard_normal(num_samples)) * math.sqrt(0.5)
     y = atoms[draw] * syms[idx] + noise
+    # log p(y | x_m) up to terms common to every (m, k): with c = a_k x_m,
+    # -|y - c|^2 = 2 Re(y conj(c)) - |c|^2 - |y|^2, and |y|^2 cancels in the
+    # MI, so the exponents are one real product of [Re y, Im y] with 2 [Re c; Im c]
+    c = (syms[:, None] * atoms[None, :]).ravel()
+    c_ri = 2 * np.stack([c.real, c.imag])
+    c2 = c.real**2 + c.imag**2
+    y_ri = np.column_stack([y.real, y.imag])
     total = 0.0
     chunk = 4096
     log_m = math.log(m_order)
     for lo in range(0, num_samples, chunk):
         hi = min(lo + chunk, num_samples)
-        # log p(y | x_m) up to the common 1/(pi K) constant
-        d2 = np.abs(y[lo:hi, None, None] - atoms[None, None, :] * syms[None, :, None]) ** 2
-        ll = _logsumexp(-d2, axis=2)  # (chunk, M)
+        e = y_ri[lo:hi] @ c_ri
+        e -= c2
+        ll = _logsumexp(e.reshape(hi - lo, m_order, atoms.size), axis=2)  # (chunk, M)
         lpy = _logsumexp(ll, axis=1) - log_m
         lpyx = ll[np.arange(hi - lo), idx[lo:hi]]
         total += float(np.sum(lpyx - lpy))

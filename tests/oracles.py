@@ -4,7 +4,10 @@ Scalar forms of the circulant shift and its exact gain rotation (against
 csb_defense.shift_gains and channel_sim.defense_gains), of a beam-grid
 index's angles, of the hover-plane map (against the planner's cell geometry
 in airspy._Tables), of the per-step secrecy rate (against a trajectory's
-secrecy_rate column), and of the subset sampler.
+secrecy_rate column), and of the subset sampler. Direct forms of the
+direction-gain kernel (against array.gains, which shares each distinct
+angle's factor) and of the mixture MI estimator (against
+csb_defense.mixture_mi, which forms its exponents as one real product).
 """
 
 from __future__ import annotations
@@ -16,8 +19,9 @@ from fractions import Fraction
 import numpy as np
 
 from csbsim.airspy import Scenario
-from csbsim.array import GridIndex, gains, grid_angle
+from csbsim.array import GridIndex, grid_angle
 from csbsim.channel_sim import path_power
+from csbsim.csb_defense import _logsumexp, psk_symbols
 from csbsim.geometry import RectPoint, UavPlaneSpec, rect_to_msph
 
 
@@ -49,6 +53,40 @@ def shift_phase_factor(s, g, n_t: int, n_rows: int | None = None) -> complex:
     """
     frac = shift_phase_fraction(s, g, n_t, n_rows)
     return cmath.exp(-2j * math.pi * float(frac))
+
+
+def direct_gains(f: np.ndarray, thetas, phis) -> np.ndarray:
+    """Gains <V(theta, phi), F> of a (rows, cols) beamformer, one per direction
+    pair (thetas[d], phis[d]) in radians, each direction's factors built for it."""
+    rows, cols = f.shape
+    a_el = np.exp(-1j * np.pi * np.sin(np.asarray(phis, dtype=float))[:, None] * np.arange(rows))
+    a_az = np.exp(-1j * np.pi * np.sin(np.asarray(thetas, dtype=float))[:, None] * np.arange(cols))
+    return np.sum((a_el @ np.conj(f)) * a_az, axis=1)
+
+
+def direct_mixture_mi(atoms, rho: float, m_order: int, rng: np.random.Generator, num_samples: int) -> float:
+    """csb_defense.mixture_mi with each log-likelihood exponent taken as the
+    squared distance -|y - a_k x_m|^2 itself; it reads rng the same way."""
+    if m_order == 1:
+        return 0.0
+    atoms = np.sqrt(rho) * np.asarray(atoms, dtype=complex).ravel()
+    syms = psk_symbols(m_order)
+    idx = rng.integers(m_order, size=num_samples)
+    draw = rng.integers(atoms.size, size=num_samples)
+    noise = (rng.standard_normal(num_samples) + 1j * rng.standard_normal(num_samples)) * math.sqrt(0.5)
+    y = atoms[draw] * syms[idx] + noise
+    total = 0.0
+    chunk = 4096
+    log_m = math.log(m_order)
+    for lo in range(0, num_samples, chunk):
+        hi = min(lo + chunk, num_samples)
+        # log p(y | x_m) up to the common 1/(pi K) constant
+        d2 = np.abs(y[lo:hi, None, None] - atoms[None, None, :] * syms[None, :, None]) ** 2
+        ll = _logsumexp(-d2, axis=2)  # (chunk, M)
+        lpy = _logsumexp(ll, axis=1) - log_m
+        lpyx = ll[np.arange(hi - lo), idx[lo:hi]]
+        total += float(np.sum(lpyx - lpy))
+    return total / num_samples / math.log(2)
 
 
 def grid_angles(g: GridIndex, n_t: int, n_rows: int | None = None) -> tuple[float, float]:
@@ -107,7 +145,7 @@ def msph_angles_of_plane_coord(c, spec: UavPlaneSpec) -> tuple[float, float]:
 
 def secrecy_rate(f, rx_angles, rx_range, eve_angles, eve_range, scenario: Scenario) -> float:
     """Unclamped log2(1 + snr_rx*|g_rx|^2) - log2(1 + snr_eve*|g_eve|^2)."""
-    g_rx, g_eve = np.abs(gains(f, (rx_angles[0], eve_angles[0]), (rx_angles[1], eve_angles[1])))
+    g_rx, g_eve = np.abs(direct_gains(f, (rx_angles[0], eve_angles[0]), (rx_angles[1], eve_angles[1])))
     snr_rx = path_power(rx_range, scenario.p0, scenario.r0) / scenario.sigma2
     snr_eve = path_power(eve_range, scenario.p0, scenario.r0) / scenario.sigma2
     return math.log2(1 + snr_rx * g_rx * g_rx) - math.log2(1 + snr_eve * g_eve * g_eve)

@@ -16,7 +16,9 @@ import math
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
+from csbsim import airspy
 from csbsim.airspy import (
     AttackConstraints,
     InfeasibleError,
@@ -27,12 +29,12 @@ from csbsim.airspy import (
     rx_state_at,
     value_iteration,
 )
-from csbsim.array import ArrayConfig, array_response, beam_gain, dft_codeword, grid_angle
+from csbsim.array import ArrayConfig, array_response, beam_gain, dft_codeword, gains, grid_angle
 from csbsim.channel_sim import path_power
 from csbsim.geometry import UavPlaneSpec, rect_to_msph
 
 from dp_oracle import brute_force_trajectory, successors, tiny_instance
-from oracles import msph_angles_of_plane_coord, secrecy_rate, uav_plane_to_rect
+from oracles import direct_gains, msph_angles_of_plane_coord, secrecy_rate, uav_plane_to_rect
 
 CFG = ArrayConfig(16, 1, n_rows=16)
 TILT = math.radians(15.0)
@@ -159,6 +161,33 @@ class TestRewardOp:
         snr = path_power(sph.r, sc.p0, sc.r0) / sc.sigma2
         expected = math.log2(1.0 + snr * abs(beam_gain(v_eve, f)) ** 2)
         assert _Tables(sc, cons).reward[a, b, 7] == pytest.approx(expected, rel=1e-12)
+
+
+    def test_every_step_matches_its_beam_evaluated_directly(self):
+        sc, cons = lane_scenario(), lane_constraints()
+        tab = _Tables(sc, cons)
+        theta, phi = tab.theta[tab.valid], tab.phi[tab.valid]
+        snr = path_power(tab.r[tab.valid], sc.p0, sc.r0) / sc.sigma2
+        beams = [rx_state_at(sc, t)[0] for t in range(sc.num_steps)]
+        assert len(set(beams)) > 5
+        for t, grid in enumerate(beams):
+            g = np.abs(direct_gains(dft_codeword(grid, sc.array_cfg), theta, phi))
+            assert_allclose(tab.reward[:, :, t][tab.valid], np.log2(1.0 + snr * g * g), rtol=1e-12, atol=0)
+        assert np.all(tab.reward[~tab.valid] == -np.inf)
+
+    def test_one_gain_call_covers_every_cell(self, monkeypatch):
+        # every distinct beam's cell gains come from one call; the others are
+        # the receiver's single direction at each step
+        sizes = []
+
+        def counting_gains(f, thetas, phis):
+            sizes.append(len(thetas))
+            return gains(f, thetas, phis)
+
+        monkeypatch.setattr(airspy, "gains", counting_gains)
+        sc = lane_scenario()
+        tab = _Tables(sc, lane_constraints())
+        assert sizes == [int(tab.valid.sum())] + [1] * sc.num_steps
 
 
 class TestActionSpace:

@@ -22,7 +22,10 @@ from csbsim.array import (
     steering_vector,
 )
 
-from oracles import grid_angles
+from csbsim.airspy import AttackConstraints, Scenario, _Tables
+from csbsim.geometry import UavPlaneSpec
+
+from oracles import direct_gains, grid_angles
 
 
 # ---------------------------------------------------------------- config
@@ -271,6 +274,57 @@ def test_gains_match_pointwise_beam_gain(rows, cols):
     thetas, phis = np.array(on_grid + [tuple(d) for d in off_grid]).T
     expected = [beam_gain(array_response(t, p, cols, rows), f) for t, p in zip(thetas, phis)]
     assert_allclose(gains(f, thetas, phis), expected, rtol=0, atol=1e-12)
+
+
+def _planner_cells():
+    """The planner's valid cells on a 64 x 64 one-bit array, under two codewords."""
+    cfg = ArrayConfig(64, 1)
+    tilt = math.radians(15.0)
+    sc = Scenario(cfg, tilt, 8.0, 3.0, 20.0, (-10.0, 10.0), 0.025, 0.01)
+    tab = _Tables(sc, AttackConstraints(UavPlaneSpec(1.0, math.radians(160.0), tilt), 17.0, 0.05, 64))
+    f = np.stack([dft_codeword(GridIndex(3, 60), cfg), dft_codeword(GridIndex(0, 0), cfg)])
+    return f, tab.theta[tab.valid], tab.phi[tab.valid]
+
+
+def _beam_pattern_mesh():
+    """The beam-pattern subcommand's 181 x 181 mesh under its three codewords."""
+    rad = np.radians(np.arange(-90, 91))
+    th, ph = np.meshgrid(rad, rad, indexing="ij")
+    f = np.stack([dft_codeword(GridIndex(2, 14), ArrayConfig(16, q)) for q in (None, 1, 2)])
+    return f, th.ravel(), ph.ravel()
+
+
+def _repeated_angles():
+    """Random directions drawing from 40 azimuths and 25 elevations, some pairs repeated."""
+    rng = np.random.default_rng(11)
+    th = rng.uniform(-math.pi / 2, math.pi / 2, 40)[rng.integers(40, size=3000)]
+    ph = rng.uniform(-math.pi / 2, math.pi / 2, 25)[rng.integers(25, size=3000)]
+    f = rng.normal(size=(3, 4, 8)) + 1j * rng.normal(size=(3, 4, 8))
+    return f, np.concatenate([th, th[:100]]), np.concatenate([ph, ph[:100]])
+
+
+def _linear_array():
+    """A one-row array, on which the elevation factor is the constant 1."""
+    rng = np.random.default_rng(12)
+    f = rng.normal(size=(2, 1, 16)) + 1j * rng.normal(size=(2, 1, 16))
+    return f, rng.uniform(-math.pi / 2, math.pi / 2, 500), rng.uniform(-math.pi / 2, math.pi / 2, 500)
+
+
+@pytest.mark.parametrize("directions", [_planner_cells, _beam_pattern_mesh, _repeated_angles, _linear_array])
+def test_gains_match_direct_factors(directions):
+    f, thetas, phis = directions()
+    got = gains(f, thetas, phis)
+    assert got.shape == (len(f), len(thetas))
+    for f_b, g_b in zip(f, got):
+        want = direct_gains(f_b, thetas, phis)
+        assert np.max(np.abs(g_b - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_gains_of_a_stack_equal_single_calls():
+    f, thetas, phis = _repeated_angles()
+    got = gains(f, thetas, phis)
+    assert all(np.array_equal(got[b], gains(f[b], thetas, phis)) for b in range(len(f)))
+    assert gains(f[0], thetas, phis).shape == (len(thetas),)
 
 
 def test_beam_pattern_rejects_empty():

@@ -32,7 +32,7 @@ from csbsim.csb_defense import (
     smi_theory,
 )
 
-from oracles import circulant_shift, grid_angles, shift_phase_factor, shift_phase_fraction
+from oracles import circulant_shift, direct_mixture_mi, grid_angles, shift_phase_factor, shift_phase_fraction
 
 BPSK_MI_SNR0DB = 0.7215   # I(rho=1, M=2), frozen MC oracle
 QPSK_MI_SNR10DB = 1.9936  # I(rho=10, M=4)
@@ -338,6 +338,22 @@ def test_mixture_mi_binary_support_leaves_one_bit():
     atoms = np.array([1.0 + 0j, -1.0 + 0j])
     val = mixture_mi(atoms, 100.0, 4, np.random.default_rng(8), 20000)
     assert val == pytest.approx(1.0, abs=0.03)
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.1, 10.0, 1e3])
+def test_mixture_mi_matches_direct_distances(rho):
+    # The exponents 2 Re(y conj(c)) - |c|^2 drop |y|^2 and so cancel a term
+    # of size rho |a|^2 that the direct distances never form: the declared
+    # tolerance grows with rho times the largest atom power.
+    eps = np.finfo(float).eps
+    for k in (1, 16, 256):
+        for m in (2, 4, 8):
+            r = np.random.default_rng([k, m])
+            atoms = (r.standard_normal(k) + 1j * r.standard_normal(k)) * 2.0
+            got = mixture_mi(atoms, rho, m, np.random.default_rng(5), 512)
+            want = direct_mixture_mi(atoms, rho, m, np.random.default_rng(5), 512)
+            tol = 64 * eps * (1 + rho * np.max(np.abs(atoms)) ** 2)
+            assert abs(got - want) <= tol, (k, m, got, want)
 
 
 def test_apn_law_is_frozen():
