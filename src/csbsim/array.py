@@ -64,28 +64,16 @@ class GridIndex(NamedTuple):
     j: int = 0
 
 
-def steering_vector(theta: float, n: int) -> np.ndarray:
-    """Vandermonde steering vector: entry k is exp(-j pi k sin(theta))."""
-    k = np.arange(n)
-    return np.exp(-1j * np.pi * math.sin(theta) * k)
+def _steering(angles, n: int) -> np.ndarray:
+    """Steering factors exp(-j pi k sin(angle)), k = 0 .. n-1: one row per angle (radians)."""
+    return np.exp(-1j * np.pi * np.sin(np.asarray(angles, dtype=float))[:, None] * np.arange(n))
 
 
-def array_response(theta: float, phi: float, n_t: int, n_rows: int | None = None) -> np.ndarray:
-    """Far-field response matrix V(theta, phi) = a(phi) a(theta)^T.
-
-    Entry (k, l) equals exp(-j pi (k sin(phi) + l sin(theta))).
-
-    Args:
-        theta: azimuth, radians.
-        phi: elevation, radians.
-        n_t: columns (azimuth elements).
-        n_rows: rows (elevation elements); defaults to n_t.
-
-    Returns:
-        (n_rows, n_t) complex matrix with unit-modulus entries.
-    """
-    rows = n_t if n_rows is None else n_rows
-    return np.outer(steering_vector(phi, rows), steering_vector(theta, n_t))
+def responses(thetas, phis, rows: int, cols: int) -> np.ndarray:
+    """Far-field responses V(theta, phi) = a(phi) a(theta)^T over direction
+    pairs (thetas[d], phis[d]), radians: a (D, rows, cols) stack whose entry
+    (d, k, l) is exp(-j pi (k sin(phis[d]) + l sin(thetas[d])))."""
+    return _steering(phis, rows)[:, :, None] * _steering(thetas, cols)[:, None, :]
 
 
 def grid_angle(i: int, n: int) -> float:
@@ -156,15 +144,6 @@ def dft_codeword(g: GridIndex, cfg: ArrayConfig) -> np.ndarray:
     return _codeword_cached(int(g[0]), int(g[1]), cols, rows, cfg.q)
 
 
-def beam_gain(v: np.ndarray, f: np.ndarray) -> complex:
-    """Inner product <V, F> = sum V * conj(F); the received-signal gain."""
-    v = np.asarray(v)
-    f = np.asarray(f)
-    if v.shape != f.shape:
-        raise ValueError(f"shape mismatch: response {v.shape} vs beamformer {f.shape}")
-    return complex(np.vdot(f, v))
-
-
 def gains(f: np.ndarray, thetas, phis) -> np.ndarray:
     """Gains <V(theta, phi), F> over direction pairs (thetas[d], phis[d]), radians.
 
@@ -176,8 +155,8 @@ def gains(f: np.ndarray, thetas, phis) -> np.ndarray:
     rows, cols = f.shape[-2:]
     u_phi, ip = np.unique(np.asarray(phis, dtype=float), return_inverse=True)
     u_theta, it = np.unique(np.asarray(thetas, dtype=float), return_inverse=True)
-    a_el = np.exp(-1j * np.pi * np.sin(u_phi)[:, None] * np.arange(rows))
-    a_az = np.exp(-1j * np.pi * np.sin(u_theta)[:, None] * np.arange(cols))[it]
+    a_el = _steering(u_phi, rows)
+    a_az = _steering(u_theta, cols)[it]
     stack = f.reshape(-1, rows, cols)
     out = np.empty((len(stack), len(ip)), dtype=complex)
     for b, f_b in enumerate(stack):

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .array import array_response, beam_gain, nearest_grid_index
+from .array import gains, nearest_grid_index, responses
 from .asm_baseline import AsmConfig, random_subset_masks
 from .csb_defense import mixture_mi, psk_symbols, shift_gains
 
@@ -93,12 +93,13 @@ def equalize_and_detect(y, h_hat, m_order: int) -> tuple[np.ndarray, np.ndarray]
     return z, np.where(trained, _nearest_psk_indices(z, m_order), -1)
 
 
-def defense_gains(defense: str, f: np.ndarray, v, rx_grid, rng=None, num=None, asm_c=None) -> np.ndarray:
-    """Transmitter-compensated gains of a defense toward a stack of responses.
+def defense_gains(defense: str, f: np.ndarray, directions, rx_grid, rng=None, num=None, asm_c=None) -> np.ndarray:
+    """Transmitter-compensated gains of a defense toward a list of directions.
 
-    f is the (rows, cols) beamformer steered at grid point rx_grid and v a
-    (P, rows, cols) stack of responses, v[0] the intended receiver's.
-    Returns a (P, K) array with one column per transmission:
+    f is the (rows, cols) beamformer steered at grid point rx_grid and
+    directions a (P, 2) array of (theta, phi) pairs in radians, row 0 the
+    intended receiver's. Returns a (P, K) array with one column per
+    transmission:
 
     * "none": the fixed beam, <V, F> (K = 1).
     * "csb": with an rng, num transmissions on uniformly drawn circulant
@@ -107,21 +108,19 @@ def defense_gains(defense: str, f: np.ndarray, v, rx_grid, rng=None, num=None, a
       rx_grid (shift_gains).
     * "asm": num transmissions, each on a uniform subset of
       round(asm_c * rows * cols) elements drawn from rng, rotated by minus
-      the phase of its gain toward v[0], so the receiver sees the symbol's
-      phase on every draw.
+      the phase of its gain toward directions[0], so the receiver sees the
+      symbol's phase on every draw.
 
     Raises:
-        ValueError: on an unknown defense, responses not shaped like f, or
-            "asm" without asm_c and an rng.
+        ValueError: on an unknown defense, or "asm" without asm_c and an rng.
     """
-    v = np.asarray(v)
-    if v.shape[1:] != f.shape:
-        raise ValueError(f"shape mismatch: responses {v.shape} vs beamformer {f.shape}")
+    thetas, phis = np.asarray(directions, dtype=float).T
+    if defense == "none":
+        return gains(f, thetas, phis)[:, None]
+    v = responses(thetas, phis, *f.shape)
     if defense == "csb":
         g = shift_gains(v, f, rx_grid)
         return g if rng is None else g[:, rng.integers(f.size, size=num)]
-    if defense == "none":
-        return np.array([[beam_gain(v_p, f)] for v_p in v])
     if defense == "asm":
         if asm_c is None or rng is None:
             raise ValueError("defense 'asm' requires asm_c and an rng")
@@ -183,8 +182,8 @@ def smi_sweep(
     """
     rows, cols = f.shape
     rx_grid = nearest_grid_index(*rx_direction, cols, rows)
-    v = np.stack([array_response(*d, cols, rows) for d in [rx_direction, *eve_directions]])
-    base = defense_gains("none", f, v, rx_grid)[:, 0]
+    directions = np.array([rx_direction, *eve_directions], dtype=float)
+    base = gains(f, *directions.T)
     if abs(base[0]) < 1e-12 * math.sqrt(f.size):
         raise ValueError("receiver direction has no trained channel (zero gain)")
     # row 0 is the receiver, then every eavesdropper with a trained channel
@@ -192,7 +191,7 @@ def smi_sweep(
     rho = 10 ** (rx_snr_db / 10) * (np.abs(base[probed]) / abs(base[0])) ** 2
     out = np.full((len(eve_directions), 1 + len(asm_c)), np.nan)
     for col, (defense, c, rng) in enumerate(_defense_table(asm_c, seed, 7)):
-        atoms = defense_gains(defense, f, v[probed], rx_grid, rng, MI_SUBSETS, c) / base[probed, None]
+        atoms = defense_gains(defense, f, directions[probed], rx_grid, rng, MI_SUBSETS, c) / base[probed, None]
         mi = [
             mixture_mi(a, r, m_order, np.random.default_rng([seed, 101]), mi_samples)
             for a, r in zip(atoms, rho)
@@ -207,11 +206,11 @@ def rx_power_penalty_db(f: np.ndarray, rx_direction, asm_c, seed: int) -> np.nda
     subsets from the stream [seed, 55, ci], CSB averages every shift."""
     rows, cols = f.shape
     rx_grid = nearest_grid_index(*rx_direction, cols, rows)
-    v = array_response(*rx_direction, cols, rows)[None]
-    p_fixed = abs(defense_gains("none", f, v, rx_grid)[0, 0]) ** 2
+    rx = np.array([rx_direction], dtype=float)
+    p_fixed = abs(gains(f, *rx.T)[0]) ** 2
     out = []
     for defense, c, rng in _defense_table(asm_c, seed, 55):
-        g = defense_gains(defense, f, v, rx_grid, rng, PENALTY_SUBSETS, c)
+        g = defense_gains(defense, f, rx, rx_grid, rng, PENALTY_SUBSETS, c)
         out.append(10 * math.log10(float(np.mean(np.abs(g) ** 2)) / p_fixed))
     return np.array(out)
 
@@ -254,7 +253,7 @@ def simulate_symbols(
         raise ValueError(f"num_symbols must be >= 1, got {num_symbols}")
     rows, cols = f.shape
     rx_grid = nearest_grid_index(*rx_direction, cols, rows)
-    v = np.stack([array_response(*d, cols, rows) for d in (rx_direction, eve_direction)])
+    directions = np.array([rx_direction, eve_direction], dtype=float)
     links = (rx_link, eve_link)
 
     true_idx = rng.integers(m_order, size=num_symbols)
@@ -263,8 +262,8 @@ def simulate_symbols(
         (rng.standard_normal(num_symbols) + 1j * rng.standard_normal(num_symbols)) * math.sqrt(link.sigma2 / 2)
         for link in links
     ]
-    trained = defense_gains("none", f, v, rx_grid)[:, 0]
-    g = defense_gains(defense, f, v, rx_grid, rng, num_symbols, asm_c)
+    trained = gains(f, *directions.T)
+    g = defense_gains(defense, f, directions, rx_grid, rng, num_symbols, asm_c)
     (_, rx_idx), (eve_equalized, eve_idx) = (
         equalize_and_detect(received_symbol(link, g_p, x, n_p), received_symbol(link, h_p, 1.0, 0.0), m_order)
         for link, g_p, n_p, h_p in zip(links, g, noise, trained)
@@ -300,8 +299,7 @@ def ser_sweep(
         symbol index) rows under CSB at the last SNR point, from the stream
         [seed, len(snr_dbs)], at most CONSTELLATION_CAP of them.
     """
-    rows, cols = f.shape
-    g_rx = abs(beam_gain(array_response(*rx_direction, cols, rows), f))
+    g_rx = abs(gains(f, (rx_direction[0],), (rx_direction[1],))[0])
 
     def run(snr_db, defense, c, stream):
         sigma2 = sigma2_for_snr(p_rx, g_rx, snr_db)

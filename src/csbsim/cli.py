@@ -34,8 +34,8 @@ from .airspy import (
 )
 from .array import ArrayConfig, beam_pattern, dft_codeword, grid_angle, nearest_grid_index
 from .asm_baseline import AsmConfig
-from .channel_sim import path_power, rx_power_penalty_db, ser_sweep, smi_sweep
-from .csb_defense import apn_law, smi_theory
+from .channel_sim import MI_SUBSETS, path_power, rx_power_penalty_db, ser_sweep, smi_sweep
+from .csb_defense import MI_CHUNK, MI_NODES, apn_law, smi_theory
 from .geometry import UavPlaneSpec
 
 # Largest planner or Monte-Carlo run accepted, in estimated bytes: about 15
@@ -109,6 +109,11 @@ class ExperimentConfig:
             raise ConfigError(f"m_order must be a power of two >= 2, got {self.m_order}")
         if self.snr_step_db <= 0 or self.snr_max_db < self.snr_min_db:
             raise ConfigError("bad SNR sweep bounds")
+        top = max(abs(self.snr_min_db), abs(self.snr_max_db))
+        if top + self.snr_step_db == top:
+            raise ConfigError(
+                f"[experiment] snr_step_db = {self.snr_step_db:g} cannot advance an SNR sweep that reaches {top:g} dB"
+            )
         if self.num_symbols < 1 or self.mi_samples < 1:
             raise ConfigError("num_symbols and mi_samples must be >= 1")
         labels = [f"{c:g}" for c in self.asm_c]  # the fractions' CSV column and row labels
@@ -140,21 +145,36 @@ class ExperimentConfig:
                 f"[attack] grid_g = {self.grid_g} with [scenario] {steps} steps on a {rows} x {cols} array: "
                 f"the planner needs about {planner_bytes:.3g} bytes, above the cap of {MAX_BYTES} bytes"
             )
-        # peak-RSS growth per draw, measured: a ser symbol takes about 272 B
-        # plus one per array element (its ASM mask): 269 B on 2 x 2, 483 B on
-        # 16 x 16, 1.28 kB on 32 x 32, 4.28 kB on 64 x 64; a mixture_mi
-        # sample takes 48 B above its chunk's fixed working set
+        # peak-RSS growth, measured: a ser symbol takes about 272 B plus one
+        # per array element (its ASM mask): 269 B on 2 x 2, 483 B on 16 x 16,
+        # 1.28 kB on 32 x 32, 4.28 kB on 64 x 64. A ser SNR point takes 160 B
+        # plus 190 B per defense row: 722 B with one ASM fraction, 1.10 kB
+        # with three (4 x 4 array, 2000 and 30000 points)
+        points = (self.snr_max_db - self.snr_min_db + 1e-9) / self.snr_step_db + 1
+        snr_bytes = points * (160 + 190 * (2 + len(self.asm_c)))
+        if snr_bytes > MAX_BYTES:
+            raise ConfigError(
+                f"[experiment] snr_step_db: {points:.3g} SNR points need about {snr_bytes:.3g} bytes, "
+                f"above the cap of {MAX_BYTES} bytes"
+            )
         symbol_bytes = self.num_symbols * (272 + rows * cols)
         if symbol_bytes > MAX_BYTES:
             raise ConfigError(
                 f"[experiment] num_symbols: {self.num_symbols} symbols on a {rows} x {cols} array need "
                 f"about {symbol_bytes:.3g} bytes, above the cap of {MAX_BYTES} bytes"
             )
-        sample_bytes = self.mi_samples * 48
+        # a mixture_mi sample takes 48 B above its exponent blocks; a block
+        # holds three float64 (chunk, M * K) arrays, K atoms (the linear
+        # array's n_t shifts or MI_SUBSETS subsets), and the quadrature of
+        # psk_mutual_information three (M, nodes, nodes) ones: measured 24.2
+        # to 25.0 B per element of either (M from 4 to 1024)
+        atoms = max([self.n_t] + [MI_SUBSETS] * bool(self.asm_c))
+        block = self.m_order * (min(self.mi_samples, MI_CHUNK) * atoms + MI_NODES**2)
+        sample_bytes = self.mi_samples * 48 + 25 * block
         if sample_bytes > MAX_BYTES:
             raise ConfigError(
-                f"[experiment] mi_samples: {self.mi_samples} samples need about {sample_bytes:.3g} bytes, "
-                f"above the cap of {MAX_BYTES} bytes"
+                f"[experiment] mi_samples = {self.mi_samples} with m_order = {self.m_order}: the MI estimates "
+                f"need about {sample_bytes:.3g} bytes, above the cap of {MAX_BYTES} bytes"
             )
 
     def array_config(self) -> ArrayConfig:
@@ -184,12 +204,9 @@ class ExperimentConfig:
 
     @property
     def snr_sweep(self) -> list[float]:
-        out = []
-        v = self.snr_min_db
-        while v <= self.snr_max_db + 1e-9:
-            out.append(round(v, 9))
-            v += self.snr_step_db
-        return out
+        """snr_min_db, then every snr_step_db up to snr_max_db (1e-9 dB slack)."""
+        count = math.floor((self.snr_max_db - self.snr_min_db + 1e-9) / self.snr_step_db) + 1
+        return [round(self.snr_min_db + k * self.snr_step_db, 9) for k in range(count)]
 
 
 _SECTIONS: dict[str, tuple[str, ...]] = {

@@ -142,6 +142,8 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
 
 
 MI_TOL = 1e-3  # accuracy target of psk_mutual_information, in bits
+MI_NODES = 256  # most quadrature nodes per axis psk_mutual_information uses
+MI_CHUNK = 4096  # samples per exponent block of mixture_mi
 
 
 @lru_cache(maxsize=None)
@@ -186,7 +188,7 @@ def psk_mutual_information(rho: float, m_order: int) -> float:
         val = math.log2(m_order) - float(w @ inner @ w) / math.pi
         if prev is not None and abs(val - prev) < MI_TOL / 10:
             return val
-        if nodes >= 256:
+        if nodes >= MI_NODES:
             return val
         prev = val
         nodes *= 2
@@ -260,10 +262,9 @@ def mixture_mi(
     c2 = c.real**2 + c.imag**2
     y_ri = np.column_stack([y.real, y.imag])
     total = 0.0
-    chunk = 4096
     log_m = math.log(m_order)
-    for lo in range(0, num_samples, chunk):
-        hi = min(lo + chunk, num_samples)
+    for lo in range(0, num_samples, MI_CHUNK):
+        hi = min(lo + MI_CHUNK, num_samples)
         e = y_ri[lo:hi] @ c_ri
         e -= c2
         ll = _logsumexp(e.reshape(hi - lo, m_order, atoms.size), axis=2)  # (chunk, M)

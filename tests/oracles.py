@@ -1,7 +1,9 @@
 """Reference implementations that the vectorised library paths are tested against.
 
-Scalar forms of the circulant shift and its exact gain rotation (against
-csb_defense.shift_gains and channel_sim.defense_gains), of a beam-grid
+Scalar forms of the steering vector, the far-field response and the gain
+of a beamformer (against array.responses, array.gains and
+channel_sim.defense_gains), of the circulant shift and its exact gain
+rotation (against csb_defense.shift_gains and channel_sim.defense_gains), of a beam-grid
 index's angles, of the hover-plane map (against the planner's cell geometry
 in airspy._Tables), of the per-step secrecy rate (against a trajectory's
 secrecy_rate column), and of the subset sampler. Direct forms of the
@@ -23,6 +25,39 @@ from csbsim.array import GridIndex, grid_angle
 from csbsim.channel_sim import path_power
 from csbsim.csb_defense import _logsumexp, psk_symbols
 from csbsim.geometry import RectPoint, UavPlaneSpec, rect_to_msph
+
+
+def steering_vector(theta: float, n: int) -> np.ndarray:
+    """Vandermonde steering vector: entry k is exp(-j pi k sin(theta))."""
+    k = np.arange(n)
+    return np.exp(-1j * np.pi * math.sin(theta) * k)
+
+
+def array_response(theta: float, phi: float, n_t: int, n_rows: int | None = None) -> np.ndarray:
+    """Far-field response matrix V(theta, phi) = a(phi) a(theta)^T.
+
+    Entry (k, l) equals exp(-j pi (k sin(phi) + l sin(theta))).
+
+    Args:
+        theta: azimuth, radians.
+        phi: elevation, radians.
+        n_t: columns (azimuth elements).
+        n_rows: rows (elevation elements); defaults to n_t.
+
+    Returns:
+        (n_rows, n_t) complex matrix with unit-modulus entries.
+    """
+    rows = n_t if n_rows is None else n_rows
+    return np.outer(steering_vector(phi, rows), steering_vector(theta, n_t))
+
+
+def beam_gain(v: np.ndarray, f: np.ndarray) -> complex:
+    """Inner product <V, F> = sum V * conj(F); the received-signal gain."""
+    v = np.asarray(v)
+    f = np.asarray(f)
+    if v.shape != f.shape:
+        raise ValueError(f"shape mismatch: response {v.shape} vs beamformer {f.shape}")
+    return complex(np.vdot(f, v))
 
 
 def circulant_shift(f: np.ndarray, s) -> np.ndarray:

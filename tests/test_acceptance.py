@@ -21,14 +21,7 @@ from csbsim.airspy import (
     extract_trajectory,
     value_iteration,
 )
-from csbsim.array import (
-    ArrayConfig,
-    GridIndex,
-    array_response,
-    beam_gain,
-    dft_codeword,
-    steering_vector,
-)
+from csbsim.array import ArrayConfig, GridIndex, dft_codeword
 from csbsim.asm_baseline import AsmConfig, random_subset_masks
 from csbsim.channel_sim import LinkState, sigma2_for_snr, simulate_symbols, smi_sweep
 from csbsim.cli import ExperimentConfig
@@ -36,7 +29,14 @@ from csbsim.csb_defense import apn_law, partition_report
 from csbsim.geometry import UavPlaneSpec
 
 from dp_oracle import brute_force_trajectory, tiny_instance
-from oracles import circulant_shift, grid_angles, shift_phase_fraction
+from oracles import (
+    array_response,
+    beam_gain,
+    circulant_shift,
+    grid_angles,
+    shift_phase_fraction,
+    steering_vector,
+)
 
 
 @contextmanager

@@ -29,12 +29,19 @@ from csbsim.airspy import (
     rx_state_at,
     value_iteration,
 )
-from csbsim.array import ArrayConfig, array_response, beam_gain, dft_codeword, gains, grid_angle
+from csbsim.array import ArrayConfig, dft_codeword, gains, grid_angle
 from csbsim.channel_sim import path_power
 from csbsim.geometry import UavPlaneSpec, rect_to_msph
 
 from dp_oracle import brute_force_trajectory, successors, tiny_instance
-from oracles import direct_gains, msph_angles_of_plane_coord, secrecy_rate, uav_plane_to_rect
+from oracles import (
+    array_response,
+    beam_gain,
+    direct_gains,
+    msph_angles_of_plane_coord,
+    secrecy_rate,
+    uav_plane_to_rect,
+)
 
 CFG = ArrayConfig(16, 1, n_rows=16)
 TILT = math.radians(15.0)

@@ -11,21 +11,19 @@ from csbsim.array import (
     UNQUANTIZED,
     ArrayConfig,
     GridIndex,
-    array_response,
-    beam_gain,
     beam_pattern,
     dft_codeword,
     gains,
     grid_angle,
     nearest_grid_index,
     quantize_phase,
-    steering_vector,
+    responses,
 )
 
 from csbsim.airspy import AttackConstraints, Scenario, _Tables
 from csbsim.geometry import UavPlaneSpec
 
-from oracles import direct_gains, grid_angles
+from oracles import array_response, beam_gain, direct_gains, grid_angles, steering_vector
 
 
 # ---------------------------------------------------------------- config
@@ -49,22 +47,37 @@ def test_array_config_validation():
 # ---------------------------------------------------------------- responses
 
 def test_steering_vector_quarter_turns():
-    v = steering_vector(math.asin(0.5), 4)
-    assert_allclose(v, [1, -1j, -1, 1j], atol=1e-12)
+    # azimuth steering along the row, elevation down the column
+    s = math.asin(0.5)
+    assert_allclose(responses([s], [0.0], 1, 4)[0, 0], [1, -1j, -1, 1j], atol=1e-12)
+    assert_allclose(responses([0.0], [s], 4, 1)[0, :, 0], [1, -1j, -1, 1j], atol=1e-12)
 
 
 def test_array_response_is_outer_product_with_unit_modulus():
-    v = array_response(0.3, -0.7, 8, 4)
-    assert v.shape == (4, 8)
+    v = responses([0.3, -0.1], [-0.7, 0.2], 4, 8)
+    assert v.shape == (2, 4, 8)
     assert_allclose(np.abs(v), 1.0, atol=1e-14)
-    assert_allclose(v, np.outer(steering_vector(-0.7, 4), steering_vector(0.3, 8)), atol=1e-14)
+    assert_allclose(v[0], np.outer(steering_vector(-0.7, 4), steering_vector(0.3, 8)), atol=1e-14)
+    assert_allclose(v[1], np.outer(steering_vector(0.2, 4), steering_vector(-0.1, 8)), atol=1e-14)
+
+
+@pytest.mark.parametrize("rows,cols", [(8, 8), (4, 8), (1, 16)])
+def test_responses_equal_stacked_scalar_responses(rows, cols):
+    # bitwise: the same factors, multiplied in the same order; some angles
+    # repeat, and some sit at the end-fire angles +-pi/2
+    rng = np.random.default_rng(rows * cols)
+    angles = np.concatenate([rng.uniform(-math.pi / 2, math.pi / 2, 6), [math.pi / 2, -math.pi / 2, 0.0]])
+    thetas = np.concatenate([angles, angles[rng.integers(len(angles), size=31)]])
+    phis = np.concatenate([angles[::-1], angles[rng.integers(len(angles), size=31)]])
+    want = np.stack([array_response(t, p, cols, rows) for t, p in zip(thetas, phis)])
+    assert np.array_equal(responses(thetas, phis, rows, cols), want)
 
 
 def test_on_grid_response_has_rational_phases():
     # At grid direction (i, j) entry (k, l) is exp(-2 pi j (j k + i l) / n).
     n = 8
     i, j = 2, 1
-    v = array_response(grid_angle(i, n), grid_angle(j, n), n)
+    v = responses([grid_angle(i, n)], [grid_angle(j, n)], n, n)[0]
     k = np.arange(n)[:, None]
     l = np.arange(n)[None, :]
     expected = np.exp(-2j * np.pi * (j * k + i * l) / n)
@@ -146,7 +159,7 @@ def test_codeword_unquantized_matches_scaled_response():
     g = GridIndex(3, 6)
     theta, phi = grid_angles(g, 8)
     cw = dft_codeword(g, cfg)
-    assert_allclose(cw, array_response(theta, phi, 8) / 8.0, atol=1e-12)
+    assert_allclose(cw, responses([theta], [phi], 8, 8)[0] / 8.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [4, 8, 16])
@@ -154,14 +167,10 @@ def test_codebook_gram_is_scaled_identity(n):
     # Matched gain sqrt(size) on the diagonal, exact nulls elsewhere.
     cfg = ArrayConfig(n, UNQUANTIZED)
     size = n * n
-    resp = np.empty((size, size), dtype=complex)
-    cws = np.empty((size, size), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            g = GridIndex(i, j)
-            theta, phi = grid_angles(g, n)
-            resp[i * n + j] = array_response(theta, phi, n).ravel()
-            cws[i * n + j] = dft_codeword(g, cfg).ravel()
+    grid = [GridIndex(i, j) for i in range(n) for j in range(n)]
+    thetas, phis = np.array([grid_angles(g, n) for g in grid]).T
+    resp = responses(thetas, phis, n, n).reshape(size, size)
+    cws = np.stack([dft_codeword(g, cfg).ravel() for g in grid])
     gram = np.abs(np.conj(cws) @ resp.T)
     assert_allclose(gram, math.sqrt(size) * np.eye(size), atol=1e-9)
 

@@ -17,8 +17,6 @@ from numpy.testing import assert_allclose
 from csbsim.array import (
     ArrayConfig,
     GridIndex,
-    array_response,
-    beam_gain,
     dft_codeword,
     nearest_grid_index,
 )
@@ -39,7 +37,7 @@ from csbsim.channel_sim import (
 from csbsim.asm_baseline import AsmConfig, random_subset_masks
 from csbsim.csb_defense import apn_law, psk_symbols
 
-from oracles import circulant_shift, grid_angles, shift_phase_factor
+from oracles import array_response, beam_gain, circulant_shift, grid_angles, shift_phase_factor
 
 
 # ---------------------------------------------------------------- basics
@@ -136,10 +134,10 @@ def test_defense_gains_match_scalar_oracles(rows, cols, on_grid):
             dirs = [tuple(rng.uniform(-1.5, 1.5, size=2)) for _ in range(3)]
         v = np.stack([array_response(theta, phi, cols, rows) for theta, phi in dirs])
 
-        fixed = defense_gains("none", f, v, rx)
+        fixed = defense_gains("none", f, dirs, rx)
         assert_allclose(fixed[:, 0], [beam_gain(v_p, f) for v_p in v], rtol=0, atol=1e-12)
 
-        csb = defense_gains("csb", f, v, rx)
+        csb = defense_gains("csb", f, dirs, rx)
         assert csb.shape == (3, rows * cols)
         for k in range(rows * cols):
             s = (k // cols, k % cols)
@@ -149,7 +147,7 @@ def test_defense_gains_match_scalar_oracles(rows, cols, on_grid):
 
         c = 0.5
         seed = int(rng.integers(1000))
-        asm = defense_gains("asm", f, v, rx, np.random.default_rng(seed), 10, c)
+        asm = defense_gains("asm", f, dirs, rx, np.random.default_rng(seed), 10, c)
         active = AsmConfig(c, cols, rows).active_count
         masks = random_subset_masks(f.size, active, 10, np.random.default_rng(seed))
         for k, mask in enumerate(masks):
@@ -168,11 +166,12 @@ def test_asm_gains_drawn_in_blocks_match_one_draw():
     rows, cols, c, num = 8, 8, 0.3, 2 * MASK_BLOCK + 37
     rx = GridIndex(2, 5)
     f = dft_codeword(rx, ArrayConfig(cols, 1, n_rows=rows))
-    v = np.stack([array_response(theta, phi, cols, rows) for theta, phi in ((0.2, 0.6), (-0.4, 0.1))])
+    dirs = ((0.2, 0.6), (-0.4, 0.1))
+    v = np.stack([array_response(theta, phi, cols, rows) for theta, phi in dirs])
     w = (v * np.conj(f)).reshape(len(v), -1)
     w_ri = np.concatenate([w.real, w.imag]).T
     for seed in (0, 9):
-        blocked = defense_gains("asm", f, v, rx, np.random.default_rng(seed), num, c)
+        blocked = defense_gains("asm", f, dirs, rx, np.random.default_rng(seed), num, c)
         masks = random_subset_masks(f.size, AsmConfig(c, cols, rows).active_count, num, np.random.default_rng(seed))
         g = np.concatenate([masks[lo:lo + MASK_BLOCK].astype(float) @ w_ri for lo in range(0, num, MASK_BLOCK)]).T
         g = g[:2] + 1j * g[2:]
@@ -186,9 +185,8 @@ def test_asm_gains_drawn_in_blocks_match_one_draw():
 def test_defense_gains_asm_needs_an_rng():
     # Unknown defenses and a missing asm_c are covered by test_simulate_validation.
     f = dft_codeword(GridIndex(1, 0), ArrayConfig(8, 1, n_rows=1))
-    v = array_response(0.1, 0.0, 8, 1)[None]
     with pytest.raises(ValueError, match="requires asm_c and an rng"):
-        defense_gains("asm", f, v, GridIndex(1, 0), None, 4, 0.5)
+        defense_gains("asm", f, [(0.1, 0.0)], GridIndex(1, 0), None, 4, 0.5)
 
 
 def test_rx_power_penalty_matches_exact_means():
@@ -213,7 +211,7 @@ def test_rx_power_penalty_matches_exact_means():
         exact = p2 * abs(w.sum()) ** 2 + (p1 - p2) * np.sum(np.abs(w) ** 2)
         # the subsets rx_power_penalty_db averages, from the same stream
         rng = np.random.default_rng([seed, 55, ci])
-        power = np.abs(defense_gains("asm", f, v[None], rx_grid, rng, PENALTY_SUBSETS, c)[0]) ** 2
+        power = np.abs(defense_gains("asm", f, [rx_dir], rx_grid, rng, PENALTY_SUBSETS, c)[0]) ** 2
         se = power.std(ddof=1) / math.sqrt(power.size)
         assert abs(p_fixed * 10 ** (got[1 + ci] / 10) - exact) <= 4 * se
     assert abs(got[-1]) <= 1e-12  # c = 1: every element, the fixed beam
@@ -285,7 +283,7 @@ def test_csb_single_symbol_transparency():
     x = np.exp(1j * 2 * np.pi * 3 / 8)
     noise = 0.01 - 0.02j
     y0 = received_symbol(link, beam_gain(v, f), x, noise)
-    y1 = received_symbol(link, defense_gains("csb", f, v[None], rx_grid)[0], x, noise)
+    y1 = received_symbol(link, defense_gains("csb", f, [rx_dir], rx_grid)[0], x, noise)
     assert y1.shape == (256,)
     assert_allclose(y1, y0, rtol=0, atol=1e-12)
 

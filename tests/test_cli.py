@@ -51,6 +51,12 @@ BAD_CONFIGS = [
     # Monte-Carlo runs far past the size cap, rejected whatever the subcommand
     ("ser", "[experiment]\nnum_symbols = 1000000000000\n", "[experiment] num_symbols"),
     ("smi-sweep", "[experiment]\nmi_samples = 1000000000000\n", "[experiment] mi_samples"),
+    # an SNR step that cannot move the sweep off -10 dB, and one that moves
+    # it through 4e7 points
+    ("ser", "[experiment]\nsnr_step_db = 1e-300\n", "[experiment] snr_step_db"),
+    ("ser", "[experiment]\nsnr_step_db = 1e-6\n", "[experiment] snr_step_db"),
+    # exponent blocks of 500 x 2^20 x 16 float64 in the first MI estimate
+    ("smi-sweep", "[experiment]\nm_order = 1048576\n", "m_order"),
 ]
 
 

@@ -14,13 +14,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from csbsim.array import (
-    ArrayConfig,
-    GridIndex,
-    array_response,
-    beam_gain,
-    dft_codeword,
-)
+from csbsim.array import ArrayConfig, GridIndex, dft_codeword
 from csbsim.channel_sim import defense_gains, smi_sweep
 from csbsim.csb_defense import (
     ApnLaw,
@@ -32,7 +26,15 @@ from csbsim.csb_defense import (
     smi_theory,
 )
 
-from oracles import circulant_shift, direct_mixture_mi, grid_angles, shift_phase_factor, shift_phase_fraction
+from oracles import (
+    array_response,
+    beam_gain,
+    circulant_shift,
+    direct_mixture_mi,
+    grid_angles,
+    shift_phase_factor,
+    shift_phase_fraction,
+)
 
 BPSK_MI_SNR0DB = 0.7215   # I(rho=1, M=2), frozen MC oracle
 QPSK_MI_SNR10DB = 1.9936  # I(rho=10, M=4)
@@ -115,7 +117,7 @@ def test_compensation_round_trip_on_grid():
     theta, phi = grid_angles(rx, 4)
     v = array_response(theta, phi, 4)
     x = 0.8 - 0.6j
-    got = defense_gains("csb", f, v[None], rx)[0] * x
+    got = defense_gains("csb", f, [(theta, phi)], rx)[0] * x
     assert got.shape == (16,)
     assert_allclose(got, beam_gain(v, f) * x, rtol=0, atol=1e-12)
 
@@ -126,9 +128,10 @@ def test_csb_draws_reproducible_and_consistent():
     # compensate oracle at the shift the same stream picks.
     rx = GridIndex(2, 1)
     f = dft_codeword(rx, ArrayConfig(8, 2))
-    v = np.stack([array_response(*grid_angles(g, 8), 8) for g in (rx, GridIndex(5, 3))])
-    a = defense_gains("csb", f, v, rx, np.random.default_rng(42), 50)
-    b = defense_gains("csb", f, v, rx, np.random.default_rng(42), 50)
+    dirs = [grid_angles(g, 8) for g in (rx, GridIndex(5, 3))]
+    v = np.stack([array_response(*d, 8) for d in dirs])
+    a = defense_gains("csb", f, dirs, rx, np.random.default_rng(42), 50)
+    b = defense_gains("csb", f, dirs, rx, np.random.default_rng(42), 50)
     assert a.shape == (2, 50)
     assert np.array_equal(a, b)
     shifts = np.random.default_rng(42).integers(64, size=50)
@@ -269,7 +272,7 @@ def _shift_atoms(f, theta, phi, rx):
     unshifted gain the probe equalizes on."""
     rows, cols = f.shape
     v = array_response(theta, phi, cols, rows)
-    return defense_gains("csb", f, v[None], rx)[0] / beam_gain(v, f)
+    return defense_gains("csb", f, [(theta, phi)], rx)[0] / beam_gain(v, f)
 
 
 def test_shift_atoms_collapse_at_receiver():
