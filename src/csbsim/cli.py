@@ -35,7 +35,7 @@ from .airspy import (
 from .array import ArrayConfig, beam_pattern, dft_codeword, grid_angle, nearest_grid_index
 from .asm_baseline import AsmConfig
 from .channel_sim import MI_SUBSETS, path_power, rx_power_penalty_db, ser_sweep, smi_sweep
-from .csb_defense import MI_CHUNK, MI_NODES, apn_law, smi_theory
+from .csb_defense import MI_BLOCK, MI_NODES, apn_law, smi_theory
 from .geometry import UavPlaneSpec
 
 # Largest planner or Monte-Carlo run accepted, in estimated bytes: about 15
@@ -107,6 +107,14 @@ class ExperimentConfig:
             raise ConfigError(f"beta_deg must be in (0, 180), got {self.beta_deg}")
         if self.m_order < 2 or self.m_order & (self.m_order - 1):
             raise ConfigError(f"m_order must be a power of two >= 2, got {self.m_order}")
+        for name in ("snr_min_db", "snr_max_db", "rx_snr_db"):
+            try:
+                10 ** (getattr(self, name) / 10)  # the linear SNR the experiments compute
+            except OverflowError:
+                raise ConfigError(
+                    f"[experiment] {name} = {getattr(self, name):g} dB is too large: "
+                    f"its linear power overflows a float"
+                ) from None
         if self.snr_step_db <= 0 or self.snr_max_db < self.snr_min_db:
             raise ConfigError("bad SNR sweep bounds")
         top = max(abs(self.snr_min_db), abs(self.snr_max_db))
@@ -163,14 +171,17 @@ class ExperimentConfig:
                 f"[experiment] num_symbols: {self.num_symbols} symbols on a {rows} x {cols} array need "
                 f"about {symbol_bytes:.3g} bytes, above the cap of {MAX_BYTES} bytes"
             )
-        # a mixture_mi sample takes 48 B above its exponent blocks; a block
-        # holds three float64 (chunk, M * K) arrays, K atoms (the linear
-        # array's n_t shifts or MI_SUBSETS subsets), and the quadrature of
-        # psk_mutual_information three (M, nodes, nodes) ones: measured 24.2
-        # to 25.0 B per element of either (M from 4 to 1024)
+        # peak-RSS growth of one call, measured: mixture_mi takes 72 B per
+        # sample (its draws, y and the per-sample terms) and, per element of
+        # its M * K exponents, K atoms (the linear array's n_t shifts or
+        # MI_SUBSETS subsets), 52 B for the symbol-atom products plus 8 B per
+        # row of its one float64 (min(mi_samples, MI_BLOCK), M * K) block:
+        # 2.09 kB with 256 rows, 843 B with 100 (M = 4, K = 16384 and 32768).
+        # The quadrature of psk_mutual_information takes three (M, nodes,
+        # nodes) arrays, 24.2 to 25.0 B per element (M from 4 to 1024)
         atoms = max([self.n_t] + [MI_SUBSETS] * bool(self.asm_c))
-        block = self.m_order * (min(self.mi_samples, MI_CHUNK) * atoms + MI_NODES**2)
-        sample_bytes = self.mi_samples * 48 + 25 * block
+        per_atom = 52 + 8 * min(self.mi_samples, MI_BLOCK)
+        sample_bytes = self.mi_samples * 72 + self.m_order * (atoms * per_atom + 25 * MI_NODES**2)
         if sample_bytes > MAX_BYTES:
             raise ConfigError(
                 f"[experiment] mi_samples = {self.mi_samples} with m_order = {self.m_order}: the MI estimates "

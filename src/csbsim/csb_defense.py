@@ -143,7 +143,8 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
 
 MI_TOL = 1e-3  # accuracy target of psk_mutual_information, in bits
 MI_NODES = 256  # most quadrature nodes per axis psk_mutual_information uses
-MI_CHUNK = 4096  # samples per exponent block of mixture_mi
+MI_BLOCK = 256  # samples per exponent block of mixture_mi
+MI_CHUNK = 4096  # samples per summation slice of mixture_mi
 
 
 @lru_cache(maxsize=None)
@@ -221,6 +222,53 @@ def smi_theory(rx_i: int, n_t: int, m_order: int, rx_snr_db: float) -> dict[str,
     }
 
 
+def _mi_terms(
+    atoms: np.ndarray,
+    rho: float,
+    m_order: int,
+    rng: np.random.Generator,
+    num_samples: int,
+) -> np.ndarray:
+    """Per-sample terms log p(y | x) - log p(y), in nats, of mixture_mi's
+    estimate; their mean is the estimate and std / sqrt(num_samples) its
+    standard error."""
+    if rho < 0:
+        raise ValueError(f"rho must be nonnegative, got {rho}")
+    if num_samples < 1:
+        raise ValueError(f"num_samples must be >= 1, got {num_samples}")
+    if m_order == 1:
+        return np.zeros(num_samples)
+    atoms = np.sqrt(rho) * np.asarray(atoms, dtype=complex).ravel()
+    syms = psk_symbols(m_order)
+    idx = rng.integers(m_order, size=num_samples)
+    draw = rng.integers(atoms.size, size=num_samples)
+    noise = (rng.standard_normal(num_samples) + 1j * rng.standard_normal(num_samples)) * math.sqrt(0.5)
+    y = atoms[draw] * syms[idx] + noise
+    # log p(y | x_m) up to terms common to every (m, k): with c = a_k x_m,
+    # -|y - c|^2 = 2 Re(y conj(c)) - |c|^2 - |y|^2, and |y|^2 cancels in the
+    # MI, so the exponents are one real product of [Re y, Im y] with 2 [Re c; Im c]
+    c = (syms[:, None] * atoms[None, :]).ravel()
+    c_ri = 2 * np.stack([c.real, c.imag])
+    c2 = c.real**2 + c.imag**2
+    y_ri = np.column_stack([y.real, y.imag])
+    terms = np.empty(num_samples)
+    block = np.empty((min(MI_BLOCK, num_samples), c.size))  # reused by every block
+    log_m = math.log(m_order)
+    for lo in range(0, num_samples, MI_BLOCK):
+        hi = min(lo + MI_BLOCK, num_samples)
+        e = np.matmul(y_ri[lo:hi], c_ri, out=block[:hi - lo])
+        e -= c2
+        # the log-sum-exp over the atoms, on the block itself
+        e = e.reshape(hi - lo, m_order, atoms.size)
+        mx = e.max(axis=2, keepdims=True)
+        e -= mx
+        np.exp(e, out=e)
+        ll = np.log(e.sum(axis=2)) + mx[..., 0]  # (rows, M)
+        lpy = _logsumexp(ll, axis=1) - log_m
+        terms[lo:hi] = ll[np.arange(hi - lo), idx[lo:hi]] - lpy
+    return terms
+
+
 def mixture_mi(
     atoms: np.ndarray,
     rho: float,
@@ -236,39 +284,27 @@ def mixture_mi(
     estimator is unbiased; the returned value carries O(1/sqrt(num_samples))
     MC noise. Deterministic for a given rng state.
 
+    The exponents of MI_BLOCK samples at a time form one (MI_BLOCK, M * K)
+    block, K = len(atoms), small enough to stay in cache, and the
+    log-sum-exp over the atoms runs in place on it. Each sample's term
+    log p(y | x) - log p(y) goes into one (num_samples,) array (_mi_terms),
+    which is summed one MI_CHUNK slice at a time.
+
     Args:
         atoms: complex relative-channel atoms (the defense's randomization).
         rho: SNR scale applied to the atoms (linear), >= 0.
         m_order: PSK order M >= 1.
         rng: seeded generator.
-        num_samples: Monte-Carlo sample count.
+        num_samples: Monte-Carlo sample count, >= 1.
 
     Returns:
         Mutual information estimate in bits per symbol.
+
+    Raises:
+        ValueError: if rho < 0 or num_samples < 1.
     """
-    if m_order == 1:
-        return 0.0
-    atoms = np.sqrt(rho) * np.asarray(atoms, dtype=complex).ravel()
-    syms = psk_symbols(m_order)
-    idx = rng.integers(m_order, size=num_samples)
-    draw = rng.integers(atoms.size, size=num_samples)
-    noise = (rng.standard_normal(num_samples) + 1j * rng.standard_normal(num_samples)) * math.sqrt(0.5)
-    y = atoms[draw] * syms[idx] + noise
-    # log p(y | x_m) up to terms common to every (m, k): with c = a_k x_m,
-    # -|y - c|^2 = 2 Re(y conj(c)) - |c|^2 - |y|^2, and |y|^2 cancels in the
-    # MI, so the exponents are one real product of [Re y, Im y] with 2 [Re c; Im c]
-    c = (syms[:, None] * atoms[None, :]).ravel()
-    c_ri = 2 * np.stack([c.real, c.imag])
-    c2 = c.real**2 + c.imag**2
-    y_ri = np.column_stack([y.real, y.imag])
+    terms = _mi_terms(atoms, rho, m_order, rng, num_samples)
     total = 0.0
-    log_m = math.log(m_order)
     for lo in range(0, num_samples, MI_CHUNK):
-        hi = min(lo + MI_CHUNK, num_samples)
-        e = y_ri[lo:hi] @ c_ri
-        e -= c2
-        ll = _logsumexp(e.reshape(hi - lo, m_order, atoms.size), axis=2)  # (chunk, M)
-        lpy = _logsumexp(ll, axis=1) - log_m
-        lpyx = ll[np.arange(hi - lo), idx[lo:hi]]
-        total += float(np.sum(lpyx - lpy))
+        total += float(np.sum(terms[lo:lo + MI_CHUNK]))
     return total / num_samples / math.log(2)

@@ -9,7 +9,9 @@ in airspy._Tables), of the per-step secrecy rate (against a trajectory's
 secrecy_rate column), and of the subset sampler. Direct forms of the
 direction-gain kernel (against array.gains, which shares each distinct
 angle's factor) and of the mixture MI estimator (against
-csb_defense.mixture_mi, which forms its exponents as one real product).
+csb_defense.mixture_mi, which forms its exponents as one real product); the
+estimator's previous blocked form, which it must match bit for bit; and a
+quadrature of the mixture MI that its standard error is checked against.
 """
 
 from __future__ import annotations
@@ -122,6 +124,61 @@ def direct_mixture_mi(atoms, rho: float, m_order: int, rng: np.random.Generator,
         lpyx = ll[np.arange(hi - lo), idx[lo:hi]]
         total += float(np.sum(lpyx - lpy))
     return total / num_samples / math.log(2)
+
+
+def blocked_mixture_mi(atoms, rho: float, m_order: int, rng: np.random.Generator, num_samples: int) -> float:
+    """csb_defense.mixture_mi as it was before its exponent blocks shrank to
+    256 rows and ran in place: 4096-sample blocks, each log-sum-exp on fresh
+    arrays. The same floating-point operations on every element, so the
+    result is bit for bit the library's."""
+    if m_order == 1:
+        return 0.0
+    atoms = np.sqrt(rho) * np.asarray(atoms, dtype=complex).ravel()
+    syms = psk_symbols(m_order)
+    idx = rng.integers(m_order, size=num_samples)
+    draw = rng.integers(atoms.size, size=num_samples)
+    noise = (rng.standard_normal(num_samples) + 1j * rng.standard_normal(num_samples)) * math.sqrt(0.5)
+    y = atoms[draw] * syms[idx] + noise
+    c = (syms[:, None] * atoms[None, :]).ravel()
+    c_ri = 2 * np.stack([c.real, c.imag])
+    c2 = c.real**2 + c.imag**2
+    y_ri = np.column_stack([y.real, y.imag])
+    total = 0.0
+    chunk = 4096
+    log_m = math.log(m_order)
+    for lo in range(0, num_samples, chunk):
+        hi = min(lo + chunk, num_samples)
+        e = y_ri[lo:hi] @ c_ri
+        e -= c2
+        ll = _logsumexp(e.reshape(hi - lo, m_order, atoms.size), axis=2)  # (chunk, M)
+        lpy = _logsumexp(ll, axis=1) - log_m
+        lpyx = ll[np.arange(hi - lo), idx[lo:hi]]
+        total += float(np.sum(lpyx - lpy))
+    return total / num_samples / math.log(2)
+
+
+def quadrature_mixture_mi(atoms, rho: float, m_order: int, nodes: int) -> float:
+    """The mutual information csb_defense.mixture_mi estimates, by 2D
+    Gauss-Hermite quadrature over the noise with `nodes` nodes per axis.
+
+    As in csb_defense.psk_mutual_information, PSK symmetry lets the sent
+    symbol be x_0 = 1; the quadrature is then averaged over the atom a_j
+    that was drawn. With y = s a_j + n, s = sqrt(rho), and d = s (a_j - a_k x_m),
+    -|y - s a_k x_m|^2 = -|d|^2 - 2 Re(d conj(n)) - |n|^2, and |n|^2 cancels
+    between log p(y | x_0) and log p(y).
+    """
+    atoms = math.sqrt(rho) * np.asarray(atoms, dtype=complex).ravel()
+    syms = psk_symbols(m_order)
+    t, w = np.polynomial.hermite.hermgauss(nodes)
+    c = (syms[:, None] * atoms[None, :]).ravel()  # row m = 0 holds x_0 = 1
+    total = 0.0
+    for a in atoms:
+        d = (a - c)[:, None, None]
+        # noise t_p + j t_q with weight w_p w_q / pi is CN(0, 1)
+        ex = -np.abs(d) ** 2 - 2 * (d.real * t[None, :, None] + d.imag * t[None, None, :])
+        inner = _logsumexp(ex[:atoms.size], axis=0) - _logsumexp(ex, axis=0) + math.log(m_order)
+        total += float(w @ inner @ w) / math.pi
+    return total / atoms.size / math.log(2)
 
 
 def grid_angles(g: GridIndex, n_t: int, n_rows: int | None = None) -> tuple[float, float]:

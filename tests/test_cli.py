@@ -55,8 +55,11 @@ BAD_CONFIGS = [
     # it through 4e7 points
     ("ser", "[experiment]\nsnr_step_db = 1e-300\n", "[experiment] snr_step_db"),
     ("ser", "[experiment]\nsnr_step_db = 1e-6\n", "[experiment] snr_step_db"),
-    # exponent blocks of 500 x 2^20 x 16 float64 in the first MI estimate
+    # an exponent block of 256 x 2^20 x 16 float64 in the first MI estimate
     ("smi-sweep", "[experiment]\nm_order = 1048576\n", "m_order"),
+    # SNRs whose linear power 10 ** (dB / 10) is past the float range
+    ("ser", "[experiment]\nsnr_min_db = 3000\nsnr_max_db = 3100\nsnr_step_db = 100\n", "[experiment] snr_max_db"),
+    ("smi-sweep", "[experiment]\nrx_snr_db = 4000\n", "[experiment] rx_snr_db"),
 ]
 
 

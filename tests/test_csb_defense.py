@@ -18,6 +18,7 @@ from csbsim.array import ArrayConfig, GridIndex, dft_codeword
 from csbsim.channel_sim import defense_gains, smi_sweep
 from csbsim.csb_defense import (
     ApnLaw,
+    _mi_terms,
     apn_law,
     mixture_mi,
     partition_report,
@@ -29,9 +30,11 @@ from csbsim.csb_defense import (
 from oracles import (
     array_response,
     beam_gain,
+    blocked_mixture_mi,
     circulant_shift,
     direct_mixture_mi,
     grid_angles,
+    quadrature_mixture_mi,
     shift_phase_factor,
     shift_phase_fraction,
 )
@@ -357,6 +360,58 @@ def test_mixture_mi_matches_direct_distances(rho):
             want = direct_mixture_mi(atoms, rho, m, np.random.default_rng(5), 512)
             tol = 64 * eps * (1 + rho * np.max(np.abs(atoms)) ** 2)
             assert abs(got - want) <= tol, (k, m, got, want)
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.1, 10.0, 1e3])
+def test_mixture_mi_bits_equal_the_blocked_body(rho):
+    # The 256-row in-place blocks do the same float operations as 4096-row
+    # blocks on fresh arrays, and the terms are summed per 4096-row slice as
+    # before: equal bits. n = 5000 and 20000 cross the summation slices, and
+    # every n but 256 the exponent blocks; K = 256 makes a block 256 x M*256.
+    for k in (1, 16, 256):
+        for m in (2, 4, 8):
+            r = np.random.default_rng([k, m])
+            atoms = (r.standard_normal(k) + 1j * r.standard_normal(k)) * 2.0
+            for n in (256, 5000, 20000):
+                got = mixture_mi(atoms, rho, m, np.random.default_rng(5), n)
+                want = blocked_mixture_mi(atoms, rho, m, np.random.default_rng(5), n)
+                assert got == want, (k, m, n, got, want)
+
+
+def _csb_atom_sets():
+    """(atoms, M) for CSB atom sets of at most 16 atoms: on-grid phase-noise
+    supports with two classes of M-PSK left to resolve, and every shift's
+    relative channel at an off-grid angle of a linear array."""
+    sets = [
+        pytest.param(np.exp(1j * apn_law(4, 0, 8).support), 4, id="apn-2-of-8-qpsk"),
+        pytest.param(np.exp(1j * apn_law(2, 0, 16).support), 16, id="apn-8-of-16-16psk"),
+    ]
+    for n, rx_i, eve_deg in ((8, 1, 37.0), (16, 3, -20.0)):
+        rx = GridIndex(rx_i, 0)
+        f = dft_codeword(rx, ArrayConfig(n, 1, n_rows=1))
+        atoms = _shift_atoms(f, math.radians(eve_deg), 0.0, rx)
+        sets.append(pytest.param(atoms, 4, id=f"csb-{n}-off-grid-qpsk"))
+    return sets
+
+
+@pytest.mark.parametrize("rho", [0.1, 1.0, 10.0])
+@pytest.mark.parametrize("atoms,m", _csb_atom_sets())
+def test_mixture_mi_within_4_se_of_quadrature(atoms, m, rho):
+    terms = _mi_terms(atoms, rho, m, np.random.default_rng(11), 20000)
+    se = float(np.std(terms, ddof=1)) / math.sqrt(terms.size) / math.log(2)
+    assert 0 < se < math.inf
+    est = mixture_mi(atoms, rho, m, np.random.default_rng(11), 20000)
+    assert abs(est - quadrature_mixture_mi(atoms, rho, m, 64)) <= 4 * se
+
+
+def test_mixture_mi_rejects_negative_rho():
+    with pytest.raises(ValueError, match="rho must be nonnegative"):
+        mixture_mi(np.array([1.0 + 0j]), -1.0, 4, np.random.default_rng(0), 100)
+
+
+def test_mixture_mi_rejects_zero_samples():
+    with pytest.raises(ValueError, match="num_samples must be >= 1"):
+        mixture_mi(np.array([1.0 + 0j]), 1.0, 4, np.random.default_rng(0), 0)
 
 
 def test_apn_law_is_frozen():
