@@ -1,13 +1,13 @@
 """Command-line front end: config parsing and CSV output.
 
 Subcommands: beam-pattern, smi-sweep, attack, ser, apn-dist. Each one is a
-few library calls whose result columns go to _write_csv, the one CSV writer:
-a header line of names, then one LF-terminated line per row, with str
-columns as %s, int columns as %d, float columns as %.12g, and an empty field
-for a NaN (an eavesdropper direction with no trained channel). Every run
-takes a mandatory --seed; identical config + seed produces byte-identical
-CSVs. Exit codes: 0 success, 1 config error, 2 infeasible scenario, 3 I/O
-error.
+few library calls returning {file name: (header, columns)}; once it returns,
+main writes each table through _write_csv, the one CSV writer: a header line
+of names, then one LF-terminated line per row, with str columns as %s, int
+columns as %d, float columns as %.12g, and an empty field for a NaN (an
+eavesdropper direction with no trained channel). Every run takes a mandatory
+--seed; the same config and seed give byte-identical CSVs. Exit codes: 0
+success, 1 config error, 2 infeasible scenario, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ from .airspy import (
     rx_state_at,
     value_iteration,
 )
-from .array import ArrayConfig, beam_pattern, dft_codeword, grid_angle, nearest_grid_index
+from .array import ArrayConfig, beam_pattern, dft_codeword, gains, grid_angle, nearest_grid_index
 from .asm_baseline import AsmConfig
-from .channel_sim import MI_SUBSETS, path_power, rx_power_penalty_db, ser_sweep, smi_sweep
+from .channel_sim import MI_SUBSETS, path_power, rx_power_penalty_db, ser_sweep, sigma2_for_snr, smi_sweep
 from .csb_defense import MI_BLOCK, MI_NODES, apn_law, smi_theory
 from .geometry import UavPlaneSpec
 
@@ -86,7 +86,6 @@ class ExperimentConfig:
     rx_theta_deg: float = 25.0
     # runtime (CLI flags, never stored in the config file)
     seed: int = 0
-    out_dir: str = "out"
     tiny: bool = False
 
     def __post_init__(self):
@@ -318,7 +317,10 @@ def _write_csv(path: str, header, columns) -> str:
     return path
 
 
-def cmd_beam_pattern(cfg: ExperimentConfig) -> list[str]:
+Table = tuple[list[str], list]  # one CSV's (header, columns), as _write_csv takes them
+
+
+def cmd_beam_pattern(cfg: ExperimentConfig) -> dict[str, Table]:
     """Normalized amplitude maps for the unquantized, 1-bit, and 2-bit beams."""
     step = 5 if cfg.tiny else 1
     rad = np.radians(np.arange(-90, 91, step))
@@ -326,17 +328,16 @@ def cmd_beam_pattern(cfg: ExperimentConfig) -> list[str]:
     dirs = np.column_stack([th.ravel(), ph.ravel()])
     degrees = np.degrees(dirs.T)
     grid = nearest_grid_index(math.radians(cfg.target_theta_deg), math.radians(cfg.target_phi_deg), cfg.n_t, cfg.n_rows)
-    return [
-        _write_csv(
-            os.path.join(cfg.out_dir, f"beam_pattern_q{label}.csv"),
+    return {
+        f"beam_pattern_q{label}.csv": (
             ["theta_deg", "phi_deg", "normalized_amplitude"],
             [*degrees, beam_pattern(dft_codeword(grid, ArrayConfig(cfg.n_t, q, cfg.n_rows)), dirs)],
         )
         for label, q in (("inf", None), ("1", 1), ("2", 2))
-    ]
+    }
 
 
-def cmd_smi_sweep(cfg: ExperimentConfig) -> list[str]:
+def cmd_smi_sweep(cfg: ExperimentConfig) -> dict[str, Table]:
     """Secrecy MI vs. eavesdropper angle on a linear array, CSB vs. ASM-c, and
     the partition-law floor at the grid angles; --tiny sweeps only the n_t
     grid angles, with at most 500 MI samples."""
@@ -356,10 +357,7 @@ def cmd_smi_sweep(cfg: ExperimentConfig) -> list[str]:
     # the sweep's peak RSS by about 1.3 MB on a 16-element array
     theory = smi_theory(rx_grid.i, cfg.n_t, cfg.m_order, cfg.rx_snr_db)
     header = ["eve_theta_deg", "csb_smi", *(f"asm_smi_{c:g}" for c in cfg.asm_c)]
-    return [
-        _write_csv(os.path.join(cfg.out_dir, "smi_sweep.csv"), header, [angles, *smi.T]),
-        _write_csv(os.path.join(cfg.out_dir, "smi_theory.csv"), theory.keys(), theory.values()),
-    ]
+    return {"smi_sweep.csv": (header, [angles, *smi.T]), "smi_theory.csv": (list(theory), list(theory.values()))}
 
 
 def _plan(cfg: ExperimentConfig, q: int | None) -> tuple[Scenario, Trajectory]:
@@ -372,25 +370,22 @@ def _plan(cfg: ExperimentConfig, q: int | None) -> tuple[Scenario, Trajectory]:
     return scenario, extract_trajectory(*value_iteration(scenario, cfg.constraints()))
 
 
-def cmd_attack(cfg: ExperimentConfig) -> list[str]:
+def cmd_attack(cfg: ExperimentConfig) -> dict[str, Table]:
     """Plan the eavesdropper trajectory for the 1-bit and 2-bit transmitters."""
-    paths = []
+    tables = {}
     for q in (1, 2):
         scenario, traj = _plan(cfg, q)
-        paths.append(
-            _write_csv(
-                os.path.join(cfg.out_dir, f"attack_trajectory_q{q}.csv"),
-                ["t_s", "u", "v", "theta_deg", "phi_deg", "reward", "secrecy_rate"],
-                [
-                    np.arange(len(traj.u)) * scenario.t_s, traj.u, traj.v,
-                    np.degrees(traj.theta), np.degrees(traj.phi), traj.reward, traj.secrecy_rate,
-                ],
-            )
+        tables[f"attack_trajectory_q{q}.csv"] = (
+            ["t_s", "u", "v", "theta_deg", "phi_deg", "reward", "secrecy_rate"],
+            [
+                np.arange(len(traj.u)) * scenario.t_s, traj.u, traj.v,
+                np.degrees(traj.theta), np.degrees(traj.phi), traj.reward, traj.secrecy_rate,
+            ],
         )
-    return paths
+    return tables
 
 
-def cmd_ser(cfg: ExperimentConfig) -> list[str]:
+def cmd_ser(cfg: ExperimentConfig) -> dict[str, Table]:
     """SER vs. SNR for {none, csb, asm-c} with the eavesdropper parked on the
     planned trajectory's midpoint cell, the defenses' mean receive-power
     penalty at the RX, and the eavesdropper's constellation under CSB at the
@@ -402,34 +397,38 @@ def cmd_ser(cfg: ExperimentConfig) -> list[str]:
     t_mid = scenario.num_steps // 2
     rx_grid, rx_dir, rx_r = rx_state_at(scenario, t_mid)
     f = dft_codeword(rx_grid, scenario.array_cfg)
+    p_rx = path_power(rx_r, cfg.p0, cfg.r0)
     snr_dbs = cfg.snr_sweep
+    # ser_sweep's noise power falls as the SNR rises: check it at the sweep's ends
+    g_rx = abs(gains(f, (rx_dir[0],), (rx_dir[1],))[0])
+    for name, snr_db in (("snr_min_db", snr_dbs[0]), ("snr_max_db", snr_dbs[-1])):
+        with np.errstate(over="ignore"):
+            sigma2 = sigma2_for_snr(p_rx, g_rx, snr_db)
+        if not 0 < sigma2 < math.inf:
+            raise ConfigError(f"[experiment] {name}: noise power at {snr_db:g} dB must be in (0, inf), got {sigma2:g}")
     errors, constellation = ser_sweep(
-        f, rx_dir, (traj.theta[t_mid], traj.phi[t_mid]),
-        path_power(rx_r, cfg.p0, cfg.r0), path_power(traj.r[t_mid], cfg.p0, cfg.r0),
+        f, rx_dir, (traj.theta[t_mid], traj.phi[t_mid]), p_rx, path_power(traj.r[t_mid], cfg.p0, cfg.r0),
         snr_dbs, cfg.m_order, cfg.asm_c, num_symbols, cfg.seed,
     )
     labels = ["none", "csb"] + [f"asm-{c:g}" for c in cfg.asm_c]
     rates = errors.reshape(-1, 2) / num_symbols
-    return [
-        _write_csv(
-            os.path.join(cfg.out_dir, "ser_sweep.csv"),
+    return {
+        "ser_sweep.csv": (
             ["snr_db", "defense", "rx_ser", "eve_ser", "trials"],
             [np.repeat(snr_dbs, len(labels)), labels * len(snr_dbs), *rates.T, np.full(len(rates), num_symbols)],
         ),
-        _write_csv(
-            os.path.join(cfg.out_dir, "rx_snr_penalty.csv"),
+        "rx_snr_penalty.csv": (
             ["defense", "rx_snr_delta_db"],
             [labels[1:], rx_power_penalty_db(f, rx_dir, cfg.asm_c, cfg.seed)],
         ),
-        _write_csv(
-            os.path.join(cfg.out_dir, "eve_constellation.csv"),
+        "eve_constellation.csv": (
             ["re", "im", "true_symbol_index"],
             [*constellation[:, :2].T, constellation[:, 2].astype(int)],
         ),
-    ]
+    }
 
 
-def cmd_apn_dist(cfg: ExperimentConfig) -> list[str]:
+def cmd_apn_dist(cfg: ExperimentConfig) -> dict[str, Table]:
     """Exact phase-noise support and probabilities for each gcd value."""
     laws = [apn_law(g, 0, cfg.n_t) for g in range(cfg.n_t + 1)]
     sizes = [law.support.size for law in laws]
@@ -438,7 +437,7 @@ def cmd_apn_dist(cfg: ExperimentConfig) -> list[str]:
         np.degrees(np.concatenate([law.support for law in laws])),
         np.repeat([law.prob for law in laws], sizes),
     ]
-    return [_write_csv(os.path.join(cfg.out_dir, "apn_dist.csv"), ["g", "phase_deg", "probability"], columns)]
+    return {"apn_dist.csv": (["g", "phase_deg", "probability"], columns)}
 
 
 _COMMANDS = {
@@ -477,10 +476,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        cfg = dataclasses.replace(cfg, seed=args.seed, out_dir=args.out, tiny=args.tiny)
-        os.makedirs(cfg.out_dir, exist_ok=True)
-        written = _COMMANDS[args.command](cfg)
+        cfg = dataclasses.replace(load_config(args.config), seed=args.seed, tiny=args.tiny)
+        os.makedirs(args.out, exist_ok=True)
+        tables = _COMMANDS[args.command](cfg)
+        written = [_write_csv(os.path.join(args.out, name), *table) for name, table in tables.items()]
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

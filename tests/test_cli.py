@@ -14,7 +14,7 @@ import weakref
 import numpy as np
 import pytest
 
-from csbsim import airspy
+from csbsim import airspy, cli
 from csbsim.cli import ConfigError, ExperimentConfig, _plan, _write_csv, dump_config, load_config, main
 from csbsim.csb_defense import apn_law
 
@@ -60,6 +60,11 @@ BAD_CONFIGS = [
     # SNRs whose linear power 10 ** (dB / 10) is past the float range
     ("ser", "[experiment]\nsnr_min_db = 3000\nsnr_max_db = 3100\nsnr_step_db = 100\n", "[experiment] snr_max_db"),
     ("smi-sweep", "[experiment]\nrx_snr_db = 4000\n", "[experiment] rx_snr_db"),
+    # SNR points whose noise power on the ser link is not a finite positive
+    # float: it overflows to inf far below 0 dB, and underflows to 0 far
+    # above it on a weak path
+    ("ser", "[experiment]\nsnr_min_db = -3090\nsnr_max_db = -3090\n", "[experiment] snr_min_db"),
+    ("ser", "[scenario]\np0 = 1e-20\n[experiment]\nsnr_min_db = 3000\nsnr_max_db = 3080\n", "[experiment] snr_max_db"),
 ]
 
 
@@ -218,6 +223,7 @@ class TestExitCodes:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("config error:"), err
         assert re.search(rf"(?<!\w){re.escape(where)}(?!\w)", lines[0]), err
+        assert not list((tmp_path / "o").glob("*"))
 
     def test_success_returns_0_and_prints_paths(self, tmp_path, capsys):
         out = tmp_path / "o"
@@ -226,6 +232,44 @@ class TestExitCodes:
         printed = capsys.readouterr().out.splitlines()
         assert printed == [str(out / "apn_dist.csv")]
         assert os.path.exists(printed[0])
+
+    def test_command_that_raises_leaves_no_csvs(self, tmp_path, monkeypatch, capsys):
+        # the second of the three beam maps fails after the first is computed
+        calls = []
+        real = cli.beam_pattern
+
+        def beam_pattern(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise OSError("no room for the 1-bit beam map")
+            return real(*args)
+
+        monkeypatch.setattr(cli, "beam_pattern", beam_pattern)
+        out = tmp_path / "o"
+        assert main(["beam-pattern", "--tiny", "--seed", "0", "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert "i/o error" in captured.err and captured.out == ""
+        assert os.listdir(out) == []
+
+
+LOCK_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "lock")
+
+
+@pytest.mark.parametrize("command", ["beam-pattern", "smi-sweep", "attack", "ser", "apn-dist"])
+def test_commands_return_tables_and_write_nothing(tmp_path, monkeypatch, command):
+    cfg = dataclasses.replace(load_config(os.path.join(LOCK_DIR, "lock.ini")), tiny=True)
+
+    def write_csv(*args):
+        raise AssertionError(f"{command} wrote {args[0]}")
+
+    monkeypatch.setattr(cli, "_write_csv", write_csv)
+    monkeypatch.chdir(tmp_path)
+    tables = cli._COMMANDS[command](cfg)
+    assert os.listdir(tmp_path) == []
+    assert sorted(tables) == sorted(os.listdir(os.path.join(LOCK_DIR, command)))
+    for name, (header, columns) in tables.items():
+        assert len(columns) == len(header), name
+        assert len({len(column) for column in columns}) == 1, name
 
 
 class TestApnDist:
