@@ -5,12 +5,11 @@ the transmitter-compensated gain of the defended beamformer toward the
 receiver (defense_gains: the fixed beam, a circulant shift, or an antenna
 subset). Both receivers equalize on the fixed, unshifted beamformer's gain
 (perfect training) and detect the nearest PSK symbol. simulate_symbols is
-the one Monte-Carlo run; its runs share one noise stream per receiver so
-defended and undefended runs with the same seed are exactly paired:
-symbols first, then RX noise, then eavesdropper noise, then any defense
-randomness. ser_sweep counts its errors per defense and SNR point;
+the one Monte-Carlo run: it draws symbols, unit noise and the defense's
+gains, then scales the noise to each link and detects, so ser_sweep draws
+each defense once and only rescales the noise at each SNR point.
 smi_sweep and rx_power_penalty_db evaluate the same gains as secrecy mutual
-information and as mean receive power.
+information and as exact mean receive power.
 """
 
 from __future__ import annotations
@@ -33,10 +32,8 @@ CONSTELLATION_CAP = 10_000
 # float64 scores of a draw and the float64 copy of the masks a product makes
 MASK_BLOCK = 256
 
-# ASM subsets sampled for each MI estimate and for the mean-power penalty;
-# CSB uses its exact ensemble of shifts in both.
+# ASM subsets sampled for each MI estimate; CSB uses its exact ensemble of shifts.
 MI_SUBSETS = 256
-PENALTY_SUBSETS = 4000
 
 
 @dataclass(frozen=True)
@@ -144,14 +141,6 @@ def defense_gains(defense: str, f: np.ndarray, directions, rx_grid, rng=None, nu
     raise ValueError(f"defense must be one of {DEFENSES}, got {defense!r}")
 
 
-def _defense_table(asm_c, seed: int, stream: int):
-    """(defense, fraction, rng) for CSB, then ASM at each fraction of asm_c;
-    fraction ci draws its subsets from the stream [seed, stream, ci]."""
-    return [("csb", None, None)] + [
-        ("asm", c, np.random.default_rng([seed, stream, ci])) for ci, c in enumerate(asm_c)
-    ]
-
-
 def smi_sweep(
     f: np.ndarray,
     rx_direction,
@@ -190,7 +179,8 @@ def smi_sweep(
     probed = np.concatenate([[0], 1 + np.flatnonzero(np.abs(base[1:]) >= 1e-9)])
     rho = 10 ** (rx_snr_db / 10) * (np.abs(base[probed]) / abs(base[0])) ** 2
     out = np.full((len(eve_directions), 1 + len(asm_c)), np.nan)
-    for col, (defense, c, rng) in enumerate(_defense_table(asm_c, seed, 7)):
+    table = [("csb", None, None)] + [("asm", c, np.random.default_rng([seed, 7, ci])) for ci, c in enumerate(asm_c)]
+    for col, (defense, c, rng) in enumerate(table):
         atoms = defense_gains(defense, f, directions[probed], rx_grid, rng, MI_SUBSETS, c) / base[probed, None]
         mi = [
             mixture_mi(a, r, m_order, np.random.default_rng([seed, 101]), mi_samples)
@@ -200,19 +190,21 @@ def smi_sweep(
     return out
 
 
-def rx_power_penalty_db(f: np.ndarray, rx_direction, asm_c, seed: int) -> np.ndarray:
-    """Mean receive power of CSB and of ASM at each fraction in asm_c, in dB
-    relative to the fixed beam f; ASM fraction ci averages PENALTY_SUBSETS
-    subsets from the stream [seed, 55, ci], CSB averages every shift."""
+def rx_power_penalty_db(f: np.ndarray, rx_direction, asm_c) -> np.ndarray:
+    """Exact mean receive power of CSB and of ASM at each fraction in asm_c, in
+    dB relative to the fixed beam f. CSB averages every shift; ASM with k of
+    the N elements active has mean p2 |sum w|^2 + (p1 - p2) sum |w|^2, with
+    w = V * conj(F), p1 = k / N and p2 = k (k - 1) / (N (N - 1)) (0 for k <= 1)."""
     rows, cols = f.shape
-    rx_grid = nearest_grid_index(*rx_direction, cols, rows)
     rx = np.array([rx_direction], dtype=float)
-    p_fixed = abs(gains(f, *rx.T)[0]) ** 2
-    out = []
-    for defense, c, rng in _defense_table(asm_c, seed, 55):
-        g = defense_gains(defense, f, rx, rx_grid, rng, PENALTY_SUBSETS, c)
-        out.append(10 * math.log10(float(np.mean(np.abs(g) ** 2)) / p_fixed))
-    return np.array(out)
+    p_fixed = abs(gains(f, *rx.T)[0]) ** 2  # |sum w|^2
+    w_power = float(np.sum(np.abs(responses(*rx.T, rows, cols)[0] * np.conj(f)) ** 2))
+    means = [float(np.mean(np.abs(defense_gains("csb", f, rx, nearest_grid_index(*rx_direction, cols, rows))) ** 2))]
+    for c in asm_c:
+        k = AsmConfig(c, cols, rows).active_count
+        p1, p2 = k / f.size, k * (k - 1) / max(f.size * (f.size - 1), 1)  # p2 = 0 for k <= 1
+        means.append(p2 * p_fixed + (p1 - p2) * w_power)
+    return np.array([10 * math.log10(mean / p_fixed) for mean in means])
 
 
 class SymbolRun(NamedTuple):
@@ -222,6 +214,31 @@ class SymbolRun(NamedTuple):
     rx_idx: np.ndarray
     eve_idx: np.ndarray
     eve_equalized: np.ndarray
+
+
+def _draw(f, directions, defense, m_order, num_symbols, rng, asm_c):
+    """simulate_symbols' draws from rng, in its order, toward directions (RX,
+    eavesdropper): (symbol indices, symbols, then per receiver its unit noise
+    re + j im, the defense's gains and the fixed beam's trained gain)."""
+    if num_symbols < 1:
+        raise ValueError(f"num_symbols must be >= 1, got {num_symbols}")
+    rows, cols = f.shape
+    true_idx = rng.integers(m_order, size=num_symbols)
+    normals = [rng.standard_normal(num_symbols) + 1j * rng.standard_normal(num_symbols) for _ in range(2)]
+    g = defense_gains(defense, f, directions, nearest_grid_index(*directions[0], cols, rows), rng, num_symbols, asm_c)
+    return true_idx, psk_symbols(m_order)[true_idx], list(zip(normals, g, gains(f, *directions.T)))
+
+
+def _detect(draw, links, m_order: int) -> SymbolRun:
+    """Both receivers' decisions on a _draw, each one's unit noise scaled to its link's noise power."""
+    true_idx, x, paths = draw
+    (_, rx_idx), (eve_equalized, eve_idx) = (
+        equalize_and_detect(
+            received_symbol(link, g, x, n * math.sqrt(link.sigma2 / 2)), received_symbol(link, h, 1.0, 0.0), m_order
+        )
+        for link, (n, g, h) in zip(links, paths)
+    )
+    return SymbolRun(true_idx, rx_idx, eve_idx, eve_equalized)
 
 
 def simulate_symbols(
@@ -249,26 +266,8 @@ def simulate_symbols(
     noise, defense randomness) so runs differing only in the defense are
     exactly paired.
     """
-    if num_symbols < 1:
-        raise ValueError(f"num_symbols must be >= 1, got {num_symbols}")
-    rows, cols = f.shape
-    rx_grid = nearest_grid_index(*rx_direction, cols, rows)
-    directions = np.array([rx_direction, eve_direction], dtype=float)
-    links = (rx_link, eve_link)
-
-    true_idx = rng.integers(m_order, size=num_symbols)
-    x = psk_symbols(m_order)[true_idx]
-    noise = [
-        (rng.standard_normal(num_symbols) + 1j * rng.standard_normal(num_symbols)) * math.sqrt(link.sigma2 / 2)
-        for link in links
-    ]
-    trained = gains(f, *directions.T)
-    g = defense_gains(defense, f, directions, rx_grid, rng, num_symbols, asm_c)
-    (_, rx_idx), (eve_equalized, eve_idx) = (
-        equalize_and_detect(received_symbol(link, g_p, x, n_p), received_symbol(link, h_p, 1.0, 0.0), m_order)
-        for link, g_p, n_p, h_p in zip(links, g, noise, trained)
-    )
-    return SymbolRun(true_idx, rx_idx, eve_idx, eve_equalized)
+    draw = _draw(f, np.array([rx_direction, eve_direction], dtype=float), defense, m_order, num_symbols, rng, asm_c)
+    return _detect(draw, (rx_link, eve_link), m_order)
 
 
 def ser_sweep(
@@ -287,9 +286,9 @@ def ser_sweep(
 
     f is the fixed beam steered at the RX's nearest grid point, p_rx and
     p_eve the received reference powers. At each point both receivers see
-    the noise power that gives the RX a post-beamforming SNR of snr_db on
-    f, and every defense runs simulate_symbols on the stream [seed, si],
-    so the defenses are exactly paired at a point.
+    the noise power that gives the RX a post-beamforming SNR of snr_db on f.
+    Each defense is drawn once, from the stream [seed, 0]: every point equals
+    simulate_symbols on [seed, 0] with its links, and the defenses are paired.
 
     Returns:
         (errors, constellation). errors is an int array of shape
@@ -300,22 +299,22 @@ def ser_sweep(
         [seed, len(snr_dbs)], at most CONSTELLATION_CAP of them.
     """
     g_rx = abs(gains(f, (rx_direction[0],), (rx_direction[1],))[0])
+    sigma2s = [sigma2_for_snr(p_rx, g_rx, snr_db) for snr_db in snr_dbs]
+    directions = np.array([rx_direction, eve_direction], dtype=float)
 
-    def run(snr_db, defense, c, stream):
-        sigma2 = sigma2_for_snr(p_rx, g_rx, snr_db)
-        return simulate_symbols(
-            f, LinkState(p_rx, 0.0, sigma2), rx_direction, LinkState(p_eve, 0.0, sigma2), eve_direction,
-            defense, m_order, num_symbols, np.random.default_rng([seed, stream]), c,
-        )
+    def counts(draw):
+        runs = (_detect(draw, (LinkState(p_rx, 0.0, s2), LinkState(p_eve, 0.0, s2)), m_order) for s2 in sigma2s)
+        return [[np.count_nonzero(r.rx_idx != r.true_idx), np.count_nonzero(r.eve_idx != r.true_idx)] for r in runs]
 
     defenses = [("none", None), ("csb", None)] + [("asm", c) for c in asm_c]
+    # one defense's draws at a time: each is freed before the next is drawn
     errors = np.array([
-        [
-            [np.count_nonzero(r.rx_idx != r.true_idx), np.count_nonzero(r.eve_idx != r.true_idx)]
-            for r in (run(snr_db, defense, c, si) for defense, c in defenses)
-        ]
-        for si, snr_db in enumerate(snr_dbs)
-    ])
-    last = run(snr_dbs[-1], "csb", None, len(snr_dbs))
+        counts(_draw(f, directions, defense, m_order, num_symbols, np.random.default_rng([seed, 0]), c))
+        for defense, c in defenses
+    ]).swapaxes(0, 1)
+    last = simulate_symbols(
+        f, LinkState(p_rx, 0.0, sigma2s[-1]), rx_direction, LinkState(p_eve, 0.0, sigma2s[-1]), eve_direction,
+        "csb", m_order, num_symbols, np.random.default_rng([seed, len(snr_dbs)]),
+    )
     z, k = last.eve_equalized[:CONSTELLATION_CAP], last.true_idx[:CONSTELLATION_CAP]
     return errors, np.column_stack([z.real, z.imag, k.astype(float)])

@@ -152,11 +152,11 @@ class ExperimentConfig:
                 f"[attack] grid_g = {self.grid_g} with [scenario] {steps} steps on a {rows} x {cols} array: "
                 f"the planner needs about {planner_bytes:.3g} bytes, above the cap of {MAX_BYTES} bytes"
             )
-        # peak-RSS growth, measured: a ser symbol takes about 272 B plus one
-        # per array element (its ASM mask): 269 B on 2 x 2, 483 B on 16 x 16,
-        # 1.28 kB on 32 x 32, 4.28 kB on 64 x 64. A ser SNR point takes 160 B
-        # plus 190 B per defense row: 722 B with one ASM fraction, 1.10 kB
-        # with three (4 x 4 array, 2000 and 30000 points)
+        # peak-RSS growth, measured: a ser symbol takes up to 272 B plus one
+        # per array element (a defense's draws and ASM mask): 175 B on 2 x 2,
+        # 446 B on 16 x 16, 1.11 kB on 32 x 32, 4.17 kB on 64 x 64. A ser SNR
+        # point takes up to 160 B plus 190 B per defense row: 683 B with one
+        # ASM fraction, 1.07 kB with three (4 x 4 array, 2000 and 30000 points)
         points = (self.snr_max_db - self.snr_min_db + 1e-9) / self.snr_step_db + 1
         snr_bytes = points * (160 + 190 * (2 + len(self.asm_c)))
         if snr_bytes > MAX_BYTES:
@@ -387,11 +387,12 @@ def cmd_attack(cfg: ExperimentConfig) -> dict[str, Table]:
 
 def cmd_ser(cfg: ExperimentConfig) -> dict[str, Table]:
     """SER vs. SNR for {none, csb, asm-c} with the eavesdropper parked on the
-    planned trajectory's midpoint cell, the defenses' mean receive-power
-    penalty at the RX, and the eavesdropper's constellation under CSB at the
-    top SNR point. The RX sits at its true, off-grid angles, so CSB's penalty
-    is not 0 dB: the compensation keeps the gain exactly only on the beam
-    grid (-1.44 dB on the default 16 x 16 config)."""
+    planned trajectory's midpoint cell (each defense drawn once, from the
+    stream [seed, 0], and rescaled at every SNR point), the defenses' exact
+    mean receive-power penalty at the RX, and the eavesdropper's constellation
+    under CSB at the top SNR point. The RX sits at its true, off-grid angles,
+    so CSB's penalty is not 0 dB: the compensation keeps the gain exactly
+    only on the beam grid (-1.44 dB on the default 16 x 16 config)."""
     num_symbols = min(cfg.num_symbols, 2000) if cfg.tiny else cfg.num_symbols
     scenario, traj = _plan(cfg, cfg.q)
     t_mid = scenario.num_steps // 2
@@ -419,7 +420,7 @@ def cmd_ser(cfg: ExperimentConfig) -> dict[str, Table]:
         ),
         "rx_snr_penalty.csv": (
             ["defense", "rx_snr_delta_db"],
-            [labels[1:], rx_power_penalty_db(f, rx_dir, cfg.asm_c, cfg.seed)],
+            [labels[1:], rx_power_penalty_db(f, rx_dir, cfg.asm_c)],
         ),
         "eve_constellation.csv": (
             ["re", "im", "true_symbol_index"],
