@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -121,27 +120,21 @@ def quantize_phase(x, q: int | None):
     return out
 
 
-@lru_cache(maxsize=4096)
-def _codeword_cached(i: int, j: int, n_t: int, rows: int, q: int | None) -> np.ndarray:
-    k = np.arange(rows)[:, None]
-    l = np.arange(n_t)[None, :]
-    # Matched to the response at grid (i, j): same (negative) phase slopes.
-    phase = -2 * np.pi * ((j % rows) * k / rows + (i % n_t) * l / n_t)
-    cw = np.exp(1j * quantize_phase(phase, q)) / math.sqrt(rows * n_t)
-    cw.setflags(write=False)
-    return cw
-
-
 def dft_codeword(g: GridIndex, cfg: ArrayConfig) -> np.ndarray:
     """Codebook beamformer that steers the beam toward grid direction g.
 
     The unquantized variant is V(grid g) / sqrt(size), so its gain at grid g
     is the full coherent sum and exactly zero at every other grid point by
     DFT orthogonality; quantization keeps the entries on the q-bit phase
-    lattice. Cached; the returned array is read-only.
+    lattice.
     """
     rows, cols = cfg.shape
-    return _codeword_cached(int(g[0]), int(g[1]), cols, rows, cfg.q)
+    i, j = int(g[0]) % cols, int(g[1]) % rows
+    k = np.arange(rows)[:, None]
+    l = np.arange(cols)[None, :]
+    # Matched to the response at grid (i, j): same (negative) phase slopes.
+    phase = -2 * np.pi * (j * k / rows + i * l / cols)
+    return np.exp(1j * quantize_phase(phase, cfg.q)) / math.sqrt(rows * cols)
 
 
 def gains(f: np.ndarray, thetas, phis) -> np.ndarray:

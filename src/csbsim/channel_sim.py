@@ -4,12 +4,13 @@ Signal model per symbol: y = sqrt(P_r) * exp(j nu) * g * x + n, where g is
 the transmitter-compensated gain of the defended beamformer toward the
 receiver (defense_gains: the fixed beam, a circulant shift, or an antenna
 subset). Both receivers equalize on the fixed, unshifted beamformer's gain
-(perfect training) and detect the nearest PSK symbol. simulate_symbols is
-the one Monte-Carlo run: it draws symbols, unit noise and the defense's
-gains, then scales the noise to each link and detects, so ser_sweep draws
-each defense once and only rescales the noise at each SNR point.
-smi_sweep and rx_power_penalty_db evaluate the same gains as secrecy mutual
-information and as exact mean receive power.
+(perfect training) and detect the nearest PSK symbol. A Monte-Carlo run is
+a draw step (symbols, unit noise and the defense's gains) then a detect
+step that scales the noise to each link, so ser_sweep draws each defense
+once, only rescales the noise at each SNR point, and takes the
+eavesdropper's constellation from its own CSB draw. smi_sweep and
+rx_power_penalty_db evaluate the same gains as secrecy mutual information
+and as exact mean receive power.
 """
 
 from __future__ import annotations
@@ -123,19 +124,15 @@ def defense_gains(defense: str, f: np.ndarray, directions, rx_grid, rng=None, nu
             raise ValueError("defense 'asm' requires asm_c and an rng")
         rows, cols = f.shape
         active = AsmConfig(asm_c, cols, rows).active_count
-        starts = range(0, num, MASK_BLOCK)
-        # every draw before any product: BLAS threads spin on after each
-        # product, and interleaving the two cost about 40% more CPU time on
-        # a 4000 x 4096 draw
-        masks = np.empty((num, f.size), dtype=bool)
-        for lo in starts:
-            masks[lo:lo + MASK_BLOCK] = random_subset_masks(f.size, active, min(MASK_BLOCK, num - lo), rng)
         w = (v * np.conj(f)).reshape(len(v), -1)
         # one real product per block on the (size, 2P) matrix [Re w | Im w]: a complex
         # product copies the block to complex128, and P matrix-vector products each wake
         # the BLAS threads; peak RSS on a 64 x 64 array with 4000 subsets measured 161 MB
         w_ri = np.concatenate([w.real, w.imag]).T
-        g = np.concatenate([masks[lo:lo + MASK_BLOCK].astype(float) @ w_ri for lo in starts]).T
+        g = np.concatenate([
+            random_subset_masks(f.size, active, min(MASK_BLOCK, num - lo), rng).astype(float) @ w_ri
+            for lo in range(0, num, MASK_BLOCK)
+        ]).T
         g = g[:len(v)] + 1j * g[len(v):]
         return g * np.exp(-1j * np.angle(g[0]))
     raise ValueError(f"defense must be one of {DEFENSES}, got {defense!r}")
@@ -217,9 +214,11 @@ class SymbolRun(NamedTuple):
 
 
 def _draw(f, directions, defense, m_order, num_symbols, rng, asm_c):
-    """simulate_symbols' draws from rng, in its order, toward directions (RX,
-    eavesdropper): (symbol indices, symbols, then per receiver its unit noise
-    re + j im, the defense's gains and the fixed beam's trained gain)."""
+    """A Monte-Carlo run's draws from rng toward directions (RX, eavesdropper),
+    in a fixed order (symbol indices, RX noise, eavesdropper noise, then the
+    defense's gains from defense_gains), so runs that differ only in the
+    defense are exactly paired: (symbol indices, symbols, then per receiver its
+    unit noise re + j im, the defense's gains and the fixed beam's trained gain)."""
     if num_symbols < 1:
         raise ValueError(f"num_symbols must be >= 1, got {num_symbols}")
     rows, cols = f.shape
@@ -241,35 +240,6 @@ def _detect(draw, links, m_order: int) -> SymbolRun:
     return SymbolRun(true_idx, rx_idx, eve_idx, eve_equalized)
 
 
-def simulate_symbols(
-    f: np.ndarray,
-    rx_link: LinkState,
-    rx_direction,
-    eve_link: LinkState,
-    eve_direction,
-    defense: str,
-    m_order: int,
-    num_symbols: int,
-    rng: np.random.Generator,
-    asm_c: float | None = None,
-) -> SymbolRun:
-    """Simulate num_symbols transmissions and detect at RX and eavesdropper.
-
-    f is the fixed beamformer steered at the RX's nearest grid point; both
-    receivers equalize on its unshifted gain (perfect training). Each symbol
-    goes out on its own draw of the defense (defense_gains): a uniform
-    circulant shift compensated for the RX grid point ("csb"), a random
-    antenna subset (fraction asm_c) with phase-only RX correction ("asm"),
-    or the fixed beam ("none").
-
-    Draw order from rng is fixed (symbol indices, RX noise, eavesdropper
-    noise, defense randomness) so runs differing only in the defense are
-    exactly paired.
-    """
-    draw = _draw(f, np.array([rx_direction, eve_direction], dtype=float), defense, m_order, num_symbols, rng, asm_c)
-    return _detect(draw, (rx_link, eve_link), m_order)
-
-
 def ser_sweep(
     f: np.ndarray,
     rx_direction,
@@ -287,34 +257,31 @@ def ser_sweep(
     f is the fixed beam steered at the RX's nearest grid point, p_rx and
     p_eve the received reference powers. At each point both receivers see
     the noise power that gives the RX a post-beamforming SNR of snr_db on f.
-    Each defense is drawn once, from the stream [seed, 0]: every point equals
-    simulate_symbols on [seed, 0] with its links, and the defenses are paired.
+    Each defense is drawn once, from the stream [seed, 0], and detected at
+    every point, so the defenses are paired; one defense's draws are held at a
+    time.
 
     Returns:
         (errors, constellation). errors is an int array of shape
         (len(snr_dbs), 2 + len(asm_c), 2): the (RX, eavesdropper) error
         counts out of num_symbols, for none, csb, then asm at each fraction
         of asm_c. constellation holds the eavesdropper's (re, im, true
-        symbol index) rows under CSB at the last SNR point, from the stream
-        [seed, len(snr_dbs)], at most CONSTELLATION_CAP of them.
+        symbol index) rows of the CSB draw at the last SNR point, the same
+        symbols its error count is taken over, at most CONSTELLATION_CAP of
+        them.
     """
     g_rx = abs(gains(f, (rx_direction[0],), (rx_direction[1],))[0])
     sigma2s = [sigma2_for_snr(p_rx, g_rx, snr_db) for snr_db in snr_dbs]
     directions = np.array([rx_direction, eve_direction], dtype=float)
-
-    def counts(draw):
-        runs = (_detect(draw, (LinkState(p_rx, 0.0, s2), LinkState(p_eve, 0.0, s2)), m_order) for s2 in sigma2s)
-        return [[np.count_nonzero(r.rx_idx != r.true_idx), np.count_nonzero(r.eve_idx != r.true_idx)] for r in runs]
-
     defenses = [("none", None), ("csb", None)] + [("asm", c) for c in asm_c]
-    # one defense's draws at a time: each is freed before the next is drawn
-    errors = np.array([
-        counts(_draw(f, directions, defense, m_order, num_symbols, np.random.default_rng([seed, 0]), c))
-        for defense, c in defenses
-    ]).swapaxes(0, 1)
-    last = simulate_symbols(
-        f, LinkState(p_rx, 0.0, sigma2s[-1]), rx_direction, LinkState(p_eve, 0.0, sigma2s[-1]), eve_direction,
-        "csb", m_order, num_symbols, np.random.default_rng([seed, len(snr_dbs)]),
-    )
-    z, k = last.eve_equalized[:CONSTELLATION_CAP], last.true_idx[:CONSTELLATION_CAP]
-    return errors, np.column_stack([z.real, z.imag, k.astype(float)])
+    errors = np.empty((len(sigma2s), len(defenses), 2), dtype=np.int64)
+    for col, (defense, c) in enumerate(defenses):
+        draw = _draw(f, directions, defense, m_order, num_symbols, np.random.default_rng([seed, 0]), c)
+        for si, s2 in enumerate(sigma2s):
+            run = _detect(draw, (LinkState(p_rx, 0.0, s2), LinkState(p_eve, 0.0, s2)), m_order)
+            errors[si, col] = [np.count_nonzero(idx != run.true_idx) for idx in (run.rx_idx, run.eve_idx)]
+        if defense == "csb":  # a capped copy: the run itself is freed below
+            z, k = run.eve_equalized[:CONSTELLATION_CAP], run.true_idx[:CONSTELLATION_CAP]
+            constellation = np.column_stack([z.real, z.imag, k.astype(float)])
+        del draw, run  # freed before the next defense is drawn
+    return errors, constellation

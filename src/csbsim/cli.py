@@ -390,9 +390,10 @@ def cmd_ser(cfg: ExperimentConfig) -> dict[str, Table]:
     planned trajectory's midpoint cell (each defense drawn once, from the
     stream [seed, 0], and rescaled at every SNR point), the defenses' exact
     mean receive-power penalty at the RX, and the eavesdropper's constellation
-    under CSB at the top SNR point. The RX sits at its true, off-grid angles,
-    so CSB's penalty is not 0 dB: the compensation keeps the gain exactly
-    only on the beam grid (-1.44 dB on the default 16 x 16 config)."""
+    under CSB at the top SNR point, from the same CSB draw as its csb row of
+    ser_sweep.csv. The RX sits at its true, off-grid angles, so CSB's penalty
+    is not 0 dB: the compensation keeps the gain exactly only on the beam
+    grid (-1.44 dB on the default 16 x 16 config)."""
     num_symbols = min(cfg.num_symbols, 2000) if cfg.tiny else cfg.num_symbols
     scenario, traj = _plan(cfg, cfg.q)
     t_mid = scenario.num_steps // 2

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -147,12 +146,6 @@ MI_BLOCK = 256  # samples per exponent block of mixture_mi
 MI_CHUNK = 4096  # samples per summation slice of mixture_mi
 
 
-@lru_cache(maxsize=None)
-def _hermgauss(n: int):
-    t, w = np.polynomial.hermite.hermgauss(n)
-    return t, w
-
-
 def psk_mutual_information(rho: float, m_order: int) -> float:
     """Mutual information of equiprobable M-PSK over a complex AWGN channel.
 
@@ -179,7 +172,7 @@ def psk_mutual_information(rho: float, m_order: int) -> float:
     prev = None
     nodes = 16
     while True:
-        t, w = _hermgauss(nodes)
+        t, w = np.polynomial.hermite.hermgauss(nodes)
         # noise = t_p + j t_q with weight w_p w_q / pi matches CN(0, 1)
         ex = (
             -np.abs(d)[:, None, None] ** 2

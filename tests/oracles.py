@@ -12,6 +12,9 @@ angle's factor) and of the mixture MI estimator (against
 csb_defense.mixture_mi, which forms its exponents as one real product); the
 estimator's previous blocked form, which it must match bit for bit; and a
 quadrature of the mixture MI that its standard error is checked against.
+The single Monte-Carlo symbol run (simulate_symbols: channel_sim's draw
+step then its detect step), which ser_sweep's rows and constellation are
+checked against and the link tests drive directly.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 
 from csbsim.airspy import Scenario
 from csbsim.array import GridIndex, grid_angle
-from csbsim.channel_sim import path_power
+from csbsim.channel_sim import LinkState, SymbolRun, _detect, _draw, path_power
 from csbsim.csb_defense import _logsumexp, psk_symbols
 from csbsim.geometry import RectPoint, UavPlaneSpec, rect_to_msph
 
@@ -179,6 +182,32 @@ def quadrature_mixture_mi(atoms, rho: float, m_order: int, nodes: int) -> float:
         inner = _logsumexp(ex[:atoms.size], axis=0) - _logsumexp(ex, axis=0) + math.log(m_order)
         total += float(w @ inner @ w) / math.pi
     return total / atoms.size / math.log(2)
+
+
+def simulate_symbols(
+    f: np.ndarray,
+    rx_link: LinkState,
+    rx_direction,
+    eve_link: LinkState,
+    eve_direction,
+    defense: str,
+    m_order: int,
+    num_symbols: int,
+    rng: np.random.Generator,
+    asm_c: float | None = None,
+) -> SymbolRun:
+    """One Monte-Carlo run of num_symbols transmissions, detected at the RX
+    and the eavesdropper: channel_sim's draw step then its detect step, as
+    ser_sweep takes them for one defense at one SNR point.
+
+    f is the fixed beamformer steered at the RX's nearest grid point; both
+    receivers equalize on its unshifted gain (perfect training). Each symbol
+    goes out on its own draw of the defense (defense_gains). The draw order
+    from rng is fixed (symbol indices, RX noise, eavesdropper noise, defense
+    randomness), so runs differing only in the defense are exactly paired.
+    """
+    draw = _draw(f, np.array([rx_direction, eve_direction], dtype=float), defense, m_order, num_symbols, rng, asm_c)
+    return _detect(draw, (rx_link, eve_link), m_order)
 
 
 def grid_angles(g: GridIndex, n_t: int, n_rows: int | None = None) -> tuple[float, float]:

@@ -23,7 +23,7 @@ from csbsim.airspy import (
 )
 from csbsim.array import ArrayConfig, GridIndex, dft_codeword
 from csbsim.asm_baseline import AsmConfig, random_subset_masks
-from csbsim.channel_sim import LinkState, sigma2_for_snr, simulate_symbols, smi_sweep
+from csbsim.channel_sim import LinkState, sigma2_for_snr, smi_sweep
 from csbsim.cli import ExperimentConfig
 from csbsim.csb_defense import apn_law, partition_report
 from csbsim.geometry import UavPlaneSpec
@@ -35,6 +35,7 @@ from oracles import (
     circulant_shift,
     grid_angles,
     shift_phase_fraction,
+    simulate_symbols,
     steering_vector,
 )
 

@@ -175,15 +175,6 @@ def test_codebook_gram_is_scaled_identity(n):
     assert_allclose(gram, math.sqrt(size) * np.eye(size), atol=1e-9)
 
 
-def test_codeword_is_read_only_and_cached():
-    cfg = ArrayConfig(16, 1)
-    a = dft_codeword(GridIndex(2, 5), cfg)
-    b = dft_codeword(GridIndex(2, 5), cfg)
-    assert a is b
-    with pytest.raises(ValueError):
-        a[0, 0] = 0
-
-
 def test_one_bit_codeword_entries_are_real():
     cw = dft_codeword(GridIndex(5, 11), ArrayConfig(16, 1))
     assert_allclose(cw.imag, 0, atol=1e-15)

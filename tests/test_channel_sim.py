@@ -20,6 +20,7 @@ from csbsim.array import (
     dft_codeword,
     nearest_grid_index,
 )
+from csbsim import channel_sim
 from csbsim.channel_sim import (
     CONSTELLATION_CAP,
     MASK_BLOCK,
@@ -31,12 +32,11 @@ from csbsim.channel_sim import (
     rx_power_penalty_db,
     ser_sweep,
     sigma2_for_snr,
-    simulate_symbols,
 )
 from csbsim.asm_baseline import AsmConfig, random_subset_masks
 from csbsim.csb_defense import apn_law, psk_symbols
 
-from oracles import array_response, beam_gain, circulant_shift, grid_angles, shift_phase_factor
+from oracles import array_response, beam_gain, circulant_shift, grid_angles, shift_phase_factor, simulate_symbols
 
 
 # ---------------------------------------------------------------- basics
@@ -377,28 +377,31 @@ def test_eve_at_codebook_null_decides_noise():
 
 
 def test_constellation_capture_cap_and_content():
-    # The capture is the eavesdropper's side of the CSB run at the last SNR
-    # point, on the stream [seed, number of points], capped in length.
+    # The capture is the eavesdropper's side of the sweep's own CSB draw (the
+    # stream [seed, 0]) at the last SNR point, capped in length, so its
+    # decisions reproduce that point's CSB error count.
     cfg = ArrayConfig(8, 1)
     rx_dir = grid_angles(GridIndex(1, 0), 8)
     eve_dir = grid_angles(GridIndex(3, 0), 8)
     f = dft_codeword(GridIndex(1, 0), cfg)
     snr_dbs = [0.0, 10.0]
-    _, dump = ser_sweep(f, rx_dir, eve_dir, 1.0, 0.5, snr_dbs, 4, (), 300, 3)
+    errors, dump = ser_sweep(f, rx_dir, eve_dir, 1.0, 0.5, snr_dbs, 4, (), 300, 3)
     assert dump.shape == (300, 3)
     assert set(np.unique(dump[:, 2])) <= {0.0, 1.0, 2.0, 3.0}
     sigma2 = sigma2_for_snr(1.0, abs(beam_gain(array_response(*rx_dir, 8, 8), f)), snr_dbs[-1])
     run = simulate_symbols(
         f, LinkState(1.0, 0.0, sigma2), rx_dir, LinkState(0.5, 0.0, sigma2), eve_dir,
-        "csb", 4, 300, np.random.default_rng([3, len(snr_dbs)]),
+        "csb", 4, 300, np.random.default_rng([3, 0]),
     )
     assert np.array_equal(dump[:, 0] + 1j * dump[:, 1], run.eve_equalized)
     assert np.array_equal(dump[:, 2], run.true_idx)
+    _, decided = equalize_and_detect(dump[:, 0] + 1j * dump[:, 1], 1.0, 4)
+    assert np.count_nonzero(decided != dump[:, 2]) == errors[-1, 1, 1]
     _, big = ser_sweep(f, rx_dir, eve_dir, 1.0, 0.5, [10.0], 4, (), CONSTELLATION_CAP + 500, 3)
     assert big.shape == (CONSTELLATION_CAP, 3)
 
 
-def test_ser_sweep_pairs_defenses():
+def test_ser_sweep_pairs_defenses(monkeypatch):
     # At an on-grid RX, CSB's receiver makes the same errors as no defense
     # at every SNR point, while the eavesdropper on the one-bit mirror lobe
     # is scrambled; columns are none, csb, then asm per fraction, each the
@@ -408,7 +411,15 @@ def test_ser_sweep_pairs_defenses():
     rx_dir = grid_angles(rx_grid, 8)
     eve_dir = grid_angles(GridIndex(7, 6), 8)
     snr_dbs, asm_c, n, seed = [0.0, 5.0, 10.0], (0.3, 0.7), 2000, 11
+    real_draw, draws = channel_sim._draw, []
+
+    def counted_draw(*args):
+        draws.append(args[2])
+        return real_draw(*args)
+
+    monkeypatch.setattr(channel_sim, "_draw", counted_draw)
     errors, _ = ser_sweep(f, rx_dir, eve_dir, 1.0, 0.8, snr_dbs, 4, asm_c, n, seed)
+    assert draws == ["none", "csb", "asm", "asm"]  # one draw per defense, the constellation's included
     assert errors.shape == (len(snr_dbs), 2 + len(asm_c), 2)
     assert errors.dtype.kind == "i"
     assert np.array_equal(errors[:, 1, 0], errors[:, 0, 0])

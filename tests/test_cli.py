@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from csbsim import airspy, cli
+from csbsim.channel_sim import equalize_and_detect
 from csbsim.cli import ConfigError, ExperimentConfig, _plan, _write_csv, dump_config, load_config, main
 from csbsim.csb_defense import apn_law
 
@@ -458,3 +459,10 @@ class TestSerCommand:
         assert header_c == ["re", "im", "true_symbol_index"]
         assert 0 < len(rows_c) <= 10000
         assert {int(r[2]) for r in rows_c} <= {0, 1, 2, 3}
+        # the capture is the csb draw at the top SNR point, all 1500 symbols:
+        # its nearest-QPSK decisions give that row's eavesdropper SER
+        assert len(rows_c) == 1500
+        _, decided = equalize_and_detect([complex(float(r[0]), float(r[1])) for r in rows_c], 1.0, 4)
+        wrong = np.count_nonzero(decided != [int(r[2]) for r in rows_c])
+        eve_by_point = {(float(r[0]), r[1]): float(r[3]) for r in rows}
+        assert wrong == round(eve_by_point[(4.0, "csb")] * 1500)
