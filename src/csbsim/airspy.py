@@ -175,8 +175,12 @@ class _Tables:
         states = [rx_state_at(scenario, t) for t in range(n)]
         beam_of = {grid: b for b, grid in enumerate(dict.fromkeys(s[0] for s in states))}
         f = np.stack([dft_codeword(grid, cfg) for grid in beam_of])
-        # |gain|^2 of every valid cell under every distinct beam, in one call
-        gain2 = np.abs(gains(f, self.theta[self.valid], self.phi[self.valid]))
+        # |gain| of every valid cell, then of every step's receiver, under
+        # every distinct beam, in one call; the cells' columns are squared in place
+        rx_theta, rx_phi = np.array([s[1] for s in states]).T
+        amp = np.abs(gains(f, np.append(self.theta[self.valid], rx_theta), np.append(self.phi[self.valid], rx_phi)))
+        cells = amp.shape[1] - n
+        gain2 = amp[:, :cells]
         gain2 *= gain2
         self.reward = np.full((g, g, n), NEG_INF)
         self.rx_rate = np.empty(n)
@@ -184,7 +188,7 @@ class _Tables:
         for t, (beam_grid, (th_r, ph_r), rx_r) in enumerate(states):
             b = beam_of[beam_grid]
             self.reward[:, :, t][self.valid] = np.log2(1.0 + snr * gain2[b])
-            g_rx = abs(gains(f[b], (th_r,), (ph_r,))[0])
+            g_rx = amp[b, cells + t]
             snr_rx = path_power(rx_r, scenario.p0, scenario.r0) / scenario.sigma2
             self.rx_rate[t] = math.log2(1 + snr_rx * g_rx * g_rx)
             sep2 = (self.theta - th_r) ** 2 + (self.phi - ph_r) ** 2

@@ -22,6 +22,11 @@ import numpy as np
 #: Sentinel for unquantized (infinite-resolution) phase shifters.
 UNQUANTIZED = None
 
+#: Complex elements in one block of gains' (beams, directions, cols)
+#: products: 512 kB, which stays in a core's L2 cache from the block's
+#: gather through its product to its sum.
+GAIN_BLOCK = 2**15
+
 
 @dataclass(frozen=True)
 class ArrayConfig:
@@ -65,7 +70,8 @@ class GridIndex(NamedTuple):
 
 def _steering(angles, n: int) -> np.ndarray:
     """Steering factors exp(-j pi k sin(angle)), k = 0 .. n-1: one row per angle (radians)."""
-    return np.exp(-1j * np.pi * np.sin(np.asarray(angles, dtype=float))[:, None] * np.arange(n))
+    phase = -1j * np.pi * np.sin(np.asarray(angles, dtype=float))[:, None] * np.arange(n)
+    return np.exp(phase, out=phase)
 
 
 def responses(thetas, phis, rows: int, cols: int) -> np.ndarray:
@@ -141,21 +147,26 @@ def gains(f: np.ndarray, thetas, phis) -> np.ndarray:
     """Gains <V(theta, phi), F> over direction pairs (thetas[d], phis[d]), radians.
 
     f is one (rows, cols) beamformer, giving a (D,) complex array, or a stack
-    (B, rows, cols), giving (B, D). Each distinct angle's steering factor is
-    built once and shared by every direction and beam that uses it.
+    (B, rows, cols), giving (B, D). Each distinct elevation's row products
+    with every beam, and each distinct azimuth's factor, are built once; the
+    directions then go through in blocks of about GAIN_BLOCK / (B cols), all
+    beams at once, so no temporary grows with D. Every gain is the same
+    products summed in the same order as for a single direction.
     """
     f = np.asarray(f)
     rows, cols = f.shape[-2:]
     u_phi, ip = np.unique(np.asarray(phis, dtype=float), return_inverse=True)
     u_theta, it = np.unique(np.asarray(thetas, dtype=float), return_inverse=True)
-    a_el = _steering(u_phi, rows)
-    a_az = _steering(u_theta, cols)[it]
     stack = f.reshape(-1, rows, cols)
+    el = _steering(u_phi, rows) @ np.conj(stack)  # (B, distinct phis, cols)
+    a_az = _steering(u_theta, cols)
     out = np.empty((len(stack), len(ip)), dtype=complex)
-    for b, f_b in enumerate(stack):
-        t = (a_el @ np.conj(f_b))[ip]
-        t *= a_az
-        out[b] = np.sum(t, axis=1)
+    step = max(1, GAIN_BLOCK // (len(stack) * cols))
+    for lo in range(0, len(ip), step):
+        blk = slice(lo, lo + step)
+        t = el[:, ip[blk]]
+        t *= a_az[it[blk]]
+        np.sum(t, axis=2, out=out[:, blk])
     return out.reshape(f.shape[:-2] + (len(ip),))
 
 

@@ -38,9 +38,9 @@ from .channel_sim import MI_SUBSETS, path_power, rx_power_penalty_db, ser_sweep,
 from .csb_defense import MI_BLOCK, MI_NODES, apn_law, smi_theory
 from .geometry import UavPlaneSpec
 
-# Largest planner or Monte-Carlo run accepted, in estimated bytes: about 15
-# times the 68 MB estimated for the wide-array benchmark's planner (128 x 128
-# grid, 41 steps, 64 x 64 array; traced peak 45 MB).
+# Largest array, planner or Monte-Carlo run accepted, in estimated bytes:
+# about 18 times the 58 MB estimated for the wide-array benchmark's planner
+# (128 x 128 grid, 41 steps, 64 x 64 array; traced peak 23 MB).
 # ExperimentConfig.__post_init__ makes the estimates.
 MAX_BYTES = 2**30
 
@@ -143,10 +143,26 @@ class ExperimentConfig:
                 raise ConfigError(f"{where}: {exc}") from exc
         steps = self.scenario().num_steps
         rows, cols = self.array_config().shape
-        # per plane cell and step: reward, value and each distinct beam's
-        # |gain|^2 (float64) and feasibility (bool); per cell: the gain
-        # kernel's complex128 steering rows and the float64 geometry arrays
-        planner_bytes = self.grid_g**2 * (25 * float(steps) + 16 * (rows + 2 * cols) + 80)
+        # peak-RSS growth per array element, measured: up to 169 B for ser's
+        # all-shift FFTs toward its two directions, 66 B for a codeword with
+        # its quantize_phase temporaries (beam-pattern; 512 x 512 array)
+        array_bytes = rows * cols * 176.0
+        if array_bytes > MAX_BYTES:
+            raise ConfigError(
+                f"[array] n_t = {self.n_t}: a {rows} x {cols} array needs about {array_bytes:.3g} bytes, "
+                f"above the cap of {MAX_BYTES} bytes"
+            )
+        # per plane cell and step: reward and value (float64), feasibility
+        # (bool), and each distinct beam's complex128 gain and float64 |gain|,
+        # at most one beam per step; per cell: the complex128 factor of its
+        # azimuth and the float64 geometry arrays. Per beam, its complex128
+        # row products at each distinct elevation (at most one per grid row
+        # and one per step's receiver), and its codeword, stacked and then
+        # conjugated (32 B per element, measured)
+        beams = float(min(steps, rows * cols))
+        planner_bytes = self.grid_g**2 * (41 * float(steps) + 16 * cols + 80) + beams * 16 * (
+            (self.grid_g + float(steps)) * cols + 2 * rows * cols
+        )
         if planner_bytes > MAX_BYTES:
             raise ConfigError(
                 f"[attack] grid_g = {self.grid_g} with [scenario] {steps} steps on a {rows} x {cols} array: "

@@ -10,7 +10,8 @@ secrecy_rate column), and of the subset sampler. Direct forms of the
 direction-gain kernel (against array.gains, which shares each distinct
 angle's factor) and of the mixture MI estimator (against
 csb_defense.mixture_mi, which forms its exponents as one real product); the
-estimator's previous blocked form, which it must match bit for bit; and a
+kernel's previous gathered form and the estimator's previous blocked form,
+which each must match bit for bit; and a
 quadrature of the mixture MI that its standard error is checked against.
 The single Monte-Carlo symbol run (simulate_symbols: channel_sim's draw
 step then its detect step), which ser_sweep's rows and constellation are
@@ -102,6 +103,30 @@ def direct_gains(f: np.ndarray, thetas, phis) -> np.ndarray:
     a_el = np.exp(-1j * np.pi * np.sin(np.asarray(phis, dtype=float))[:, None] * np.arange(rows))
     a_az = np.exp(-1j * np.pi * np.sin(np.asarray(thetas, dtype=float))[:, None] * np.arange(cols))
     return np.sum((a_el @ np.conj(f)) * a_az, axis=1)
+
+
+def gathered_gains(f: np.ndarray, thetas, phis) -> np.ndarray:
+    """array.gains as it was before it went through the directions in blocks:
+    per beam, each direction's elevation products and azimuth factor
+    gathered into two fresh (D, cols) arrays, then multiplied and summed.
+    The same floating-point operations on every element, so the result is
+    bit for bit the library's."""
+    def steering(angles, n):
+        return np.exp(-1j * np.pi * np.sin(angles)[:, None] * np.arange(n))
+
+    f = np.asarray(f)
+    rows, cols = f.shape[-2:]
+    u_phi, ip = np.unique(np.asarray(phis, dtype=float), return_inverse=True)
+    u_theta, it = np.unique(np.asarray(thetas, dtype=float), return_inverse=True)
+    a_el = steering(u_phi, rows)
+    a_az = steering(u_theta, cols)[it]
+    stack = f.reshape(-1, rows, cols)
+    out = np.empty((len(stack), len(ip)), dtype=complex)
+    for b, f_b in enumerate(stack):
+        t = (a_el @ np.conj(f_b))[ip]
+        t *= a_az
+        out[b] = np.sum(t, axis=1)
+    return out.reshape(f.shape[:-2] + (len(ip),))
 
 
 def direct_mixture_mi(atoms, rho: float, m_order: int, rng: np.random.Generator, num_samples: int) -> float:

@@ -183,8 +183,8 @@ class TestRewardOp:
         assert np.all(tab.reward[~tab.valid] == -np.inf)
 
     def test_one_gain_call_covers_every_cell(self, monkeypatch):
-        # every distinct beam's cell gains come from one call; the others are
-        # the receiver's single direction at each step
+        # every distinct beam's gains come from one call, over the valid cells
+        # followed by each step's receiver direction
         sizes = []
 
         def counting_gains(f, thetas, phis):
@@ -194,7 +194,7 @@ class TestRewardOp:
         monkeypatch.setattr(airspy, "gains", counting_gains)
         sc = lane_scenario()
         tab = _Tables(sc, lane_constraints())
-        assert sizes == [int(tab.valid.sum())] + [1] * sc.num_steps
+        assert sizes == [int(tab.valid.sum()) + sc.num_steps]
 
 
 class TestActionSpace:

@@ -1,6 +1,7 @@
 """Array response, quantization, codebook, and pattern tests."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
 from csbsim.array import (
+    GAIN_BLOCK,
     UNQUANTIZED,
     ArrayConfig,
     GridIndex,
@@ -20,10 +22,11 @@ from csbsim.array import (
     responses,
 )
 
-from csbsim.airspy import AttackConstraints, Scenario, _Tables
+from csbsim.airspy import AttackConstraints, Scenario, _Tables, rx_state_at
+from csbsim.cli import ExperimentConfig
 from csbsim.geometry import UavPlaneSpec
 
-from oracles import array_response, beam_gain, direct_gains, grid_angles, steering_vector
+from oracles import array_response, beam_gain, direct_gains, gathered_gains, grid_angles, steering_vector
 
 
 # ---------------------------------------------------------------- config
@@ -308,6 +311,60 @@ def _linear_array():
     rng = np.random.default_rng(12)
     f = rng.normal(size=(2, 1, 16)) + 1j * rng.normal(size=(2, 1, 16))
     return f, rng.uniform(-math.pi / 2, math.pi / 2, 500), rng.uniform(-math.pi / 2, math.pi / 2, 500)
+
+
+def _ragged_blocks():
+    """Random directions one past three whole blocks of a 2-beam 8 x 16 stack."""
+    rng = np.random.default_rng(13)
+    f = rng.normal(size=(2, 8, 16)) + 1j * rng.normal(size=(2, 8, 16))
+    count = 3 * (GAIN_BLOCK // (2 * 16)) + 1
+    return f, rng.uniform(-math.pi / 2, math.pi / 2, count), rng.uniform(-math.pi / 2, math.pi / 2, count)
+
+
+def _single_direction():
+    """One direction under one 2-bit 16 x 16 codeword."""
+    return dft_codeword(GridIndex(5, 3), ArrayConfig(16, 2)), [0.4], [-0.2]
+
+
+def _wide_planner_beams():
+    """The wide-array benchmark's planner: its valid cells (128 x 128 grid)
+    under every distinct beam of its 41 steps on a 64 x 64 one-bit array."""
+    cfg = ExperimentConfig(n_t=64, q=1, grid_g=128)
+    sc = cfg.scenario()
+    tab = _Tables(sc, cfg.constraints())
+    beams = dict.fromkeys(rx_state_at(sc, t)[0] for t in range(sc.num_steps))
+    f = np.stack([dft_codeword(g, sc.array_cfg) for g in beams])
+    assert len(f) == 27
+    return f, tab.theta[tab.valid], tab.phi[tab.valid]
+
+
+@pytest.mark.parametrize(
+    "directions",
+    [
+        _planner_cells, _beam_pattern_mesh, _repeated_angles, _linear_array,
+        _ragged_blocks, _single_direction, _wide_planner_beams,
+    ],
+)
+def test_gains_bits_equal_the_gathered_body(directions):
+    f, thetas, phis = directions()
+    assert np.array_equal(gains(f, thetas, phis), gathered_gains(f, thetas, phis))
+
+
+def test_gains_temporaries_do_not_grow_with_directions():
+    # three 64 x 64 codewords over the beam-pattern mesh: gathering every
+    # direction's elevation products and azimuth factor at once, two
+    # (32761, 64) complex arrays per beam, peaked at 98 MB
+    rad = np.radians(np.arange(-90, 91))
+    th, ph = np.meshgrid(rad, rad, indexing="ij")
+    th, ph = th.ravel(), ph.ravel()
+    f = np.stack([dft_codeword(GridIndex(2, 14), ArrayConfig(64, q)) for q in (None, 1, 2)])
+    tracemalloc.start()
+    try:
+        gains(f, th, ph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 @pytest.mark.parametrize("directions", [_planner_cells, _beam_pattern_mesh, _repeated_angles, _linear_array])

@@ -226,6 +226,21 @@ class TestExitCodes:
         assert re.search(rf"(?<!\w){re.escape(where)}(?!\w)", lines[0]), err
         assert not list((tmp_path / "o").glob("*"))
 
+    @pytest.mark.parametrize("command", ["beam-pattern", "apn-dist"])
+    def test_array_past_the_size_cap_never_reaches_a_subcommand(self, tmp_path, capsys, monkeypatch, command):
+        # one 16384 x 16384 codeword is 4.3 GB, though the planner grid, the
+        # symbols and the MI samples are as small as they go
+        text = "[array]\nn_t = 16384\n[attack]\ngrid_g = 2\n[experiment]\nnum_symbols = 1\nmi_samples = 1\n"
+        monkeypatch.setitem(cli._COMMANDS, command, lambda cfg: pytest.fail(f"{command} ran"))
+        bad = tmp_path / "big.ini"
+        bad.write_text(text)
+        code = main([command, "--config", str(bad), "--seed", "0", "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("config error: [array] n_t = 16384: ") and err.count("\n") == 1, err
+        with pytest.raises(ConfigError, match=r"^\[array\] n_t"):
+            ExperimentConfig(n_t=16384, grid_g=2, num_symbols=1, mi_samples=1)
+
     def test_success_returns_0_and_prints_paths(self, tmp_path, capsys):
         out = tmp_path / "o"
         code = main(["apn-dist", "--seed", "0", "--out", str(out)])
