@@ -35,7 +35,7 @@ from .airspy import (
 from .array import ArrayConfig, beam_pattern, dft_codeword, gains, grid_angle, nearest_grid_index
 from .asm_baseline import AsmConfig
 from .channel_sim import MI_SUBSETS, path_power, rx_power_penalty_db, ser_sweep, sigma2_for_snr, smi_sweep
-from .csb_defense import MI_BLOCK, MI_NODES, apn_law, smi_theory
+from .csb_defense import MI_NODES, SnrCeilingError, apn_law, mixture_mi_bytes, smi_theory
 from .geometry import UavPlaneSpec
 
 # Largest array, planner or Monte-Carlo run accepted, in estimated bytes:
@@ -186,17 +186,12 @@ class ExperimentConfig:
                 f"[experiment] num_symbols: {self.num_symbols} symbols on a {rows} x {cols} array need "
                 f"about {symbol_bytes:.3g} bytes, above the cap of {MAX_BYTES} bytes"
             )
-        # peak-RSS growth of one call, measured: mixture_mi takes 72 B per
-        # sample (its draws, y and the per-sample terms) and, per element of
-        # its M * K exponents, K atoms (the linear array's n_t shifts or
-        # MI_SUBSETS subsets), 52 B for the symbol-atom products plus 8 B per
-        # row of its one float64 (min(mi_samples, MI_BLOCK), M * K) block:
-        # 2.09 kB with 256 rows, 843 B with 100 (M = 4, K = 16384 and 32768).
-        # The quadrature of psk_mutual_information takes three (M, nodes,
-        # nodes) arrays, 24.2 to 25.0 B per element (M from 4 to 1024)
+        # one MI estimate over K atoms (the linear array's n_t shifts, or
+        # MI_SUBSETS subsets): mixture_mi_bytes. The quadrature of
+        # psk_mutual_information takes three (M, nodes, nodes) arrays, 24.2 to
+        # 25.0 B per element (M from 4 to 1024)
         atoms = max([self.n_t] + [MI_SUBSETS] * bool(self.asm_c))
-        per_atom = 52 + 8 * min(self.mi_samples, MI_BLOCK)
-        sample_bytes = self.mi_samples * 72 + self.m_order * (atoms * per_atom + 25 * MI_NODES**2)
+        sample_bytes = mixture_mi_bytes(self.mi_samples, self.m_order, atoms) + 25.0 * self.m_order * MI_NODES**2
         if sample_bytes > MAX_BYTES:
             raise ConfigError(
                 f"[experiment] mi_samples = {self.mi_samples} with m_order = {self.m_order}: the MI estimates "
@@ -363,12 +358,15 @@ def cmd_smi_sweep(cfg: ExperimentConfig) -> dict[str, Table]:
         angles = np.degrees([grid_angle(i, cfg.n_t) for i in range(1 - cfg.n_t // 2, cfg.n_t // 2 + 1)])
     else:
         angles = np.arange(-90.0, 91.0)
-    smi = smi_sweep(
-        dft_codeword(rx_grid, ArrayConfig(cfg.n_t, cfg.q, n_rows=1)),
-        rx_dir,
-        np.column_stack([np.radians(angles), np.zeros(len(angles))]),
-        cfg.rx_snr_db, cfg.m_order, cfg.asm_c, min(cfg.mi_samples, 500) if cfg.tiny else cfg.mi_samples, cfg.seed,
-    )
+    try:
+        smi = smi_sweep(
+            dft_codeword(rx_grid, ArrayConfig(cfg.n_t, cfg.q, n_rows=1)),
+            rx_dir,
+            np.column_stack([np.radians(angles), np.zeros(len(angles))]),
+            cfg.rx_snr_db, cfg.m_order, cfg.asm_c, min(cfg.mi_samples, 500) if cfg.tiny else cfg.mi_samples, cfg.seed,
+        )
+    except SnrCeilingError as exc:  # every estimate's rho is rx_snr_db scaled by a gain ratio
+        raise ConfigError(f"[experiment] rx_snr_db = {cfg.rx_snr_db:g} dB: {exc}") from exc
     # after the sweep: run first, the quadrature's freed temporaries raise
     # the sweep's peak RSS by about 1.3 MB on a 16-element array
     theory = smi_theory(rx_grid.i, cfg.n_t, cfg.m_order, cfg.rx_snr_db)

@@ -142,8 +142,15 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
 
 MI_TOL = 1e-3  # accuracy target of psk_mutual_information, in bits
 MI_NODES = 256  # most quadrature nodes per axis psk_mutual_information uses
-MI_BLOCK = 256  # samples per exponent block of mixture_mi
+MI_BLOCK = 2**17  # exponents per block of mixture_mi (1 MB of float64)
 MI_CHUNK = 4096  # samples per summation slice of mixture_mi
+# largest rho * max|atom|^2 mixture_mi accepts (about 120 dB): the rounding
+# of its exponents grows with this product (see mixture_mi)
+MI_RHO_MAX = 2.0**40
+
+
+class SnrCeilingError(ValueError):
+    """rho * max|atom|^2 is above MI_RHO_MAX, past what mixture_mi resolves."""
 
 
 def psk_mutual_information(rho: float, m_order: int) -> float:
@@ -215,6 +222,22 @@ def smi_theory(rx_i: int, n_t: int, m_order: int, rx_snr_db: float) -> dict[str,
     }
 
 
+def _mi_block_rows(num_samples: int, elems: int) -> int:
+    """Samples per exponent block of mixture_mi with elems = M * K exponents
+    per sample: MI_BLOCK exponents, at least one sample and at most all."""
+    return max(1, min(MI_BLOCK // elems, num_samples))
+
+
+def mixture_mi_bytes(num_samples: int, m_order: int, num_atoms: int) -> float:
+    """Peak traced bytes of one mixture_mi call, measured: up to 96 B per
+    sample (its draws, y, the (num_samples, 4) factor and the terms; 88 to
+    93 B from 20000 samples up) and, per element of its M * K exponents, 80 B
+    for the symbol-atom products and the (4, M * K) factor, plus 8 B per
+    sample of the exponent block."""
+    elems = m_order * num_atoms
+    return 96.0 * num_samples + elems * (80.0 + 8 * _mi_block_rows(num_samples, elems))
+
+
 def _mi_terms(
     atoms: np.ndarray,
     rho: float,
@@ -229,34 +252,36 @@ def _mi_terms(
         raise ValueError(f"rho must be nonnegative, got {rho}")
     if num_samples < 1:
         raise ValueError(f"num_samples must be >= 1, got {num_samples}")
+    atoms = np.asarray(atoms, dtype=complex).ravel()
+    peak = float(rho) * float(np.max(atoms.real**2 + atoms.imag**2))
+    if not peak <= MI_RHO_MAX:
+        raise SnrCeilingError(f"rho * max|atom|^2 = {peak:.3g} is above MI_RHO_MAX = {MI_RHO_MAX:.4g}")
     if m_order == 1:
         return np.zeros(num_samples)
-    atoms = np.sqrt(rho) * np.asarray(atoms, dtype=complex).ravel()
+    atoms = np.sqrt(rho) * atoms
     syms = psk_symbols(m_order)
     idx = rng.integers(m_order, size=num_samples)
     draw = rng.integers(atoms.size, size=num_samples)
     noise = (rng.standard_normal(num_samples) + 1j * rng.standard_normal(num_samples)) * math.sqrt(0.5)
     y = atoms[draw] * syms[idx] + noise
-    # log p(y | x_m) up to terms common to every (m, k): with c = a_k x_m,
-    # -|y - c|^2 = 2 Re(y conj(c)) - |c|^2 - |y|^2, and |y|^2 cancels in the
-    # MI, so the exponents are one real product of [Re y, Im y] with 2 [Re c; Im c]
+    # log p(y | x_m) up to the common 1/(pi K): with c = a_k x_m, the exponent
+    # -|y - c|^2 = 2 Re(y conj(c)) - |y|^2 - |c|^2 is one real product with
+    # inner dimension 4, and at most 0 up to rounding (which MI_RHO_MAX
+    # bounds), so exp cannot overflow unshifted
     c = (syms[:, None] * atoms[None, :]).ravel()
-    c_ri = 2 * np.stack([c.real, c.imag])
-    c2 = c.real**2 + c.imag**2
-    y_ri = np.column_stack([y.real, y.imag])
+    c4 = np.stack([2 * c.real, 2 * c.imag, np.full(c.size, -1.0), -(c.real**2 + c.imag**2)])
+    y4 = np.column_stack([y.real, y.imag, y.real**2 + y.imag**2, np.ones(num_samples)])
+    rows = _mi_block_rows(num_samples, c.size)
     terms = np.empty(num_samples)
-    block = np.empty((min(MI_BLOCK, num_samples), c.size))  # reused by every block
+    block = np.empty((rows, c.size))  # reused by every block
     log_m = math.log(m_order)
-    for lo in range(0, num_samples, MI_BLOCK):
-        hi = min(lo + MI_BLOCK, num_samples)
-        e = np.matmul(y_ri[lo:hi], c_ri, out=block[:hi - lo])
-        e -= c2
-        # the log-sum-exp over the atoms, on the block itself
-        e = e.reshape(hi - lo, m_order, atoms.size)
-        mx = e.max(axis=2, keepdims=True)
-        e -= mx
+    for lo in range(0, num_samples, rows):
+        hi = min(lo + rows, num_samples)
+        e = np.matmul(y4[lo:hi], c4, out=block[:hi - lo])
         np.exp(e, out=e)
-        ll = np.log(e.sum(axis=2)) + mx[..., 0]  # (rows, M)
+        # a symbol far from y can sum to 0, and its -inf drops out of lpy
+        with np.errstate(divide="ignore"):
+            ll = np.log(e.reshape(hi - lo, m_order, atoms.size).sum(axis=2))  # (rows, M)
         lpy = _logsumexp(ll, axis=1) - log_m
         terms[lo:hi] = ll[np.arange(hi - lo), idx[lo:hi]] - lpy
     return terms
@@ -277,11 +302,20 @@ def mixture_mi(
     estimator is unbiased; the returned value carries O(1/sqrt(num_samples))
     MC noise. Deterministic for a given rng state.
 
-    The exponents of MI_BLOCK samples at a time form one (MI_BLOCK, M * K)
-    block, K = len(atoms), small enough to stay in cache, and the
-    log-sum-exp over the atoms runs in place on it. Each sample's term
+    Each exponent -|y - a_k x_m|^2 comes from one real product,
+    [Re y, Im y, |y|^2, 1] @ [2 Re c; 2 Im c; -1; -|c|^2] with c = a_k x_m, and
+    is at most 0, so the blocks are exponentiated unshifted and summed over
+    the atoms in place. A block holds the M * K exponents (K = len(atoms))
+    of MI_BLOCK // (M * K) samples, at least one and at most num_samples:
+    small enough to stay in cache and to keep each product on one BLAS
+    thread. Each sample's term
     log p(y | x) - log p(y) goes into one (num_samples,) array (_mi_terms),
     which is summed one MI_CHUNK slice at a time.
+
+    The exponents' rounding error grows with rho * max|a|^2. At MI_RHO_MAX
+    it moves the estimate by under 1e-5 bits from the direct distances (48
+    atom sets, K up to 256, M up to 16, 2000 samples), and near 1e19 exp
+    overflows; estimates above MI_RHO_MAX are refused.
 
     Args:
         atoms: complex relative-channel atoms (the defense's randomization).
@@ -295,6 +329,7 @@ def mixture_mi(
 
     Raises:
         ValueError: if rho < 0 or num_samples < 1.
+        SnrCeilingError: if rho * max|atom|^2 > MI_RHO_MAX.
     """
     terms = _mi_terms(atoms, rho, m_order, rng, num_samples)
     total = 0.0

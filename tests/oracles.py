@@ -10,8 +10,9 @@ secrecy_rate column), and of the subset sampler. Direct forms of the
 direction-gain kernel (against array.gains, which shares each distinct
 angle's factor) and of the mixture MI estimator (against
 csb_defense.mixture_mi, which forms its exponents as one real product); the
-kernel's previous gathered form and the estimator's previous blocked form,
-which each must match bit for bit; and a
+kernel's previous gathered form, which must match bit for bit, and the
+estimator's previous blocked form, which must match within a tolerance that
+grows with rho times the largest atom power; and a
 quadrature of the mixture MI that its standard error is checked against.
 The single Monte-Carlo symbol run (simulate_symbols: channel_sim's draw
 step then its detect step), which ser_sweep's rows and constellation are
@@ -155,10 +156,10 @@ def direct_mixture_mi(atoms, rho: float, m_order: int, rng: np.random.Generator,
 
 
 def blocked_mixture_mi(atoms, rho: float, m_order: int, rng: np.random.Generator, num_samples: int) -> float:
-    """csb_defense.mixture_mi as it was before its exponent blocks shrank to
-    256 rows and ran in place: 4096-sample blocks, each log-sum-exp on fresh
-    arrays. The same floating-point operations on every element, so the
-    result is bit for bit the library's."""
+    """csb_defense.mixture_mi as it was before its exponent blocks ran in
+    place: 4096-sample blocks of 2 Re(y conj(c)) - |c|^2, each log-sum-exp
+    shifted by its row max on fresh arrays. The same draws, terms and
+    summation slices as the library; its exponents round differently."""
     if m_order == 1:
         return 0.0
     atoms = np.sqrt(rho) * np.asarray(atoms, dtype=complex).ravel()

@@ -61,6 +61,9 @@ BAD_CONFIGS = [
     # SNRs whose linear power 10 ** (dB / 10) is past the float range
     ("ser", "[experiment]\nsnr_min_db = 3000\nsnr_max_db = 3100\nsnr_step_db = 100\n", "[experiment] snr_max_db"),
     ("smi-sweep", "[experiment]\nrx_snr_db = 4000\n", "[experiment] rx_snr_db"),
+    # an SNR past the MI estimate's ceiling, where exp of its exponents'
+    # rounding overflows
+    ("smi-sweep", "[experiment]\nrx_snr_db = 200\n", "[experiment] rx_snr_db"),
     # SNR points whose noise power on the ser link is not a finite positive
     # float: it overflows to inf far below 0 dB, and underflows to 0 far
     # above it on a weak path

@@ -7,6 +7,7 @@ trusted to about 3e-4 bits.
 """
 
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -17,10 +18,13 @@ from numpy.testing import assert_allclose
 from csbsim.array import ArrayConfig, GridIndex, dft_codeword
 from csbsim.channel_sim import defense_gains, smi_sweep
 from csbsim.csb_defense import (
+    MI_RHO_MAX,
     ApnLaw,
+    SnrCeilingError,
     _mi_terms,
     apn_law,
     mixture_mi,
+    mixture_mi_bytes,
     partition_report,
     psk_mutual_information,
     shift_gains,
@@ -348,9 +352,9 @@ def test_mixture_mi_binary_support_leaves_one_bit():
 
 @pytest.mark.parametrize("rho", [0.0, 0.1, 10.0, 1e3])
 def test_mixture_mi_matches_direct_distances(rho):
-    # The exponents 2 Re(y conj(c)) - |c|^2 drop |y|^2 and so cancel a term
-    # of size rho |a|^2 that the direct distances never form: the declared
-    # tolerance grows with rho times the largest atom power.
+    # The exponents -|y - c|^2 come from |y|^2, |c|^2 and 2 Re(y conj(c)), so
+    # they cancel terms of size rho |a|^2 that the direct distances never
+    # form: the declared tolerance grows with rho times the largest atom power.
     eps = np.finfo(float).eps
     for k in (1, 16, 256):
         for m in (2, 4, 8):
@@ -358,24 +362,60 @@ def test_mixture_mi_matches_direct_distances(rho):
             atoms = (r.standard_normal(k) + 1j * r.standard_normal(k)) * 2.0
             got = mixture_mi(atoms, rho, m, np.random.default_rng(5), 512)
             want = direct_mixture_mi(atoms, rho, m, np.random.default_rng(5), 512)
-            tol = 64 * eps * (1 + rho * np.max(np.abs(atoms)) ** 2)
+            tol = 8 * eps * (1 + rho * np.max(np.abs(atoms)) ** 2)
             assert abs(got - want) <= tol, (k, m, got, want)
 
 
 @pytest.mark.parametrize("rho", [0.0, 0.1, 10.0, 1e3])
-def test_mixture_mi_bits_equal_the_blocked_body(rho):
-    # The 256-row in-place blocks do the same float operations as 4096-row
-    # blocks on fresh arrays, and the terms are summed per 4096-row slice as
-    # before: equal bits. n = 5000 and 20000 cross the summation slices, and
-    # every n but 256 the exponent blocks; K = 256 makes a block 256 x M*256.
+def test_mixture_mi_matches_the_blocked_body(rho):
+    # The same draws and terms as the 4096-row blocks that shifted each
+    # exponent row by its max before exp, summed per 4096-row slice as
+    # before; the exponents differ in rounding only, within the declared
+    # tolerance. n = 5000 and 20000 cross the summation slices and, for
+    # K >= 16, the exponent blocks; K = 256 with M = 8 makes a block 64
+    # samples high.
+    eps = np.finfo(float).eps
     for k in (1, 16, 256):
         for m in (2, 4, 8):
             r = np.random.default_rng([k, m])
             atoms = (r.standard_normal(k) + 1j * r.standard_normal(k)) * 2.0
+            tol = 8 * eps * (1 + rho * np.max(np.abs(atoms)) ** 2)
             for n in (256, 5000, 20000):
                 got = mixture_mi(atoms, rho, m, np.random.default_rng(5), n)
                 want = blocked_mixture_mi(atoms, rho, m, np.random.default_rng(5), n)
-                assert got == want, (k, m, n, got, want)
+                assert abs(got - want) <= tol, (k, m, n, got, want)
+
+
+def test_mixture_mi_refuses_rho_past_its_ceiling():
+    # Below the ceiling the exponents' rounding moves the estimate by under
+    # 1e-5 bits from the direct distances; past about 1e19 it overflows exp.
+    # The ceiling holds rho * max|a|^2, so weaker atoms take a larger rho.
+    atoms = np.array([1.0, 0.5j, -0.25])
+    for scale in (1.0, 1e-3):
+        rho = 0.999 * MI_RHO_MAX / scale**2
+        got = mixture_mi(atoms * scale, rho, 4, np.random.default_rng(0), 2000)
+        want = direct_mixture_mi(atoms * scale, rho, 4, np.random.default_rng(0), 2000)
+        assert abs(got - want) <= 1e-4, (scale, got, want)
+    for rho in (1.001 * MI_RHO_MAX, 1e20, math.inf):
+        with pytest.raises(SnrCeilingError, match="above MI_RHO_MAX"):
+            mixture_mi(atoms, rho, 4, np.random.default_rng(0), 256)
+    assert issubclass(SnrCeilingError, ValueError)
+
+
+def test_mixture_mi_peak_stays_below_its_estimate():
+    # K = 256 atoms with M = 8: 64-sample exponent blocks, so only the
+    # per-sample arrays grow with num_samples, never the block
+    atoms = np.exp(1j * np.arange(256))
+    peaks = []
+    for n in (20000, 40000):
+        tracemalloc.start()
+        try:
+            mixture_mi(atoms, 10.0, 8, np.random.default_rng(0), n)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert peaks[-1] < mixture_mi_bytes(n, 8, 256)
+    assert peaks[1] - peaks[0] < mixture_mi_bytes(40000, 8, 256) - mixture_mi_bytes(20000, 8, 256)
 
 
 def _csb_atom_sets():
