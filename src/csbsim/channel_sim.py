@@ -23,7 +23,7 @@ import numpy as np
 
 from .array import gains, nearest_grid_index, responses
 from .asm_baseline import AsmConfig, random_subset_masks
-from .csb_defense import mixture_mi, psk_symbols, shift_gains
+from .csb_defense import mixture_mis, psk_symbols, shift_gains
 
 DEFENSES = ("none", "csb", "asm")
 
@@ -153,10 +153,11 @@ def smi_sweep(
     Both receivers equalize on the fixed beam f, which is steered at the
     receiver's nearest grid point; the eavesdropper's SNR is rx_snr_db
     scaled by the squared ratio of the two fixed-beam gains. An entry is
-    max(I_rx - I_eve, 0), each I a mixture_mi estimate over the defense's
+    max(I_rx - I_eve, 0), each I a mixture_mis estimate over the defense's
     gains divided by the fixed-beam gain: every shift for CSB, MI_SUBSETS
     subsets from the stream [seed, 7, ci] for fraction ci (the same subsets
-    for both receivers). Every estimate uses the stream [seed, 101].
+    for both receivers). A column's estimates are one mixture_mis call on
+    the stream [seed, 101], so every estimate reads the same draws.
 
     Returns:
         (len(eve_directions), 1 + len(asm_c)) array, CSB in column 0; NaN
@@ -179,11 +180,8 @@ def smi_sweep(
     table = [("csb", None, None)] + [("asm", c, np.random.default_rng([seed, 7, ci])) for ci, c in enumerate(asm_c)]
     for col, (defense, c, rng) in enumerate(table):
         atoms = defense_gains(defense, f, directions[probed], rx_grid, rng, MI_SUBSETS, c) / base[probed, None]
-        mi = [
-            mixture_mi(a, r, m_order, np.random.default_rng([seed, 101]), mi_samples)
-            for a, r in zip(atoms, rho)
-        ]
-        out[probed[1:] - 1, col] = np.maximum(mi[0] - np.array(mi[1:]), 0.0)
+        mi = mixture_mis(atoms, rho, m_order, np.random.default_rng([seed, 101]), mi_samples)
+        out[probed[1:] - 1, col] = np.maximum(mi[0] - mi[1:], 0.0)
     return out
 
 

@@ -186,12 +186,16 @@ class ExperimentConfig:
                 f"[experiment] num_symbols: {self.num_symbols} symbols on a {rows} x {cols} array need "
                 f"about {symbol_bytes:.3g} bytes, above the cap of {MAX_BYTES} bytes"
             )
-        # one MI estimate over K atoms (the linear array's n_t shifts, or
-        # MI_SUBSETS subsets): mixture_mi_bytes. The quadrature of
-        # psk_mutual_information takes three (M, nodes, nodes) arrays, 24.2 to
-        # 25.0 B per element (M from 4 to 1024)
+        # one column's MI estimates: mixture_mi_bytes over the receiver and
+        # every eavesdropper angle (181, or the n_t grid angles under --tiny),
+        # K atoms each (the linear array's n_t shifts, or MI_SUBSETS subsets).
+        # The quadrature of psk_mutual_information takes three (M, nodes,
+        # nodes) arrays, 24.2 to 25.0 B per element (M from 4 to 1024)
         atoms = max([self.n_t] + [MI_SUBSETS] * bool(self.asm_c))
-        sample_bytes = mixture_mi_bytes(self.mi_samples, self.m_order, atoms) + 25.0 * self.m_order * MI_NODES**2
+        directions = 1 + max(181, self.n_t)
+        sample_bytes = (
+            mixture_mi_bytes(self.mi_samples, self.m_order, atoms, directions) + 25.0 * self.m_order * MI_NODES**2
+        )
         if sample_bytes > MAX_BYTES:
             raise ConfigError(
                 f"[experiment] mi_samples = {self.mi_samples} with m_order = {self.m_order}: the MI estimates "

@@ -142,15 +142,16 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
 
 MI_TOL = 1e-3  # accuracy target of psk_mutual_information, in bits
 MI_NODES = 256  # most quadrature nodes per axis psk_mutual_information uses
-MI_BLOCK = 2**17  # exponents per block of mixture_mi (1 MB of float64)
-MI_CHUNK = 4096  # samples per summation slice of mixture_mi
-# largest rho * max|atom|^2 mixture_mi accepts (about 120 dB): the rounding
-# of its exponents grows with this product (see mixture_mi)
+MI_BLOCK = 2**16  # exponents per block of mixture_mis (512 kB of float64; 768 kB with a group)
+MI_GROUP = 2**18  # bytes of a row group's y4, c4 and sums buffers in mixture_mis
+MI_CHUNK = 4096  # samples per summation slice of mixture_mis
+# largest rho * max|atom|^2 mixture_mis accepts (about 120 dB): the rounding
+# of its exponents grows with this product (see mixture_mis)
 MI_RHO_MAX = 2.0**40
 
 
 class SnrCeilingError(ValueError):
-    """rho * max|atom|^2 is above MI_RHO_MAX, past what mixture_mi resolves."""
+    """rho * max|atom|^2 is above MI_RHO_MAX, past what mixture_mis resolves."""
 
 
 def psk_mutual_information(rho: float, m_order: int) -> float:
@@ -223,68 +224,167 @@ def smi_theory(rx_i: int, n_t: int, m_order: int, rx_snr_db: float) -> dict[str,
 
 
 def _mi_block_rows(num_samples: int, elems: int) -> int:
-    """Samples per exponent block of mixture_mi with elems = M * K exponents
+    """Samples per exponent block of mixture_mis with elems = M * K exponents
     per sample: MI_BLOCK exponents, at least one sample and at most all."""
     return max(1, min(MI_BLOCK // elems, num_samples))
 
 
-def mixture_mi_bytes(num_samples: int, m_order: int, num_atoms: int) -> float:
-    """Peak traced bytes of one mixture_mi call, measured: up to 96 B per
-    sample (its draws, y, the (num_samples, 4) factor and the terms; 88 to
-    93 B from 20000 samples up) and, per element of its M * K exponents, 80 B
-    for the symbol-atom products and the (4, M * K) factor, plus 8 B per
-    sample of the exponent block."""
+def _mi_group_rows(num_rows: int, chunk: int, m_order: int, num_atoms: int) -> int:
+    """Directions per group of mixture_mis: as many as fit their y4 (chunk, 4),
+    sums (chunk, M) and c4 (4, M * K) buffers in MI_GROUP bytes, at least one
+    and at most all; chunk is the samples of one MI_CHUNK slice."""
+    row_bytes = 8 * (chunk * (4 + m_order) + 4 * m_order * num_atoms)
+    return max(1, min(MI_GROUP // row_bytes, num_rows))
+
+
+def mixture_mi_bytes(num_samples: int, m_order: int, num_atoms: int, num_rows: int = 1) -> float:
+    """Peak traced bytes of one mixture_mis call on num_rows sets of num_atoms
+    atoms, measured: 64 B per sample (the shared draws, 56 B while the noise
+    is formed), 24 B per element of a row group's y4, sums and c4 buffers
+    (with the slice's y, c, log-sum-exp and term temporaries), 24 B per atom
+    of the stack (its SNR check), 8 B per exponent of the block, and 8 kB
+    besides. Nothing else grows with num_samples. The measured peak is 0.45
+    to 0.92 of this on 20 shapes (D up to 1000, K up to 4096, M up to 1024,
+    up to 300000 samples)."""
     elems = m_order * num_atoms
-    return 96.0 * num_samples + elems * (80.0 + 8 * _mi_block_rows(num_samples, elems))
+    chunk = min(num_samples, MI_CHUNK)
+    group = _mi_group_rows(num_rows, chunk, m_order, num_atoms)
+    return (
+        8192.0
+        + 64.0 * num_samples
+        + 24.0 * group * (chunk * (4 + m_order) + 4 * elems)
+        + 24.0 * num_rows * num_atoms
+        + 8.0 * elems * _mi_block_rows(chunk, elems)
+    )
 
 
-def _mi_terms(
-    atoms: np.ndarray,
-    rho: float,
-    m_order: int,
-    rng: np.random.Generator,
-    num_samples: int,
-) -> np.ndarray:
-    """Per-sample terms log p(y | x) - log p(y), in nats, of mixture_mi's
-    estimate; their mean is the estimate and std / sqrt(num_samples) its
-    standard error."""
-    if rho < 0:
-        raise ValueError(f"rho must be nonnegative, got {rho}")
-    if num_samples < 1:
-        raise ValueError(f"num_samples must be >= 1, got {num_samples}")
-    atoms = np.asarray(atoms, dtype=complex).ravel()
-    peak = float(rho) * float(np.max(atoms.real**2 + atoms.imag**2))
-    if not peak <= MI_RHO_MAX:
-        raise SnrCeilingError(f"rho * max|atom|^2 = {peak:.3g} is above MI_RHO_MAX = {MI_RHO_MAX:.4g}")
-    if m_order == 1:
-        return np.zeros(num_samples)
-    atoms = np.sqrt(rho) * atoms
+def _mi_term_groups(atoms, rhos, m_order, rng, num_samples):
+    """mixture_mis's per-sample terms log p(y | x) - log p(y), in nats, one
+    group of rows and one MI_CHUNK slice of samples at a time: yields (rows,
+    terms) with terms of shape (len(rows), slice length), the slices of a
+    group in order. A row's terms average to its estimate, and their std /
+    sqrt(num_samples) is its standard error. Takes validated inputs with
+    m_order >= 2."""
+    num_rows, num_atoms = atoms.shape
+    elems = m_order * num_atoms
     syms = psk_symbols(m_order)
     idx = rng.integers(m_order, size=num_samples)
-    draw = rng.integers(atoms.size, size=num_samples)
+    draw = rng.integers(num_atoms, size=num_samples)
     noise = (rng.standard_normal(num_samples) + 1j * rng.standard_normal(num_samples)) * math.sqrt(0.5)
-    y = atoms[draw] * syms[idx] + noise
+    x = syms[idx]
     # log p(y | x_m) up to the common 1/(pi K): with c = a_k x_m, the exponent
     # -|y - c|^2 = 2 Re(y conj(c)) - |y|^2 - |c|^2 is one real product with
     # inner dimension 4, and at most 0 up to rounding (which MI_RHO_MAX
     # bounds), so exp cannot overflow unshifted
-    c = (syms[:, None] * atoms[None, :]).ravel()
-    c4 = np.stack([2 * c.real, 2 * c.imag, np.full(c.size, -1.0), -(c.real**2 + c.imag**2)])
-    y4 = np.column_stack([y.real, y.imag, y.real**2 + y.imag**2, np.ones(num_samples)])
-    rows = _mi_block_rows(num_samples, c.size)
-    terms = np.empty(num_samples)
-    block = np.empty((rows, c.size))  # reused by every block
+    chunk = min(num_samples, MI_CHUNK)
+    group = _mi_group_rows(num_rows, chunk, m_order, num_atoms)
+    y4 = np.empty((group, chunk, 4))
+    y4[:, :, 3] = 1.0
+    c4 = np.empty((group, 4, elems))
+    c4[:, 2] = -1.0
+    sums = np.empty((group, chunk, m_order))
+    height = _mi_block_rows(chunk, elems)
+    block = np.empty((height, elems))  # reused by every block of every row
+    ones = np.ones(num_atoms)
     log_m = math.log(m_order)
-    for lo in range(0, num_samples, rows):
-        hi = min(lo + rows, num_samples)
-        e = np.matmul(y4[lo:hi], c4, out=block[:hi - lo])
-        np.exp(e, out=e)
-        # a symbol far from y can sum to 0, and its -inf drops out of lpy
-        with np.errstate(divide="ignore"):
-            ll = np.log(e.reshape(hi - lo, m_order, atoms.size).sum(axis=2))  # (rows, M)
-        lpy = _logsumexp(ll, axis=1) - log_m
-        terms[lo:hi] = ll[np.arange(hi - lo), idx[lo:hi]] - lpy
-    return terms
+    for d0 in range(0, num_rows, group):
+        d1 = min(d0 + group, num_rows)
+        g = d1 - d0
+        a = np.sqrt(rhos[d0:d1, None]) * atoms[d0:d1]
+        c = (syms[None, :, None] * a[:, None, :]).reshape(g, elems)
+        c4[:g, 0] = 2 * c.real
+        c4[:g, 1] = 2 * c.imag
+        c4[:g, 3] = -(c.real**2 + c.imag**2)
+        for lo in range(0, num_samples, chunk):
+            n = min(chunk, num_samples - lo)
+            y = a[:, draw[lo:lo + n]] * x[lo:lo + n] + noise[lo:lo + n]
+            y4[:g, :n, 0] = y.real
+            y4[:g, :n, 1] = y.imag
+            y4[:g, :n, 2] = y.real**2 + y.imag**2
+            for r in range(g):
+                for b0 in range(0, n, height):
+                    b1 = min(b0 + height, n)
+                    e = np.matmul(y4[r, b0:b1], c4[r], out=block[:b1 - b0])
+                    np.exp(e, out=e)
+                    # the sum over the atoms as one matrix-vector product
+                    np.matmul(e.reshape(-1, num_atoms), ones, out=sums[r, b0:b1].reshape(-1))
+            ll = sums[:g, :n]
+            # a symbol far from y can sum to 0, and its -inf drops out of lpy
+            with np.errstate(divide="ignore"):
+                np.log(ll, out=ll)  # (g, n, M)
+            lpy = _logsumexp(ll, axis=2) - log_m
+            yield slice(d0, d1), ll[:, np.arange(n), idx[lo:lo + n]] - lpy
+
+
+def mixture_mis(
+    atoms: np.ndarray,
+    rhos,
+    m_order: int,
+    rng: np.random.Generator,
+    num_samples: int = 20000,
+) -> np.ndarray:
+    """Monte-Carlo mutual information of PSK through each of D finite channel
+    mixtures, from one set of draws.
+
+    Channel d: y = sqrt(rhos[d]) * a * x + n with a drawn uniformly from
+    atoms[d] each symbol, n ~ CN(0, 1), and a receiver that knows the atom
+    set and rho but not the draw. Densities are exact finite mixtures, so the
+    estimator is unbiased; each value carries O(1/sqrt(num_samples)) MC noise.
+    Every row reads the same draws (symbol indices, atom indices, noise),
+    taken from rng once in that order, and its value is the one that row
+    gives alone. Deterministic for a given rng state.
+
+    Each exponent -|y - a_k x_m|^2 comes from one real product,
+    [Re y, Im y, |y|^2, 1] @ [2 Re c; 2 Im c; -1; -|c|^2] with c = a_k x_m, and
+    is at most 0, so the blocks are exponentiated unshifted, and summed over
+    the atoms as one matrix-vector product with a ones vector. A block holds
+    the M * K exponents of MI_BLOCK // (M * K) samples of one row, at least
+    one and at most a slice: small enough to stay in cache and to keep
+    each product on one BLAS thread. The rows run in groups, one MI_CHUNK
+    slice of samples at a time, and a group's y4, c4 and per-symbol sums fill
+    at most MI_GROUP bytes (at least one row). For each slice, a group takes
+    the logs, the log-sum-exp over the symbols and the terms
+    log p(y | x) - log p(y) at once, and adds the slice's sum to each row's
+    total; only the draws span every sample.
+
+    The exponents' rounding error grows with rho * max|a|^2. At MI_RHO_MAX
+    it moves the estimate by under 1e-5 bits from the direct distances (48
+    atom sets, K up to 256, M up to 16, 2000 samples), and near 1e19 exp
+    overflows; estimates above MI_RHO_MAX are refused.
+
+    Args:
+        atoms: (D, K) complex relative-channel atoms, one defense's
+            randomization per row.
+        rhos: (D,) SNR scales applied to each row's atoms (linear), >= 0.
+        m_order: PSK order M >= 1.
+        rng: seeded generator.
+        num_samples: Monte-Carlo sample count, >= 1.
+
+    Returns:
+        (D,) mutual information estimates in bits per symbol.
+
+    Raises:
+        ValueError: if a rho < 0, num_samples < 1, or the shapes disagree.
+        SnrCeilingError: if some rho * max|atom|^2 > MI_RHO_MAX, checked
+            before the draws; the message names the largest.
+    """
+    atoms = np.asarray(atoms, dtype=complex)
+    rhos = np.asarray(rhos, dtype=float)
+    if atoms.ndim != 2 or rhos.shape != atoms.shape[:1]:
+        raise ValueError(f"atoms must be (D, K) and rhos (D,), got {atoms.shape} and {rhos.shape}")
+    if (rhos < 0).any():
+        raise ValueError(f"rho must be nonnegative, got {rhos.min()}")
+    if num_samples < 1:
+        raise ValueError(f"num_samples must be >= 1, got {num_samples}")
+    peak = rhos * np.max(atoms.real**2 + atoms.imag**2, axis=1)
+    if not (peak <= MI_RHO_MAX).all():
+        raise SnrCeilingError(f"rho * max|atom|^2 = {np.max(peak):.3g} is above MI_RHO_MAX = {MI_RHO_MAX:.4g}")
+    out = np.zeros(len(rhos))
+    if m_order == 1:
+        return out
+    for rows, terms in _mi_term_groups(atoms, rhos, m_order, rng, num_samples):
+        out[rows] += terms.sum(axis=1)
+    return out / num_samples / math.log(2)
 
 
 def mixture_mi(
@@ -294,45 +394,8 @@ def mixture_mi(
     rng: np.random.Generator,
     num_samples: int = 20000,
 ) -> float:
-    """Monte-Carlo mutual information of PSK through a finite channel mixture.
-
-    Channel: y = sqrt(rho) * a * x + n with a drawn uniformly from `atoms`
-    each symbol, n ~ CN(0, 1), and a receiver that knows the atom set and
-    rho but not the draw. Densities are exact finite mixtures, so the
-    estimator is unbiased; the returned value carries O(1/sqrt(num_samples))
-    MC noise. Deterministic for a given rng state.
-
-    Each exponent -|y - a_k x_m|^2 comes from one real product,
-    [Re y, Im y, |y|^2, 1] @ [2 Re c; 2 Im c; -1; -|c|^2] with c = a_k x_m, and
-    is at most 0, so the blocks are exponentiated unshifted and summed over
-    the atoms in place. A block holds the M * K exponents (K = len(atoms))
-    of MI_BLOCK // (M * K) samples, at least one and at most num_samples:
-    small enough to stay in cache and to keep each product on one BLAS
-    thread. Each sample's term
-    log p(y | x) - log p(y) goes into one (num_samples,) array (_mi_terms),
-    which is summed one MI_CHUNK slice at a time.
-
-    The exponents' rounding error grows with rho * max|a|^2. At MI_RHO_MAX
-    it moves the estimate by under 1e-5 bits from the direct distances (48
-    atom sets, K up to 256, M up to 16, 2000 samples), and near 1e19 exp
-    overflows; estimates above MI_RHO_MAX are refused.
-
-    Args:
-        atoms: complex relative-channel atoms (the defense's randomization).
-        rho: SNR scale applied to the atoms (linear), >= 0.
-        m_order: PSK order M >= 1.
-        rng: seeded generator.
-        num_samples: Monte-Carlo sample count, >= 1.
-
-    Returns:
-        Mutual information estimate in bits per symbol.
-
-    Raises:
-        ValueError: if rho < 0 or num_samples < 1.
-        SnrCeilingError: if rho * max|atom|^2 > MI_RHO_MAX.
-    """
-    terms = _mi_terms(atoms, rho, m_order, rng, num_samples)
-    total = 0.0
-    for lo in range(0, num_samples, MI_CHUNK):
-        total += float(np.sum(terms[lo:lo + MI_CHUNK]))
-    return total / num_samples / math.log(2)
+    """Monte-Carlo mutual information of PSK through one finite channel
+    mixture: the one-row view of mixture_mis, with atoms of any shape taken
+    as one atom set of K = atoms.size atoms and rho its SNR scale. Raises as
+    mixture_mis does."""
+    return float(mixture_mis(np.reshape(atoms, (1, -1)), [rho], m_order, rng, num_samples)[0])

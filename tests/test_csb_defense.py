@@ -7,6 +7,7 @@ trusted to about 3e-4 bits.
 """
 
 import math
+import re
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -15,16 +16,20 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from csbsim.array import ArrayConfig, GridIndex, dft_codeword
-from csbsim.channel_sim import defense_gains, smi_sweep
+from csbsim.array import ArrayConfig, GridIndex, dft_codeword, gains, nearest_grid_index
+from csbsim.channel_sim import MI_SUBSETS, defense_gains, smi_sweep
 from csbsim.csb_defense import (
+    MI_CHUNK,
     MI_RHO_MAX,
     ApnLaw,
     SnrCeilingError,
-    _mi_terms,
+    _mi_block_rows,
+    _mi_group_rows,
+    _mi_term_groups,
     apn_law,
     mixture_mi,
     mixture_mi_bytes,
+    mixture_mis,
     partition_report,
     psk_mutual_information,
     shift_gains,
@@ -372,7 +377,7 @@ def test_mixture_mi_matches_the_blocked_body(rho):
     # exponent row by its max before exp, summed per 4096-row slice as
     # before; the exponents differ in rounding only, within the declared
     # tolerance. n = 5000 and 20000 cross the summation slices and, for
-    # K >= 16, the exponent blocks; K = 256 with M = 8 makes a block 64
+    # K >= 16, the exponent blocks; K = 256 with M = 8 makes a block 32
     # samples high.
     eps = np.finfo(float).eps
     for k in (1, 16, 256):
@@ -384,6 +389,57 @@ def test_mixture_mi_matches_the_blocked_body(rho):
                 got = mixture_mi(atoms, rho, m, np.random.default_rng(5), n)
                 want = blocked_mixture_mi(atoms, rho, m, np.random.default_rng(5), n)
                 assert abs(got - want) <= tol, (k, m, n, got, want)
+
+
+@pytest.mark.parametrize(
+    "d,k,m,n",
+    [
+        (37, 16, 4, 256),  # 14-row groups, the last one of 9
+        (30, 1, 2, 256),  # one atom, 21-row groups
+        (12, 256, 4, 256),  # 64-sample blocks, 5-row groups
+        (3, 256, 8, 5000),  # 32-sample blocks and two MI_CHUNK slices
+        (4, 16, 1, 300),  # one symbol: nothing to learn
+    ],
+)
+def test_mixture_mis_rows_equal_each_row_alone(d, k, m, n):
+    # Every row reads the same draws, whatever group it falls in: each value
+    # is the one its row gives alone, bit for bit.
+    r = np.random.default_rng([d, k, m])
+    atoms = r.standard_normal((d, k)) + 1j * r.standard_normal((d, k))
+    rhos = np.concatenate([[0.0], r.uniform(0.1, 30.0, d - 1)])
+    if m > 1:
+        assert _mi_group_rows(d, min(n, MI_CHUNK), m, k) < d or n > MI_CHUNK
+        assert _mi_block_rows(min(n, MI_CHUNK), m * k) < n or k < 256
+    got = mixture_mis(atoms, rhos, m, np.random.default_rng(9), n)
+    assert got.shape == (d,)
+    for row in range(d):
+        alone = mixture_mis(atoms[row:row + 1], rhos[row:row + 1], m, np.random.default_rng(9), n)
+        assert got[row] == alone[0] == mixture_mi(atoms[row], rhos[row], m, np.random.default_rng(9), n), row
+
+
+def test_smi_sweep_columns_equal_a_per_direction_loop():
+    # smi_sweep's one mixture_mis call per column against one mixture_mi call
+    # per direction on the same atoms; the codebook null keeps its NaN row.
+    rx = GridIndex(1, 1)
+    f = dft_codeword(rx, ArrayConfig(8, None))
+    rx_dir = grid_angles(rx, 8)
+    eves = [(0.3, 0.1), grid_angles(GridIndex(5, 1), 8), (-0.5, 0.2), (0.05, -0.4)]
+    asm_c = (0.3, 0.5)
+    got = smi_sweep(f, rx_dir, eves, 10.0, 4, asm_c, 300, 4)
+    directions = np.array([rx_dir, *eves])
+    base = gains(f, *directions.T)
+    probed = np.concatenate([[0], 1 + np.flatnonzero(np.abs(base[1:]) >= 1e-9)])
+    assert probed.tolist() == [0, 1, 3, 4]
+    rho = 10.0 * (np.abs(base[probed]) / abs(base[0])) ** 2
+    rx_grid = nearest_grid_index(*rx_dir, 8, 8)
+    want = np.full((len(eves), 3), np.nan)
+    table = [("csb", None, None)] + [("asm", c, np.random.default_rng([4, 7, ci])) for ci, c in enumerate(asm_c)]
+    for col, (defense, c, rng) in enumerate(table):
+        atoms = defense_gains(defense, f, directions[probed], rx_grid, rng, MI_SUBSETS, c) / base[probed, None]
+        mi = [mixture_mi(a, r, 4, np.random.default_rng([4, 101]), 300) for a, r in zip(atoms, rho)]
+        want[probed[1:] - 1, col] = np.maximum(mi[0] - np.array(mi[1:]), 0.0)
+    assert np.isnan(got[1]).all()
+    assert np.array_equal(got, want, equal_nan=True)
 
 
 def test_mixture_mi_refuses_rho_past_its_ceiling():
@@ -402,20 +458,45 @@ def test_mixture_mi_refuses_rho_past_its_ceiling():
     assert issubclass(SnrCeilingError, ValueError)
 
 
+def test_mixture_mis_refuses_a_stack_with_one_row_past_the_ceiling():
+    # Each row is checked before the draws, and the message names the
+    # largest rho * max|a|^2 of the stack.
+    atoms = np.ones((4, 3), dtype=complex)
+    rhos = np.array([1.0, 3 * MI_RHO_MAX, 10.0, 2 * MI_RHO_MAX])
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(SnrCeilingError, match=re.escape(f"= {3 * MI_RHO_MAX:.3g} is above MI_RHO_MAX")):
+        mixture_mis(atoms, rhos, 4, rng, 256)
+    assert rng.bit_generator.state == state
+    rhos[[1, 3]] = MI_RHO_MAX
+    assert mixture_mis(atoms, rhos, 4, rng, 256).shape == (4,)
+    with pytest.raises(ValueError, match="atoms must be"):
+        mixture_mis(atoms, rhos[:3], 4, rng, 256)
+
+
+def _traced_peak(estimate, *args):
+    """Peak traced bytes of estimate(*args, rng, n); the generator is made
+    before tracing starts, since its first use imports numpy.random."""
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        estimate(*args[:-1], rng, args[-1])
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_mixture_mi_peak_stays_below_its_estimate():
-    # K = 256 atoms with M = 8: 64-sample exponent blocks, so only the
-    # per-sample arrays grow with num_samples, never the block
+    # K = 256 atoms with M = 8: 32-sample exponent blocks in 4096-sample
+    # slices, so only the shared draws grow with num_samples
     atoms = np.exp(1j * np.arange(256))
-    peaks = []
-    for n in (20000, 40000):
-        tracemalloc.start()
-        try:
-            mixture_mi(atoms, 10.0, 8, np.random.default_rng(0), n)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-        assert peaks[-1] < mixture_mi_bytes(n, 8, 256)
+    peaks = [_traced_peak(mixture_mi, atoms, 10.0, 8, n) for n in (20000, 40000)]
+    assert peaks[0] < mixture_mi_bytes(20000, 8, 256)
+    assert peaks[1] < mixture_mi_bytes(40000, 8, 256)
     assert peaks[1] - peaks[0] < mixture_mi_bytes(40000, 8, 256) - mixture_mi_bytes(20000, 8, 256)
+    # smi-sweep's ASM column: 182 directions of 256 subsets, in 5-row groups
+    stack = np.exp(1j * np.arange(182 * 256)).reshape(182, 256)
+    assert _traced_peak(mixture_mis, stack, np.full(182, 10.0), 4, 256) < mixture_mi_bytes(256, 4, 256, 182)
 
 
 def _csb_atom_sets():
@@ -437,7 +518,8 @@ def _csb_atom_sets():
 @pytest.mark.parametrize("rho", [0.1, 1.0, 10.0])
 @pytest.mark.parametrize("atoms,m", _csb_atom_sets())
 def test_mixture_mi_within_4_se_of_quadrature(atoms, m, rho):
-    terms = _mi_terms(atoms, rho, m, np.random.default_rng(11), 20000)
+    slices = _mi_term_groups(atoms[None], np.array([rho]), m, np.random.default_rng(11), 20000)
+    terms = np.concatenate([t[0] for _, t in slices])
     se = float(np.std(terms, ddof=1)) / math.sqrt(terms.size) / math.log(2)
     assert 0 < se < math.inf
     est = mixture_mi(atoms, rho, m, np.random.default_rng(11), 20000)
