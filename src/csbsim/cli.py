@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import ctypes
 import dataclasses
 import io
 import math
@@ -188,7 +189,8 @@ class ExperimentConfig:
             )
         # one column's MI estimates: mixture_mi_bytes over the receiver and
         # every eavesdropper angle (181, or the n_t grid angles under --tiny),
-        # K atoms each (the linear array's n_t shifts, or MI_SUBSETS subsets).
+        # K atoms each (the linear array's n_t shifts, or MI_SUBSETS subsets),
+        # with one worker's buffers per CPU this process may run on.
         # The quadrature of psk_mutual_information takes three (M, nodes,
         # nodes) arrays, 24.2 to 25.0 B per element (M from 4 to 1024)
         atoms = max([self.n_t] + [MI_SUBSETS] * bool(self.asm_c))
@@ -493,7 +495,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _blas_one_thread() -> None:
+    """Hold numpy's OpenBLAS to one thread: mixture_mis runs one worker per
+    core, and OpenBLAS's own threads would spin beside them. The setter is
+    looked up on the handle of numpy's _multiarray_umath extension, which
+    finds it among the libraries that extension links; under another BLAS
+    nothing changes."""
+    ext = sys.modules.get("numpy._core._multiarray_umath") or sys.modules.get("numpy.core._multiarray_umath")
+    try:
+        lib = ctypes.CDLL(ext.__file__)
+    except (AttributeError, OSError):  # not loaded from a shared library
+        return
+    for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_", "openblas_set_num_threads"):
+        setter = getattr(lib, name, None)
+        if setter is not None:
+            setter.argtypes = [ctypes.c_int]
+            setter.restype = None
+            setter(1)
+            return
+
+
 def main(argv=None) -> int:
+    _blas_one_thread()
     args = build_parser().parse_args(argv)
     try:
         cfg = dataclasses.replace(load_config(args.config), seed=args.seed, tiny=args.tiny)

@@ -13,6 +13,8 @@ mutual information for PSK inputs.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,7 +144,13 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
 
 MI_TOL = 1e-3  # accuracy target of psk_mutual_information, in bits
 MI_NODES = 256  # most quadrature nodes per axis psk_mutual_information uses
-MI_BLOCK = 2**16  # exponents per block of mixture_mis (512 kB of float64; 768 kB with a group)
+# exponents per block of mixture_mis (512 kB of float64; 768 kB with a
+# group), one block per worker: each fits a core's cache, and its product
+# (4 * MI_BLOCK multiply-adds) stays at OpenBLAS's one-thread threshold. The
+# atom sum's matrix-vector product is past OpenBLAS's own threshold, so
+# with its default threads a second thread would spin beside every worker;
+# cli.main holds OpenBLAS to one thread and leaves the cores to the workers
+MI_BLOCK = 2**16
 MI_GROUP = 2**18  # bytes of a row group's y4, c4 and sums buffers in mixture_mis
 MI_CHUNK = 4096  # samples per summation slice of mixture_mis
 # largest rho * max|atom|^2 mixture_mis accepts (about 120 dB): the rounding
@@ -237,41 +245,60 @@ def _mi_group_rows(num_rows: int, chunk: int, m_order: int, num_atoms: int) -> i
     return max(1, min(MI_GROUP // row_bytes, num_rows))
 
 
+def _mi_workers(num_rows: int) -> int:
+    """Workers of a mixture_mis call on num_rows rows: one per core this
+    process may run on, at least one and at most one per row."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        cores = os.cpu_count() or 1
+    return max(1, min(cores, num_rows))
+
+
 def mixture_mi_bytes(num_samples: int, m_order: int, num_atoms: int, num_rows: int = 1) -> float:
     """Peak traced bytes of one mixture_mis call on num_rows sets of num_atoms
     atoms, measured: 64 B per sample (the shared draws, 56 B while the noise
-    is formed), 24 B per element of a row group's y4, sums and c4 buffers
-    (with the slice's y, c, log-sum-exp and term temporaries), 24 B per atom
-    of the stack (its SNR check), 8 B per exponent of the block, and 8 kB
-    besides. Nothing else grows with num_samples. The measured peak is 0.45
-    to 0.92 of this on 20 shapes (D up to 1000, K up to 4096, M up to 1024,
-    up to 300000 samples)."""
+    is formed), 24 B per atom of the stack (its SNR check), and per worker
+    (_mi_workers, each on a part of ceil(num_rows / workers) rows), 24 B per
+    element of a row group's y4, sums and c4 buffers (with the slice's y, c,
+    log-sum-exp and term temporaries) and 8 B per exponent of the block, and
+    8 kB besides. Nothing else grows with num_samples. The measured peak is
+    0.45 to 0.98 of this on 20 shapes (D up to 1000, K up to 4096, M up to
+    1024, up to 300000 samples), with one worker and with two."""
     elems = m_order * num_atoms
     chunk = min(num_samples, MI_CHUNK)
-    group = _mi_group_rows(num_rows, chunk, m_order, num_atoms)
+    workers = _mi_workers(num_rows)
+    group = _mi_group_rows(-(-num_rows // workers), chunk, m_order, num_atoms)
     return (
         8192.0
         + 64.0 * num_samples
-        + 24.0 * group * (chunk * (4 + m_order) + 4 * elems)
         + 24.0 * num_rows * num_atoms
-        + 8.0 * elems * _mi_block_rows(chunk, elems)
+        + workers * (24.0 * group * (chunk * (4 + m_order) + 4 * elems) + 8.0 * elems * _mi_block_rows(chunk, elems))
     )
 
 
-def _mi_term_groups(atoms, rhos, m_order, rng, num_samples):
-    """mixture_mis's per-sample terms log p(y | x) - log p(y), in nats, one
-    group of rows and one MI_CHUNK slice of samples at a time: yields (rows,
-    terms) with terms of shape (len(rows), slice length), the slices of a
-    group in order. A row's terms average to its estimate, and their std /
-    sqrt(num_samples) is its standard error. Takes validated inputs with
-    m_order >= 2."""
-    num_rows, num_atoms = atoms.shape
-    elems = m_order * num_atoms
-    syms = psk_symbols(m_order)
+def _mi_draws(rng, m_order, num_atoms, num_samples):
+    """The draws every row of a mixture_mis call reads, taken from rng in
+    this order: symbol indices, atom indices and CN(0, 1) noise. Returns
+    (idx, draw, x, noise), x the drawn M-PSK symbols."""
     idx = rng.integers(m_order, size=num_samples)
     draw = rng.integers(num_atoms, size=num_samples)
     noise = (rng.standard_normal(num_samples) + 1j * rng.standard_normal(num_samples)) * math.sqrt(0.5)
-    x = syms[idx]
+    return idx, draw, psk_symbols(m_order)[idx], noise
+
+
+def _mi_term_groups(atoms, rhos, m_order, draws):
+    """mixture_mis's per-sample terms log p(y | x) - log p(y), in nats, on
+    the _mi_draws draws, one group of rows and one MI_CHUNK slice of samples
+    at a time: yields (rows, terms) with terms of shape (len(rows), slice
+    length), the slices of a group in order. A row's terms average to its
+    estimate, and their std / sqrt(num_samples) is its standard error. Takes
+    validated inputs with m_order >= 2."""
+    idx, draw, x, noise = draws
+    num_samples = len(idx)
+    num_rows, num_atoms = atoms.shape
+    elems = m_order * num_atoms
+    syms = psk_symbols(m_order)
     # log p(y | x_m) up to the common 1/(pi K): with c = a_k x_m, the exponent
     # -|y - c|^2 = 2 Re(y conj(c)) - |y|^2 - |c|^2 is one real product with
     # inner dimension 4, and at most 0 up to rounding (which MI_RHO_MAX
@@ -316,6 +343,32 @@ def _mi_term_groups(atoms, rhos, m_order, rng, num_samples):
             yield slice(d0, d1), ll[:, np.arange(n), idx[lo:lo + n]] - lpy
 
 
+def _run_parts(fn, parts):
+    """fn(*part) for every part at once: the first in the calling thread, each
+    other in a thread of its own. Returns once every part has ended, then
+    raises a part's exception, if any."""
+    errors = []
+
+    def run(*part):
+        try:
+            fn(*part)
+        except BaseException as exc:  # re-raised in the calling thread
+            errors.append(exc)
+
+    threads = []
+    try:
+        for part in parts[1:]:
+            thread = threading.Thread(target=run, args=part)
+            thread.start()
+            threads.append(thread)
+        fn(*parts[0])
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+
+
 def mixture_mis(
     atoms: np.ndarray,
     rhos,
@@ -332,20 +385,27 @@ def mixture_mis(
     estimator is unbiased; each value carries O(1/sqrt(num_samples)) MC noise.
     Every row reads the same draws (symbol indices, atom indices, noise),
     taken from rng once in that order, and its value is the one that row
-    gives alone. Deterministic for a given rng state.
+    gives alone. Deterministic for a given rng state, whatever the number of
+    workers.
+
+    The rows are split into one contiguous part per worker, one worker per
+    core this process may run on (os.sched_getaffinity) and at most one per
+    row; the calling thread runs the first part and a thread each the
+    others, each on its own buffers, writing its own rows' totals. numpy
+    releases the interpreter lock in the products and in exp. A part's
+    exception is raised here once every part has ended.
 
     Each exponent -|y - a_k x_m|^2 comes from one real product,
     [Re y, Im y, |y|^2, 1] @ [2 Re c; 2 Im c; -1; -|c|^2] with c = a_k x_m, and
     is at most 0, so the blocks are exponentiated unshifted, and summed over
     the atoms as one matrix-vector product with a ones vector. A block holds
     the M * K exponents of MI_BLOCK // (M * K) samples of one row, at least
-    one and at most a slice: small enough to stay in cache and to keep
-    each product on one BLAS thread. The rows run in groups, one MI_CHUNK
-    slice of samples at a time, and a group's y4, c4 and per-symbol sums fill
-    at most MI_GROUP bytes (at least one row). For each slice, a group takes
-    the logs, the log-sum-exp over the symbols and the terms
-    log p(y | x) - log p(y) at once, and adds the slice's sum to each row's
-    total; only the draws span every sample.
+    one and at most a slice, small enough to stay in a core's cache. A part's
+    rows run in groups, one MI_CHUNK slice of samples at a time, and a
+    group's y4, c4 and per-symbol sums fill at most MI_GROUP bytes (at least
+    one row). For each slice, a group takes the logs, the log-sum-exp over
+    the symbols and the terms log p(y | x) - log p(y) at once, and adds the
+    slice's sum to each row's total; only the draws span every sample.
 
     The exponents' rounding error grows with rho * max|a|^2. At MI_RHO_MAX
     it moves the estimate by under 1e-5 bits from the direct distances (48
@@ -382,8 +442,16 @@ def mixture_mis(
     out = np.zeros(len(rhos))
     if m_order == 1:
         return out
-    for rows, terms in _mi_term_groups(atoms, rhos, m_order, rng, num_samples):
-        out[rows] += terms.sum(axis=1)
+    draws = _mi_draws(rng, m_order, atoms.shape[1], num_samples)
+
+    def part(lo, hi):
+        total = out[lo:hi]
+        for rows, terms in _mi_term_groups(atoms[lo:hi], rhos[lo:hi], m_order, draws):
+            total[rows] += terms.sum(axis=1)
+
+    workers = _mi_workers(len(rhos))
+    bounds = [len(rhos) * w // workers for w in range(workers + 1)]
+    _run_parts(part, list(zip(bounds[:-1], bounds[1:])))
     return out / num_samples / math.log(2)
 
 

@@ -17,9 +17,9 @@ the repository root, for each command:
 and the same without ``--tiny`` for ``attack`` into ``tests/data/lock/attack-full``.
 
 A second check runs the BLAS-heavy subcommands in a child process limited to
-one OpenBLAS thread and requires the same bytes as this process writes at
-the default thread count. It shows a difference only when the suite itself
-runs at the default thread count.
+one OpenBLAS thread and one CPU, where mixture_mis runs one worker, and
+requires the same bytes as this process writes with a worker per CPU. It
+shows a difference only when the suite itself runs on more than one CPU.
 """
 
 import math
@@ -89,10 +89,13 @@ def test_outputs_match_locked_copies(case, command, flags, tmp_path, capsys):
 
 
 # A child process that runs each named subcommand --tiny on a config into
-# <out>/<command>: python -c CHILD <config> <out> <command>...
+# <out>/<command>, on one of this process's CPUs:
+# python -c CHILD <config> <out> <command>...
 CHILD = """
 import os, sys
 from csbsim.cli import main
+if hasattr(os, "sched_setaffinity"):
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 config, out, commands = sys.argv[1], sys.argv[2], sys.argv[3:]
 for command in commands:
     assert main([command, "--tiny", "--seed", "0", "--config", config, "--out", os.path.join(out, command)]) == 0

@@ -5,10 +5,13 @@ Determinism contracts are checked at the byte level: the same config and
 seed must reproduce identical CSV files.
 """
 
+import ctypes
 import dataclasses
 import math
 import os
 import re
+import subprocess
+import sys
 import weakref
 
 import numpy as np
@@ -484,3 +487,47 @@ class TestSerCommand:
         wrong = np.count_nonzero(decided != [int(r[2]) for r in rows_c])
         eve_by_point = {(float(r[0]), r[1]): float(r[3]) for r in rows}
         assert wrong == round(eve_by_point[(4.0, "csb")] * 1500)
+
+
+def _openblas(name: str):
+    """numpy's OpenBLAS function name(), found as cli.main finds its setter,
+    or None under another BLAS."""
+    ext = sys.modules.get("numpy._core._multiarray_umath") or sys.modules.get("numpy.core._multiarray_umath")
+    lib = ctypes.CDLL(ext.__file__)
+    for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "64_"), ("openblas_", "")):
+        fn = getattr(lib, prefix + name + suffix, None)
+        if fn is not None:
+            return fn
+    return None
+
+
+def test_main_holds_openblas_to_one_thread_and_import_does_not(tmp_path):
+    get, set_ = _openblas("get_num_threads"), _openblas("set_num_threads")
+    if get is None or set_ is None:
+        pytest.skip("numpy's BLAS has no OpenBLAS thread setter")
+    get.restype, get.argtypes = ctypes.c_int, []
+    set_.restype, set_.argtypes = None, [ctypes.c_int]
+    before = get()
+    set_(2)
+    try:
+        assert main(["apn-dist", "--tiny", "--seed", "0", "--out", str(tmp_path)]) == 0
+        assert get() == 1
+    finally:
+        set_(before)
+    # a fresh process keeps its thread count through every csbsim import
+    child = """
+import ctypes, sys
+import numpy
+ext = sys.modules.get("numpy._core._multiarray_umath") or sys.modules.get("numpy.core._multiarray_umath")
+get = getattr(ctypes.CDLL(ext.__file__), sys.argv[1])
+get.restype, get.argtypes = ctypes.c_int, []
+before = get()
+import csbsim, csbsim.cli
+print(before, get())
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", child, get.__name__], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    before, after = done.stdout.split()
+    assert after == before

@@ -7,7 +7,10 @@ trusted to about 3e-4 bits.
 """
 
 import math
+import os
 import re
+import sys
+import threading
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -17,6 +20,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from csbsim.array import ArrayConfig, GridIndex, dft_codeword, gains, nearest_grid_index
+from csbsim import csb_defense
 from csbsim.channel_sim import MI_SUBSETS, defense_gains, smi_sweep
 from csbsim.csb_defense import (
     MI_CHUNK,
@@ -24,6 +28,7 @@ from csbsim.csb_defense import (
     ApnLaw,
     SnrCeilingError,
     _mi_block_rows,
+    _mi_draws,
     _mi_group_rows,
     _mi_term_groups,
     apn_law,
@@ -417,6 +422,62 @@ def test_mixture_mis_rows_equal_each_row_alone(d, k, m, n):
         assert got[row] == alone[0] == mixture_mi(atoms[row], rhos[row], m, np.random.default_rng(9), n), row
 
 
+def _on_cpus(monkeypatch, count):
+    """Make mixture_mis see count CPUs in this process's affinity set."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+@pytest.mark.parametrize("d,k,m,n", [(37, 16, 4, 256), (30, 1, 2, 256), (12, 256, 4, 256), (3, 256, 8, 5000)])
+def test_mixture_mis_bits_do_not_depend_on_the_worker_count(monkeypatch, d, k, m, n):
+    # The shapes of test_mixture_mis_rows_equal_each_row_alone, split into
+    # 1, 2 and 3 parts and into one part per row (more CPUs than rows), with
+    # the interpreter switching threads as often as it can.
+    r = np.random.default_rng([d, k, m])
+    atoms = r.standard_normal((d, k)) + 1j * r.standard_normal((d, k))
+    rhos = np.concatenate([[0.0], r.uniform(0.1, 30.0, d - 1)])
+    _on_cpus(monkeypatch, 1)
+    want = mixture_mis(atoms, rhos, m, np.random.default_rng(9), n)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cpus in (2, 3, d + 5):
+            _on_cpus(monkeypatch, cpus)
+            assert np.array_equal(mixture_mis(atoms, rhos, m, np.random.default_rng(9), n), want), cpus
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("failing", [0, 2, 4])
+def test_mixture_mis_raises_a_failing_parts_error_and_leaves_no_thread(monkeypatch, failing):
+    # Six rows on three CPUs: parts [0, 2), [2, 4) and [4, 6), the first in
+    # the calling thread. Each rho names its row, so the stand-in for the
+    # terms fails on the part that starts at row `failing`.
+    real = csb_defense._mi_term_groups
+
+    def terms(atoms, rhos, m_order, draws):
+        if rhos[0] == failing:
+            raise ArithmeticError(f"part at row {failing}")
+        return real(atoms, rhos, m_order, draws)
+
+    monkeypatch.setattr(csb_defense, "_mi_term_groups", terms)
+    _on_cpus(monkeypatch, 3)
+    errors = []
+
+    def call():
+        try:
+            mixture_mis(np.ones((6, 4), dtype=complex), np.arange(6.0), 4, np.random.default_rng(0), 2000)
+        except ArithmeticError as exc:
+            errors.append(exc)
+
+    before = threading.active_count()
+    caller = threading.Thread(target=call)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive()
+    assert threading.active_count() == before
+    assert [str(e) for e in errors] == [f"part at row {failing}"]
+
+
 def test_smi_sweep_columns_equal_a_per_direction_loop():
     # smi_sweep's one mixture_mis call per column against one mixture_mi call
     # per direction on the same atoms; the codebook null keeps its NaN row.
@@ -518,7 +579,8 @@ def _csb_atom_sets():
 @pytest.mark.parametrize("rho", [0.1, 1.0, 10.0])
 @pytest.mark.parametrize("atoms,m", _csb_atom_sets())
 def test_mixture_mi_within_4_se_of_quadrature(atoms, m, rho):
-    slices = _mi_term_groups(atoms[None], np.array([rho]), m, np.random.default_rng(11), 20000)
+    draws = _mi_draws(np.random.default_rng(11), m, atoms.size, 20000)
+    slices = _mi_term_groups(atoms[None], np.array([rho]), m, draws)
     terms = np.concatenate([t[0] for _, t in slices])
     se = float(np.std(terms, ddof=1)) / math.sqrt(terms.size) / math.log(2)
     assert 0 < se < math.inf
