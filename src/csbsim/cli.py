@@ -190,13 +190,15 @@ class ExperimentConfig:
         # one column's MI estimates: mixture_mi_bytes over the receiver and
         # every eavesdropper angle (181, or the n_t grid angles under --tiny),
         # K atoms each (the linear array's n_t shifts, or MI_SUBSETS subsets),
-        # with one worker's buffers per CPU this process may run on.
+        # at one worker, so that a config passes or fails on every host alike;
+        # mixture_mis's other workers take at most MI_SPARE bytes more.
         # The quadrature of psk_mutual_information takes three (M, nodes,
         # nodes) arrays, 24.2 to 25.0 B per element (M from 4 to 1024)
         atoms = max([self.n_t] + [MI_SUBSETS] * bool(self.asm_c))
         directions = 1 + max(181, self.n_t)
         sample_bytes = (
-            mixture_mi_bytes(self.mi_samples, self.m_order, atoms, directions) + 25.0 * self.m_order * MI_NODES**2
+            mixture_mi_bytes(self.mi_samples, self.m_order, atoms, directions, workers=1)
+            + 25.0 * self.m_order * MI_NODES**2
         )
         if sample_bytes > MAX_BYTES:
             raise ConfigError(
@@ -495,24 +497,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _blas_one_thread() -> None:
-    """Hold numpy's OpenBLAS to one thread: mixture_mis runs one worker per
-    core, and OpenBLAS's own threads would spin beside them. The setter is
-    looked up on the handle of numpy's _multiarray_umath extension, which
-    finds it among the libraries that extension links; under another BLAS
-    nothing changes."""
+def _openblas(name: str):
+    """numpy's OpenBLAS function openblas_<name> (under any of its exported
+    spellings), or None under another BLAS. It is looked up on the handle of
+    numpy's _multiarray_umath extension, which finds it among the libraries
+    that extension links."""
     ext = sys.modules.get("numpy._core._multiarray_umath") or sys.modules.get("numpy.core._multiarray_umath")
     try:
         lib = ctypes.CDLL(ext.__file__)
     except (AttributeError, OSError):  # not loaded from a shared library
-        return
-    for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_", "openblas_set_num_threads"):
-        setter = getattr(lib, name, None)
-        if setter is not None:
-            setter.argtypes = [ctypes.c_int]
-            setter.restype = None
-            setter(1)
-            return
+        return None
+    for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "64_"), ("openblas_", "")):
+        fn = getattr(lib, prefix + name + suffix, None)
+        if fn is not None:
+            return fn
+    return None
+
+
+def _blas_one_thread() -> None:
+    """Hold numpy's OpenBLAS to one thread: mixture_mis runs a worker per
+    core, and OpenBLAS's own threads would spin beside them. Under another
+    BLAS nothing changes."""
+    setter = _openblas("set_num_threads")
+    if setter is not None:
+        setter(1)
 
 
 def main(argv=None) -> int:

@@ -153,6 +153,12 @@ MI_NODES = 256  # most quadrature nodes per axis psk_mutual_information uses
 MI_BLOCK = 2**16
 MI_GROUP = 2**18  # bytes of a row group's y4, c4 and sums buffers in mixture_mis
 MI_CHUNK = 4096  # samples per summation slice of mixture_mis
+# most workers of one mixture_mis call: the gain of a second worker was
+# measured on 2 vCPUs, and what more workers gain or cost is unmeasured
+MI_WORKERS = 2
+# most bytes mixture_mis's workers past the first may take together
+# (mixture_mi_bytes); a worker that would pass it is not started
+MI_SPARE = 2**26
 # largest rho * max|atom|^2 mixture_mis accepts (about 120 dB): the rounding
 # of its exponents grows with this product (see mixture_mis)
 MI_RHO_MAX = 2.0**40
@@ -245,35 +251,53 @@ def _mi_group_rows(num_rows: int, chunk: int, m_order: int, num_atoms: int) -> i
     return max(1, min(MI_GROUP // row_bytes, num_rows))
 
 
-def _mi_workers(num_rows: int) -> int:
+def _mi_worker_bytes(part_rows: int, chunk: int, m_order: int, num_atoms: int) -> float:
+    """Peak traced bytes of one mixture_mis worker on part_rows rows: 24 B per
+    element of a row group's y4, sums and c4 buffers (with the slice's y, c,
+    log-sum-exp and term temporaries) and 8 B per exponent of the block."""
+    elems = m_order * num_atoms
+    group = _mi_group_rows(part_rows, chunk, m_order, num_atoms)
+    return 24.0 * group * (chunk * (4 + m_order) + 4 * elems) + 8.0 * elems * _mi_block_rows(chunk, elems)
+
+
+def _mi_workers(num_rows: int, chunk: int, m_order: int, num_atoms: int) -> int:
     """Workers of a mixture_mis call on num_rows rows: one per core this
-    process may run on, at least one and at most one per row."""
+    process may run on, at most MI_WORKERS and one per row, and fewer while
+    the workers past the first would take more than MI_SPARE bytes."""
     try:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity API on this platform
         cores = os.cpu_count() or 1
-    return max(1, min(cores, num_rows))
+    workers = max(1, min(cores, MI_WORKERS, num_rows))
+    while workers > 1:
+        part_rows = -(-num_rows // workers)
+        if (workers - 1) * _mi_worker_bytes(part_rows, chunk, m_order, num_atoms) <= MI_SPARE:
+            break
+        workers -= 1
+    return workers
 
 
-def mixture_mi_bytes(num_samples: int, m_order: int, num_atoms: int, num_rows: int = 1) -> float:
+def mixture_mi_bytes(
+    num_samples: int, m_order: int, num_atoms: int, num_rows: int = 1, workers: int | None = None
+) -> float:
     """Peak traced bytes of one mixture_mis call on num_rows sets of num_atoms
-    atoms, measured: 64 B per sample (the shared draws, 56 B while the noise
-    is formed), 24 B per atom of the stack (its SNR check), and per worker
-    (_mi_workers, each on a part of ceil(num_rows / workers) rows), 24 B per
-    element of a row group's y4, sums and c4 buffers (with the slice's y, c,
-    log-sum-exp and term temporaries) and 8 B per exponent of the block, and
-    8 kB besides. Nothing else grows with num_samples. The measured peak is
-    0.45 to 0.98 of this on 20 shapes (D up to 1000, K up to 4096, M up to
-    1024, up to 300000 samples), with one worker and with two."""
-    elems = m_order * num_atoms
+    atoms with the given number of workers (by default the count
+    mixture_mis starts on this host), measured: 64 B per sample (the shared
+    draws, 56 B while the noise is formed), 24 B per atom of the stack (its
+    SNR check), each worker's buffers (_mi_worker_bytes, on a part of
+    ceil(num_rows / workers) rows), and 8 kB besides. Nothing else grows with
+    num_samples. The measured peak is 0.45 to 0.98 of this on 20 shapes (D up
+    to 1000, K up to 4096, M up to 1024, up to 300000 samples), with one
+    worker and with two. With workers=1 it reads the same on every host, and
+    the call takes at most MI_SPARE bytes more."""
     chunk = min(num_samples, MI_CHUNK)
-    workers = _mi_workers(num_rows)
-    group = _mi_group_rows(-(-num_rows // workers), chunk, m_order, num_atoms)
+    if workers is None:
+        workers = _mi_workers(num_rows, chunk, m_order, num_atoms)
     return (
         8192.0
         + 64.0 * num_samples
         + 24.0 * num_rows * num_atoms
-        + workers * (24.0 * group * (chunk * (4 + m_order) + 4 * elems) + 8.0 * elems * _mi_block_rows(chunk, elems))
+        + workers * _mi_worker_bytes(-(-num_rows // workers), chunk, m_order, num_atoms)
     )
 
 
@@ -389,11 +413,12 @@ def mixture_mis(
     workers.
 
     The rows are split into one contiguous part per worker, one worker per
-    core this process may run on (os.sched_getaffinity) and at most one per
-    row; the calling thread runs the first part and a thread each the
-    others, each on its own buffers, writing its own rows' totals. numpy
-    releases the interpreter lock in the products and in exp. A part's
-    exception is raised here once every part has ended.
+    core this process may run on (os.sched_getaffinity), at most MI_WORKERS
+    and one per row, and only as many as keep the workers past the first
+    within MI_SPARE bytes; the calling thread runs the first part and a
+    thread each the others, each on its own buffers, writing its own rows'
+    totals. numpy releases the interpreter lock in the products and in exp.
+    A part's exception is raised here once every part has ended.
 
     Each exponent -|y - a_k x_m|^2 comes from one real product,
     [Re y, Im y, |y|^2, 1] @ [2 Re c; 2 Im c; -1; -|c|^2] with c = a_k x_m, and
@@ -449,7 +474,7 @@ def mixture_mis(
         for rows, terms in _mi_term_groups(atoms[lo:hi], rhos[lo:hi], m_order, draws):
             total[rows] += terms.sum(axis=1)
 
-    workers = _mi_workers(len(rhos))
+    workers = _mi_workers(len(rhos), min(num_samples, MI_CHUNK), m_order, atoms.shape[1])
     bounds = [len(rhos) * w // workers for w in range(workers + 1)]
     _run_parts(part, list(zip(bounds[:-1], bounds[1:])))
     return out / num_samples / math.log(2)

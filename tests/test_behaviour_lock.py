@@ -16,12 +16,16 @@ the repository root, for each command:
 
 and the same without ``--tiny`` for ``attack`` into ``tests/data/lock/attack-full``.
 
-A second check runs the BLAS-heavy subcommands in a child process limited to
-one OpenBLAS thread and one CPU, where mixture_mis runs one worker, and
-requires the same bytes as this process writes with a worker per CPU. It
-shows a difference only when the suite itself runs on more than one CPU.
+Two more checks run the BLAS-heavy subcommands and require the same bytes
+each way. One runs them in this process with numpy's OpenBLAS at two threads
+and at one (skipped under another BLAS); ``main`` holds OpenBLAS to one
+thread, so that check calls the subcommands without it. The other runs them
+in a child process limited to one CPU, where mixture_mis runs one worker,
+against this process with a worker per CPU; it shows a difference only
+when the suite itself runs on more than one CPU.
 """
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -30,7 +34,8 @@ import sys
 import pytest
 
 import csbsim
-from csbsim.cli import main
+from csbsim import cli
+from csbsim.cli import load_config, main
 
 LOCK_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "lock")
 # (expected-copy directory, subcommand, extra flags)
@@ -88,6 +93,29 @@ def test_outputs_match_locked_copies(case, command, flags, tmp_path, capsys):
                 )
 
 
+COMMANDS = ["beam-pattern", "smi-sweep", "ser"]
+
+
+def test_one_blas_thread_writes_identical_bytes(tmp_path):
+    get, set_threads = cli._openblas("get_num_threads"), cli._openblas("set_num_threads")
+    if get is None or set_threads is None:
+        pytest.skip("numpy's BLAS has no OpenBLAS thread setter")
+    cfg = dataclasses.replace(load_config(os.path.join(LOCK_DIR, "lock.ini")), tiny=True, seed=0)
+    for threads in (2, 1):
+        set_threads(threads)
+        assert get() == threads
+        for command in COMMANDS:
+            os.makedirs(tmp_path / str(threads) / command)
+            for name, table in cli._COMMANDS[command](cfg).items():
+                cli._write_csv(str(tmp_path / str(threads) / command / name), *table)
+    for command in COMMANDS:
+        names = sorted(os.listdir(tmp_path / "2" / command))
+        assert names == sorted(os.listdir(tmp_path / "1" / command))
+        for name in names:
+            one = (tmp_path / "1" / command / name).read_bytes()
+            assert (tmp_path / "2" / command / name).read_bytes() == one, f"{command}: {name}"
+
+
 # A child process that runs each named subcommand --tiny on a config into
 # <out>/<command>, on one of this process's CPUs:
 # python -c CHILD <config> <out> <command>...
@@ -102,24 +130,23 @@ for command in commands:
 """
 
 
-def test_one_blas_thread_writes_identical_bytes(tmp_path, capsys):
-    commands = ["beam-pattern", "smi-sweep", "ser"]
+def test_one_cpu_writes_identical_bytes(tmp_path, capsys):
     config = os.path.join(LOCK_DIR, "lock.ini")
     src = os.path.dirname(os.path.dirname(os.path.abspath(csbsim.__file__)))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     with subprocess.Popen(
-        [sys.executable, "-c", CHILD, config, str(tmp_path / "one"), *commands],
+        [sys.executable, "-c", CHILD, config, str(tmp_path / "one"), *COMMANDS],
         env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
     ) as child:
-        for command in commands:
+        for command in COMMANDS:
             argv = [command, "--tiny", "--seed", "0", "--config", config]
-            assert main(argv + ["--out", str(tmp_path / "default" / command)]) == 0
+            assert main(argv + ["--out", str(tmp_path / "all" / command)]) == 0
         stderr = child.communicate()[1]
     assert child.returncode == 0, stderr
-    for command in commands:
-        names = sorted(os.listdir(tmp_path / "default" / command))
+    for command in COMMANDS:
+        names = sorted(os.listdir(tmp_path / "all" / command))
         assert names == sorted(os.listdir(tmp_path / "one" / command))
         for name in names:
             one = (tmp_path / "one" / command / name).read_bytes()
-            assert (tmp_path / "default" / command / name).read_bytes() == one, f"{command}: {name}"
+            assert (tmp_path / "all" / command / name).read_bytes() == one, f"{command}: {name}"
     capsys.readouterr()

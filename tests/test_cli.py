@@ -5,7 +5,6 @@ Determinism contracts are checked at the byte level: the same config and
 seed must reproduce identical CSV files.
 """
 
-import ctypes
 import dataclasses
 import math
 import os
@@ -17,7 +16,7 @@ import weakref
 import numpy as np
 import pytest
 
-from csbsim import airspy, cli
+from csbsim import airspy, cli, csb_defense
 from csbsim.channel_sim import equalize_and_detect
 from csbsim.cli import ConfigError, ExperimentConfig, _plan, _write_csv, dump_config, load_config, main
 from csbsim.csb_defense import apn_law
@@ -110,6 +109,20 @@ def test_write_csv_rejects_unequal_columns(tmp_path):
 class TestConfigFile:
     def test_defaults_without_file(self):
         assert load_config(None) == ExperimentConfig()
+
+    @pytest.mark.parametrize("cap", [csb_defense.MI_WORKERS, 64])
+    def test_size_check_does_not_read_the_host(self, monkeypatch, cap):
+        # 64 CPUs, with MI_WORKERS as it is and raised to 64: the MI size
+        # check reads one worker, so the default config and m_order = 512
+        # pass as on one CPU, and so does m_order = 512 at 2e6 samples
+        # (1.03 GB of 1.07 at one worker, 1.10 GB at two); 1024 fails
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+        monkeypatch.setattr(csb_defense, "MI_WORKERS", cap)
+        ExperimentConfig()
+        ExperimentConfig(m_order=512)
+        ExperimentConfig(m_order=512, mi_samples=2_000_000)
+        with pytest.raises(ConfigError, match=r"^\[experiment\] mi_samples"):
+            ExperimentConfig(m_order=1024)
 
     def test_round_trip_preserves_every_field(self, tmp_path):
         cfg = ExperimentConfig(
@@ -489,45 +502,22 @@ class TestSerCommand:
         assert wrong == round(eve_by_point[(4.0, "csb")] * 1500)
 
 
-def _openblas(name: str):
-    """numpy's OpenBLAS function name(), found as cli.main finds its setter,
-    or None under another BLAS."""
-    ext = sys.modules.get("numpy._core._multiarray_umath") or sys.modules.get("numpy.core._multiarray_umath")
-    lib = ctypes.CDLL(ext.__file__)
-    for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "64_"), ("openblas_", "")):
-        fn = getattr(lib, prefix + name + suffix, None)
-        if fn is not None:
-            return fn
-    return None
-
-
 def test_main_holds_openblas_to_one_thread_and_import_does_not(tmp_path):
-    get, set_ = _openblas("get_num_threads"), _openblas("set_num_threads")
-    if get is None or set_ is None:
+    get, set_threads = cli._openblas("get_num_threads"), cli._openblas("set_num_threads")
+    if get is None or set_threads is None:
         pytest.skip("numpy's BLAS has no OpenBLAS thread setter")
-    get.restype, get.argtypes = ctypes.c_int, []
-    set_.restype, set_.argtypes = None, [ctypes.c_int]
-    before = get()
-    set_(2)
-    try:
-        assert main(["apn-dist", "--tiny", "--seed", "0", "--out", str(tmp_path)]) == 0
-        assert get() == 1
-    finally:
-        set_(before)
-    # a fresh process keeps its thread count through every csbsim import
-    child = """
-import ctypes, sys
-import numpy
-ext = sys.modules.get("numpy._core._multiarray_umath") or sys.modules.get("numpy.core._multiarray_umath")
-get = getattr(ctypes.CDLL(ext.__file__), sys.argv[1])
-get.restype, get.argtypes = ctypes.c_int, []
-before = get()
-import csbsim, csbsim.cli
-print(before, get())
-"""
+    set_threads(2)
+    assert main(["apn-dist", "--tiny", "--seed", "0", "--out", str(tmp_path)]) == 0
+    assert get() == 1
+    # a fresh process keeps the thread count OPENBLAS_NUM_THREADS gives it
+    # through every csbsim import; OpenBLAS caps that count at the CPUs it
+    # sees, so one CPU cannot tell two threads from one
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    if cpus < 2:
+        pytest.skip("one CPU: OpenBLAS starts at one thread whatever the import does")
+    child = "import csbsim, csbsim.cli; print(csbsim.cli._openblas('get_num_threads')())"
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-c", child, get.__name__], env=env, capture_output=True, text=True, timeout=120)
+    done = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    before, after = done.stdout.split()
-    assert after == before
+    assert done.stdout.split() == ["2"]

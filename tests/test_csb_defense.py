@@ -422,9 +422,11 @@ def test_mixture_mis_rows_equal_each_row_alone(d, k, m, n):
         assert got[row] == alone[0] == mixture_mi(atoms[row], rhos[row], m, np.random.default_rng(9), n), row
 
 
-def _on_cpus(monkeypatch, count):
-    """Make mixture_mis see count CPUs in this process's affinity set."""
+def _on_cpus(monkeypatch, count, cap=None):
+    """Make mixture_mis see count CPUs in this process's affinity set, and
+    MI_WORKERS at cap (count by default)."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+    monkeypatch.setattr(csb_defense, "MI_WORKERS", count if cap is None else cap)
 
 
 @pytest.mark.parametrize("d,k,m,n", [(37, 16, 4, 256), (30, 1, 2, 256), (12, 256, 4, 256), (3, 256, 8, 5000)])
@@ -558,6 +560,31 @@ def test_mixture_mi_peak_stays_below_its_estimate():
     # smi-sweep's ASM column: 182 directions of 256 subsets, in 5-row groups
     stack = np.exp(1j * np.arange(182 * 256)).reshape(182, 256)
     assert _traced_peak(mixture_mis, stack, np.full(182, 10.0), 4, 256) < mixture_mi_bytes(256, 4, 256, 182)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_mixture_mi_peak_counts_every_worker(monkeypatch, cpus):
+    # smi-sweep's ASM column again, on one worker and on two whatever the
+    # host's CPUs; the estimate at that count must hold the peak
+    _on_cpus(monkeypatch, cpus)
+    stack = np.exp(1j * np.arange(182 * 256)).reshape(182, 256)
+    peak = _traced_peak(mixture_mis, stack, np.full(182, 10.0), 4, 256)
+    assert peak < mixture_mi_bytes(256, 4, 256, 182) == mixture_mi_bytes(256, 4, 256, 182, workers=cpus)
+
+
+@pytest.mark.parametrize("m", [4, 512, 1024])
+def test_many_cpus_start_at_most_mi_workers_within_mi_spare(monkeypatch, m):
+    # On 64 CPUs a call starts at most MI_WORKERS workers, and the workers
+    # past the first take at most MI_SPARE bytes: M = 512's 64 MB rows run
+    # on two, M = 1024's 126 MB rows on one. The one-worker size does not
+    # read the host.
+    one = mixture_mi_bytes(20000, m, 256, 182, workers=1)
+    _on_cpus(monkeypatch, 64, csb_defense.MI_WORKERS)
+    workers = csb_defense._mi_workers(182, MI_CHUNK, m, 256)
+    assert 1 <= workers <= csb_defense.MI_WORKERS
+    assert workers == (2 if m < 1024 else 1)
+    assert mixture_mi_bytes(20000, m, 256, 182, workers=1) == one
+    assert one <= mixture_mi_bytes(20000, m, 256, 182) <= one + csb_defense.MI_SPARE
 
 
 def _csb_atom_sets():
