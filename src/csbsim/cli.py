@@ -286,9 +286,9 @@ def load_config(path: str | None) -> ExperimentConfig:
         return ExperimentConfig()
     parser = configparser.ConfigParser()
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from exc
@@ -499,7 +499,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _openblas(name: str):
     """numpy's OpenBLAS function openblas_<name> (under any of its exported
-    spellings), or None under another BLAS. It is looked up on the handle of
+    spellings) or, for an internal function such as blas_thread_shutdown_,
+    plain <name>; None under another BLAS. It is looked up on the handle of
     numpy's _multiarray_umath extension, which finds it among the libraries
     that extension links."""
     ext = sys.modules.get("numpy._core._multiarray_umath") or sys.modules.get("numpy.core._multiarray_umath")
@@ -507,7 +508,7 @@ def _openblas(name: str):
         lib = ctypes.CDLL(ext.__file__)
     except (AttributeError, OSError):  # not loaded from a shared library
         return None
-    for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "64_"), ("openblas_", "")):
+    for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "64_"), ("openblas_", ""), ("", "")):
         fn = getattr(lib, prefix + name + suffix, None)
         if fn is not None:
             return fn
@@ -515,12 +516,22 @@ def _openblas(name: str):
 
 
 def _blas_one_thread() -> None:
-    """Hold numpy's OpenBLAS to one thread: mixture_mis runs a worker per
-    core, and OpenBLAS's own threads would spin beside them. Under another
-    BLAS nothing changes."""
-    setter = _openblas("set_num_threads")
-    if setter is not None:
-        setter(1)
+    """Hold numpy's OpenBLAS to one thread and stop its idle threads:
+    mixture_mis runs a worker per core, and OpenBLAS's own threads would
+    spin beside them, the first for about 0.1 s after numpy loads.
+
+    The count is set before blas_thread_shutdown_ (what OpenBLAS calls at
+    fork) joins the idle threads, and never set after: setting it rebuilds
+    the pool, whose new threads spin again. So a count already at one
+    (a second main, or OPENBLAS_NUM_THREADS=1) returns at once. Under
+    another BLAS nothing changes."""
+    get, setter = _openblas("get_num_threads"), _openblas("set_num_threads")
+    if get is None or setter is None or get() == 1:
+        return
+    setter(1)
+    shutdown = _openblas("blas_thread_shutdown_")
+    if shutdown is not None:
+        shutdown()
 
 
 def main(argv=None) -> int:

@@ -22,7 +22,7 @@ from csbsim.cli import ConfigError, ExperimentConfig, _plan, _write_csv, dump_co
 from csbsim.csb_defense import apn_law
 
 
-# (subcommand, config text, the key or section its error line must name)
+# (subcommand, config text or bytes, the key or section its error line must name)
 BAD_CONFIGS = [
     ("attack", "[scenario]\nh = nan\n", "h"),
     ("attack", "[scenario]\nt_s = inf\n", "t_s"),
@@ -71,6 +71,8 @@ BAD_CONFIGS = [
     # above it on a weak path
     ("ser", "[experiment]\nsnr_min_db = -3090\nsnr_max_db = -3090\n", "[experiment] snr_min_db"),
     ("ser", "[scenario]\np0 = 1e-20\n[experiment]\nsnr_min_db = 3000\nsnr_max_db = 3080\n", "[experiment] snr_max_db"),
+    # a file that is not UTF-8
+    ("apn-dist", b"\xff\xfe[array]\nn_t = 16\n", "cannot read config"),
 ]
 
 
@@ -235,7 +237,7 @@ class TestExitCodes:
     )
     def test_bad_config_is_one_line_config_error(self, tmp_path, capsys, command, text, where):
         bad = tmp_path / "bad.ini"
-        bad.write_text(text)
+        bad.write_bytes(text if isinstance(text, bytes) else text.encode())
         code = main([command, "--tiny", "--config", str(bad), "--seed", "0", "--out", str(tmp_path / "o")])
         err = capsys.readouterr().err
         assert code == 1
@@ -521,3 +523,57 @@ def test_main_holds_openblas_to_one_thread_and_import_does_not(tmp_path):
     done = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["2"]
+
+
+@pytest.mark.parametrize("blas_threads", ["2", None], ids=["two", "inherited"])
+def test_main_stops_openblas_idle_threads_and_a_second_main_does_not_restart_them(tmp_path, blas_threads):
+    # A fresh process at OPENBLAS_NUM_THREADS=2 has OpenBLAS's second thread
+    # beside the main one. Each main must leave the process on its one
+    # thread: the first stops the idle thread, and the second must not
+    # re-pin the count, which would start the pool again. The inherited
+    # case starts the child as this process was started: one idle thread
+    # per further CPU, or, under OPENBLAS_NUM_THREADS=1, none, where main
+    # must start none either.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    if cpus < 2:
+        pytest.skip("one CPU: OpenBLAS starts no second thread")
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("no /proc to count threads")
+    if cli._openblas("get_num_threads") is None:
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    child = (
+        "import os, sys, numpy\n"
+        "from csbsim.cli import main\n"
+        "for command in ('apn-dist', 'smi-sweep'):\n"
+        "    assert main([command, '--tiny', '--seed', '0', '--out', sys.argv[1]]) == 0\n"
+        "    print('threads', len(os.listdir('/proc/self/task')))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    done = subprocess.run(
+        [sys.executable, "-c", child, str(tmp_path)], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert [line for line in done.stdout.splitlines() if line.startswith("threads")] == ["threads 1"] * 2
+
+
+def test_blas_one_thread_sets_before_it_shuts_down_and_leaves_one_thread_alone(monkeypatch):
+    # a count of one is left as it is: setting it again would rebuild the
+    # pool that the shutdown joined
+    calls, count = [], [2]
+
+    def set_threads(n):
+        calls.append(("set", n))
+        count[0] = n
+
+    fake = {
+        "get_num_threads": lambda: count[0],
+        "set_num_threads": set_threads,
+        "blas_thread_shutdown_": lambda: calls.append(("shutdown",)),
+    }
+    monkeypatch.setattr(cli, "_openblas", fake.get)
+    cli._blas_one_thread()
+    cli._blas_one_thread()
+    assert calls == [("set", 1), ("shutdown",)]

@@ -572,6 +572,17 @@ def test_mixture_mi_peak_counts_every_worker(monkeypatch, cpus):
     assert peak < mixture_mi_bytes(256, 4, 256, 182) == mixture_mi_bytes(256, 4, 256, 182, workers=cpus)
 
 
+def test_mixture_mi_peak_stays_below_its_estimate_at_large_m(monkeypatch):
+    # The tightest shape measured: one row of 16 atoms at M = 1024, where the
+    # per-symbol sums and the log-sum-exp temporaries are almost all of the
+    # peak (0.98 of the estimate), so one more full-size temporary there
+    # would pass the estimate that the config's size check reads
+    _on_cpus(monkeypatch, 1)
+    atoms = np.exp(1j * np.arange(16)).reshape(1, 16)
+    peak = _traced_peak(mixture_mis, atoms, np.full(1, 10.0), 1024, 2000)
+    assert peak < mixture_mi_bytes(2000, 1024, 16, 1, workers=1)
+
+
 @pytest.mark.parametrize("m", [4, 512, 1024])
 def test_many_cpus_start_at_most_mi_workers_within_mi_spare(monkeypatch, m):
     # On 64 CPUs a call starts at most MI_WORKERS workers, and the workers
