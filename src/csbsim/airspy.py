@@ -204,6 +204,19 @@ class _Tables:
         ]
 
 
+def planner_bytes(grid_g: int, steps: float, rows: int, cols: int) -> float:
+    """Peak traced bytes of one plan on a grid_g x grid_g grid over `steps`
+    steps with a rows x cols array: per cell and step, the reward, values,
+    feasibility and each distinct beam's gain and |gain| (at most one beam
+    per step), 41 B; per cell, its azimuth factor (16 B per column) and its
+    geometry (80 B); per beam, its row products at each distinct elevation
+    (at most one per grid row and one per step) and its codeword twice; and
+    1 MB for a block of array.gains. In floats: past their range it is inf."""
+    beams = min(float(steps), float(rows * cols))
+    per_beam = 16.0 * ((grid_g + steps) * cols + 2.0 * rows * cols)
+    return 2.0**20 + float(grid_g) ** 2 * (41.0 * steps + 16.0 * cols + 80.0) + beams * per_beam
+
+
 def value_iteration(scenario: Scenario, constraints: AttackConstraints) -> tuple[_Tables, np.ndarray]:
     """Finite-horizon backward induction over (cell, step).
 

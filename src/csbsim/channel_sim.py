@@ -1,6 +1,6 @@
 """Line-of-sight narrowband link simulation and the defenses' gain path.
 
-Signal model per symbol: y = sqrt(P_r) * exp(j nu) * g * x + n, where g is
+Signal model per symbol: y = sqrt(P_r) * g * x + n, where g is
 the transmitter-compensated gain of the defended beamformer toward the
 receiver (defense_gains: the fixed beam, a circulant shift, or an antenna
 subset). Both receivers equalize on the fixed, unshifted beamformer's gain
@@ -21,16 +21,18 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .array import gains, nearest_grid_index, responses
+from .array import array_bytes, gains, nearest_grid_index, responses
 from .asm_baseline import AsmConfig, random_subset_masks
-from .csb_defense import mixture_mis, psk_symbols, shift_gains
+from .csb_defense import MI_NODES, mixture_mi_bytes, mixture_mis, psk_symbols, shift_gains
 
 DEFENSES = ("none", "csb", "asm")
 
 CONSTELLATION_CAP = 10_000
 
 # ASM subsets drawn, and multiplied out, per block of rows: bounds the
-# float64 scores of a draw and the float64 copy of the masks a product makes
+# float64 scores of a draw and the float64 copy of the masks a product makes.
+# A block's peak is 17 B per element and subset: the float64 scores, their
+# np.partition copy and the boolean masks
 MASK_BLOCK = 256
 
 # ASM subsets sampled for each MI estimate; CSB uses its exact ensemble of shifts.
@@ -39,10 +41,9 @@ MI_SUBSETS = 256
 
 @dataclass(frozen=True)
 class LinkState:
-    """Received reference power (linear), propagation phase, noise power."""
+    """Received reference power (linear) and noise power."""
 
     p_r: float
-    nu: float
     sigma2: float
 
     def __post_init__(self):
@@ -68,8 +69,8 @@ def sigma2_for_snr(p_r: float, gain_mag: float, snr_db: float) -> float:
 
 
 def received_symbol(link: LinkState, gain, x, noise):
-    """y = sqrt(P_r) * exp(j nu) * gain * x + n, elementwise over arrays."""
-    return math.sqrt(link.p_r) * np.exp(1j * link.nu) * gain * x + noise
+    """y = sqrt(P_r) * gain * x + n, elementwise over arrays."""
+    return math.sqrt(link.p_r) * gain * x + noise
 
 
 def _nearest_psk_indices(z: np.ndarray, m_order: int) -> np.ndarray:
@@ -185,6 +186,23 @@ def smi_sweep(
     return out
 
 
+def smi_bytes(n_t: int, num_rows: int, m_order: int, asm_c, mi_samples: int) -> float:
+    """Peak traced bytes of smi_sweep over num_rows directions (the receiver's
+    and the eavesdroppers') on an n_t-element linear array, then of
+    smi_theory: one column's mixture_mis call at one worker (the same on
+    every host), 80 B per direction and atom for the defense gains that
+    become the atoms (64 B measured for CSB), ASM's mask block, and
+    psk_mutual_information's quadrature (25 B per element of its three
+    (M, MI_NODES, MI_NODES) arrays, measured)."""
+    atoms = max([n_t] + [MI_SUBSETS] * bool(asm_c))
+    return (
+        mixture_mi_bytes(mi_samples, m_order, atoms, num_rows, workers=1)
+        + 80.0 * num_rows * atoms
+        + 17.0 * min(MASK_BLOCK, MI_SUBSETS) * n_t * bool(asm_c)
+        + 25.0 * m_order * MI_NODES**2
+    )
+
+
 def rx_power_penalty_db(f: np.ndarray, rx_direction, asm_c) -> np.ndarray:
     """Exact mean receive power of CSB and of ASM at each fraction in asm_c, in
     dB relative to the fixed beam f. CSB averages every shift; ASM with k of
@@ -276,10 +294,24 @@ def ser_sweep(
     for col, (defense, c) in enumerate(defenses):
         draw = _draw(f, directions, defense, m_order, num_symbols, np.random.default_rng([seed, 0]), c)
         for si, s2 in enumerate(sigma2s):
-            run = _detect(draw, (LinkState(p_rx, 0.0, s2), LinkState(p_eve, 0.0, s2)), m_order)
+            run = _detect(draw, (LinkState(p_rx, s2), LinkState(p_eve, s2)), m_order)
             errors[si, col] = [np.count_nonzero(idx != run.true_idx) for idx in (run.rx_idx, run.eve_idx)]
         if defense == "csb":  # a capped copy: the run itself is freed below
             z, k = run.eve_equalized[:CONSTELLATION_CAP], run.true_idx[:CONSTELLATION_CAP]
             constellation = np.column_stack([z.real, z.imag, k.astype(float)])
         del draw, run  # freed before the next defense is drawn
     return errors, constellation
+
+
+def ser_bytes(rows: int, cols: int, num_points: float, asm_c, num_symbols: int) -> float:
+    """Peak traced bytes of ser_sweep on a rows x cols array, with the rows of
+    the ser tables: array_bytes (every shift's gain toward both receivers),
+    1 MB for numpy.random's and numpy.fft's first use, 272 B per symbol, 160 B
+    per SNR point and 190 B per defense row of it, and ASM's mask block."""
+    return (
+        array_bytes(rows, cols)
+        + 2.0**20
+        + 272.0 * num_symbols
+        + num_points * (160.0 + 190.0 * (2 + len(asm_c)))
+        + 17.0 * min(MASK_BLOCK, num_symbols) * rows * cols * bool(asm_c)
+    )

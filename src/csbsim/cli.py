@@ -30,19 +30,20 @@ from .airspy import (
     Scenario,
     Trajectory,
     extract_trajectory,
+    planner_bytes,
     rx_state_at,
     value_iteration,
 )
-from .array import ArrayConfig, beam_pattern, dft_codeword, gains, grid_angle, nearest_grid_index
+from .array import ArrayConfig, array_bytes, beam_pattern, dft_codeword, gains, grid_angle, nearest_grid_index
 from .asm_baseline import AsmConfig
-from .channel_sim import MI_SUBSETS, path_power, rx_power_penalty_db, ser_sweep, sigma2_for_snr, smi_sweep
-from .csb_defense import MI_NODES, SnrCeilingError, apn_law, mixture_mi_bytes, smi_theory
+from .channel_sim import path_power, rx_power_penalty_db, ser_bytes, ser_sweep, sigma2_for_snr, smi_bytes, smi_sweep
+from .csb_defense import SnrCeilingError, apn_law, smi_theory
 from .geometry import UavPlaneSpec
 
-# Largest array, planner or Monte-Carlo run accepted, in estimated bytes:
-# about 18 times the 58 MB estimated for the wide-array benchmark's planner
-# (128 x 128 grid, 41 steps, 64 x 64 array; traced peak 23 MB).
-# ExperimentConfig.__post_init__ makes the estimates.
+# Largest array, planner or Monte-Carlo run accepted, in estimated traced
+# bytes (array_bytes, planner_bytes, ser_bytes, smi_bytes): about 18 times
+# the 59 MB estimated for the wide-array benchmark's planner (128 x 128
+# grid, 41 steps, 64 x 64 array; traced peak 23 MB).
 MAX_BYTES = 2**30
 
 
@@ -142,69 +143,27 @@ class ExperimentConfig:
                 build()
             except ValueError as exc:
                 raise ConfigError(f"{where}: {exc}") from exc
-        steps = self.scenario().num_steps
         rows, cols = self.array_config().shape
-        # peak-RSS growth per array element, measured: up to 169 B for ser's
-        # all-shift FFTs toward its two directions, 66 B for a codeword with
-        # its quantize_phase temporaries (beam-pattern; 512 x 512 array)
-        array_bytes = rows * cols * 176.0
-        if array_bytes > MAX_BYTES:
-            raise ConfigError(
-                f"[array] n_t = {self.n_t}: a {rows} x {cols} array needs about {array_bytes:.3g} bytes, "
-                f"above the cap of {MAX_BYTES} bytes"
-            )
-        # per plane cell and step: reward and value (float64), feasibility
-        # (bool), and each distinct beam's complex128 gain and float64 |gain|,
-        # at most one beam per step; per cell: the complex128 factor of its
-        # azimuth and the float64 geometry arrays. Per beam, its complex128
-        # row products at each distinct elevation (at most one per grid row
-        # and one per step's receiver), and its codeword, stacked and then
-        # conjugated (32 B per element, measured)
-        beams = float(min(steps, rows * cols))
-        planner_bytes = self.grid_g**2 * (41 * float(steps) + 16 * cols + 80) + beams * 16 * (
-            (self.grid_g + float(steps)) * cols + 2 * rows * cols
-        )
-        if planner_bytes > MAX_BYTES:
-            raise ConfigError(
-                f"[attack] grid_g = {self.grid_g} with [scenario] {steps} steps on a {rows} x {cols} array: "
-                f"the planner needs about {planner_bytes:.3g} bytes, above the cap of {MAX_BYTES} bytes"
-            )
-        # peak-RSS growth, measured: a ser symbol takes up to 272 B plus one
-        # per array element (a defense's draws and ASM mask): 175 B on 2 x 2,
-        # 446 B on 16 x 16, 1.11 kB on 32 x 32, 4.17 kB on 64 x 64. A ser SNR
-        # point takes up to 160 B plus 190 B per defense row: 683 B with one
-        # ASM fraction, 1.07 kB with three (4 x 4 array, 2000 and 30000 points)
+        steps = float(self.scenario().num_steps)
         points = (self.snr_max_db - self.snr_min_db + 1e-9) / self.snr_step_db + 1
-        snr_bytes = points * (160 + 190 * (2 + len(self.asm_c)))
-        if snr_bytes > MAX_BYTES:
-            raise ConfigError(
-                f"[experiment] snr_step_db: {points:.3g} SNR points need about {snr_bytes:.3g} bytes, "
-                f"above the cap of {MAX_BYTES} bytes"
-            )
-        symbol_bytes = self.num_symbols * (272 + rows * cols)
-        if symbol_bytes > MAX_BYTES:
-            raise ConfigError(
-                f"[experiment] num_symbols: {self.num_symbols} symbols on a {rows} x {cols} array need "
-                f"about {symbol_bytes:.3g} bytes, above the cap of {MAX_BYTES} bytes"
-            )
-        # one column's MI estimates: mixture_mi_bytes over the receiver and
-        # every eavesdropper angle (181, or the n_t grid angles under --tiny),
-        # K atoms each (the linear array's n_t shifts, or MI_SUBSETS subsets),
-        # at one worker, so that a config passes or fails on every host alike;
-        # mixture_mis's other workers take at most MI_SPARE bytes more.
-        # The quadrature of psk_mutual_information takes three (M, nodes,
-        # nodes) arrays, 24.2 to 25.0 B per element (M from 4 to 1024)
-        atoms = max([self.n_t] + [MI_SUBSETS] * bool(self.asm_c))
-        directions = 1 + max(181, self.n_t)
-        sample_bytes = (
-            mixture_mi_bytes(self.mi_samples, self.m_order, atoms, directions, workers=1)
-            + 25.0 * self.m_order * MI_NODES**2
-        )
-        if sample_bytes > MAX_BYTES:
-            raise ConfigError(
-                f"[experiment] mi_samples = {self.mi_samples} with m_order = {self.m_order}: the MI estimates "
-                f"need about {sample_bytes:.3g} bytes, above the cap of {MAX_BYTES} bytes"
-            )
+        shape, ser = f"a {rows} x {cols} array", (self.asm_c, self.num_symbols)
+        # each estimate sits beside its kernels; the first past the cap names its key
+        for where, estimate in (
+            (f"[array] n_t = {self.n_t}: {shape}", array_bytes(rows, cols)),
+            (
+                f"[attack] grid_g = {self.grid_g} with [scenario] {steps:.3g} steps: the planner on {shape}",
+                planner_bytes(self.grid_g, steps, rows, cols),
+            ),
+            (f"[experiment] num_symbols: {self.num_symbols} symbols on {shape}", ser_bytes(rows, cols, 1, *ser)),
+            (f"[experiment] snr_step_db: {points:.3g} SNR points", ser_bytes(rows, cols, points, *ser)),
+            (
+                f"[experiment] mi_samples = {self.mi_samples} with m_order = {self.m_order}: the MI estimates",
+                # the receiver and 181 eavesdropper angles, or the n_t grid angles under --tiny
+                smi_bytes(self.n_t, 1 + max(181, self.n_t), self.m_order, self.asm_c, self.mi_samples),
+            ),
+        ):
+            if estimate > MAX_BYTES:
+                raise ConfigError(f"{where}: about {estimate:.3g} bytes, above the cap of {MAX_BYTES} bytes")
 
     def array_config(self) -> ArrayConfig:
         return ArrayConfig(self.n_t, self.q, self.n_rows)

@@ -478,17 +478,3 @@ def mixture_mis(
     bounds = [len(rhos) * w // workers for w in range(workers + 1)]
     _run_parts(part, list(zip(bounds[:-1], bounds[1:])))
     return out / num_samples / math.log(2)
-
-
-def mixture_mi(
-    atoms: np.ndarray,
-    rho: float,
-    m_order: int,
-    rng: np.random.Generator,
-    num_samples: int = 20000,
-) -> float:
-    """Monte-Carlo mutual information of PSK through one finite channel
-    mixture: the one-row view of mixture_mis, with atoms of any shape taken
-    as one atom set of K = atoms.size atoms and rho its SNR scale. Raises as
-    mixture_mis does."""
-    return float(mixture_mis(np.reshape(atoms, (1, -1)), [rho], m_order, rng, num_samples)[0])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from csbsim import cli
@@ -15,3 +17,18 @@ def _keep_blas_threads():
     before = get()
     yield
     set_threads(before)
+
+
+@pytest.fixture
+def traced_peak():
+    """peak(fn, *args): the peak traced bytes of the call fn(*args)."""
+
+    def peak(fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return peak

@@ -6,13 +6,14 @@ channel_sim.defense_gains), of the circulant shift and its exact gain
 rotation (against csb_defense.shift_gains and channel_sim.defense_gains), of a beam-grid
 index's angles, of the hover-plane map (against the planner's cell geometry
 in airspy._Tables), of the per-step secrecy rate (against a trajectory's
-secrecy_rate column), and of the subset sampler. Direct forms of the
-direction-gain kernel (against array.gains, which shares each distinct
-angle's factor) and of the mixture MI estimator (against
-csb_defense.mixture_mi, which forms its exponents as one real product); the
-kernel's previous gathered form, which must match bit for bit, and the
-estimator's previous blocked form, which must match within a tolerance that
-grows with rho times the largest atom power; and a
+secrecy_rate column), and of the subset sampler. The mixture MI estimate
+over a single atom set (mixture_mi, the one-row view of
+csb_defense.mixture_mis). Direct forms of the direction-gain kernel (against
+array.gains, which shares each distinct angle's factor) and of the mixture
+MI estimator (against mixture_mi, whose exponents come from one real
+product); the kernel's previous gathered form, which must match bit for
+bit, and the estimator's previous blocked form, which must match within a
+tolerance that grows with rho times the largest atom power; and a
 quadrature of the mixture MI that its standard error is checked against.
 The single Monte-Carlo symbol run (simulate_symbols: channel_sim's draw
 step then its detect step), which ser_sweep's rows and constellation are
@@ -30,7 +31,7 @@ import numpy as np
 from csbsim.airspy import Scenario
 from csbsim.array import GridIndex, grid_angle
 from csbsim.channel_sim import LinkState, SymbolRun, _detect, _draw, path_power
-from csbsim.csb_defense import _logsumexp, psk_symbols
+from csbsim.csb_defense import _logsumexp, mixture_mis, psk_symbols
 from csbsim.geometry import RectPoint, UavPlaneSpec, rect_to_msph
 
 
@@ -130,8 +131,16 @@ def gathered_gains(f: np.ndarray, thetas, phis) -> np.ndarray:
     return out.reshape(f.shape[:-2] + (len(ip),))
 
 
+def mixture_mi(atoms, rho: float, m_order: int, rng: np.random.Generator, num_samples: int = 20000) -> float:
+    """Monte-Carlo mutual information of PSK through one finite channel
+    mixture: the one-row view of csb_defense.mixture_mis, with atoms of any
+    shape taken as one atom set of K = atoms.size atoms and rho its SNR
+    scale. Raises as mixture_mis does."""
+    return float(mixture_mis(np.reshape(atoms, (1, -1)), [rho], m_order, rng, num_samples)[0])
+
+
 def direct_mixture_mi(atoms, rho: float, m_order: int, rng: np.random.Generator, num_samples: int) -> float:
-    """csb_defense.mixture_mi with each log-likelihood exponent taken as the
+    """mixture_mi with each log-likelihood exponent taken as the
     squared distance -|y - a_k x_m|^2 itself; it reads rng the same way."""
     if m_order == 1:
         return 0.0
@@ -156,7 +165,7 @@ def direct_mixture_mi(atoms, rho: float, m_order: int, rng: np.random.Generator,
 
 
 def blocked_mixture_mi(atoms, rho: float, m_order: int, rng: np.random.Generator, num_samples: int) -> float:
-    """csb_defense.mixture_mi as it was before its exponent blocks ran in
+    """mixture_mi as it was before its exponent blocks ran in
     place: 4096-sample blocks of 2 Re(y conj(c)) - |c|^2, each log-sum-exp
     shifted by its row max on fresh arrays. The same draws, terms and
     summation slices as the library; its exponents round differently."""
@@ -187,7 +196,7 @@ def blocked_mixture_mi(atoms, rho: float, m_order: int, rng: np.random.Generator
 
 
 def quadrature_mixture_mi(atoms, rho: float, m_order: int, nodes: int) -> float:
-    """The mutual information csb_defense.mixture_mi estimates, by 2D
+    """The mutual information mixture_mi estimates, by 2D
     Gauss-Hermite quadrature over the noise with `nodes` nodes per axis.
 
     As in csb_defense.psk_mutual_information, PSK symmetry lets the sent

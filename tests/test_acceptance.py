@@ -198,8 +198,8 @@ def test_criterion_06_shift_defense_is_transparent_to_the_receiver():
         g_eve = abs(beam_gain(array_response(*eve_dir, cfg.n_t, cfg.n_rows), f))
         errors_seen = 0
         for snr_db in (0, 5, 10, 15, 20):
-            rx = LinkState(1.0, 0.0, sigma2_for_snr(1.0, g_rx, snr_db))
-            eve = LinkState(1.0, 0.0, sigma2_for_snr(1.0, g_eve, 10.0))
+            rx = LinkState(1.0, sigma2_for_snr(1.0, g_rx, snr_db))
+            eve = LinkState(1.0, sigma2_for_snr(1.0, g_eve, 10.0))
             seed = 1000 + snr_db
             plain = simulate_symbols(
                 f, rx, rx_dir, eve, eve_dir, "none", 4, 20000, np.random.default_rng(seed)
@@ -222,8 +222,8 @@ def test_criterion_07_coprime_offset_corrupts_the_eavesdropper():
         g_rx = abs(beam_gain(array_response(*rx_dir, cfg.n_t, cfg.n_rows), f))
         g_eve = abs(beam_gain(array_response(*eve_dir, cfg.n_t, cfg.n_rows), f))
         assert g_eve > 0
-        rx = LinkState(1.0, 0.0, sigma2_for_snr(1.0, g_rx, 20.0))
-        eve = LinkState(1.0, 0.0, sigma2_for_snr(1.0, g_eve, 30.0))
+        rx = LinkState(1.0, sigma2_for_snr(1.0, g_rx, 20.0))
+        eve = LinkState(1.0, sigma2_for_snr(1.0, g_eve, 30.0))
         run = simulate_symbols(
             f, rx, rx_dir, eve, eve_dir, "csb", 4, 100_000, np.random.default_rng(77)
         )

@@ -26,11 +26,13 @@ from csbsim.airspy import (
     Scenario,
     _Tables,
     extract_trajectory,
+    planner_bytes,
     rx_state_at,
     value_iteration,
 )
 from csbsim.array import ArrayConfig, dft_codeword, gains, grid_angle
 from csbsim.channel_sim import path_power
+from csbsim.cli import ExperimentConfig
 from csbsim.geometry import UavPlaneSpec, rect_to_msph
 
 from dp_oracle import brute_force_trajectory, successors, tiny_instance
@@ -397,6 +399,17 @@ class TestPlanner:
                 assert traj.r[t] == pytest.approx(math.hypot(*rect), abs=1e-12)
             checked += 1
         assert checked >= 5
+
+
+@pytest.mark.parametrize("n_t,grid_g,span", [(16, 5, 1.5), (16, 64, 1e-4), (2, 32, 20.0), (64, 128, 20.0)])
+def test_planner_peak_stays_below_its_estimate(traced_peak, n_t, grid_g, span):
+    # --tiny's 4-step plan; one step on a 64 x 64 grid, where a block of
+    # array.gains is most of the peak; 41 steps; and wide-array's plan on a
+    # 128 x 128 grid with a 64 x 64 array, the largest of the tests and the benchmark
+    cfg = ExperimentConfig(n_t=n_t, grid_g=grid_g, y_min=-span / 2, y_max=span / 2)
+    scenario = cfg.scenario()
+    peak = traced_peak(lambda: extract_trajectory(*value_iteration(scenario, cfg.constraints())))
+    assert peak < planner_bytes(grid_g, scenario.num_steps, *scenario.array_cfg.shape)
 
 
 class TestMirrorTracking:

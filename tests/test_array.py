@@ -1,7 +1,6 @@
 """Array response, quantization, codebook, and pattern tests."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +12,7 @@ from csbsim.array import (
     UNQUANTIZED,
     ArrayConfig,
     GridIndex,
+    array_bytes,
     beam_pattern,
     dft_codeword,
     gains,
@@ -21,6 +21,7 @@ from csbsim.array import (
     quantize_phase,
     responses,
 )
+from csbsim.csb_defense import shift_gains
 
 from csbsim.airspy import AttackConstraints, Scenario, _Tables, rx_state_at
 from csbsim.cli import ExperimentConfig
@@ -350,7 +351,7 @@ def test_gains_bits_equal_the_gathered_body(directions):
     assert np.array_equal(gains(f, thetas, phis), gathered_gains(f, thetas, phis))
 
 
-def test_gains_temporaries_do_not_grow_with_directions():
+def test_gains_temporaries_do_not_grow_with_directions(traced_peak):
     # three 64 x 64 codewords over the beam-pattern mesh: gathering every
     # direction's elevation products and azimuth factor at once, two
     # (32761, 64) complex arrays per beam, peaked at 98 MB
@@ -358,13 +359,7 @@ def test_gains_temporaries_do_not_grow_with_directions():
     th, ph = np.meshgrid(rad, rad, indexing="ij")
     th, ph = th.ravel(), ph.ravel()
     f = np.stack([dft_codeword(GridIndex(2, 14), ArrayConfig(64, q)) for q in (None, 1, 2)])
-    tracemalloc.start()
-    try:
-        gains(f, th, ph)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8e6
+    assert traced_peak(gains, f, th, ph) < 8e6
 
 
 @pytest.mark.parametrize("directions", [_planner_cells, _beam_pattern_mesh, _repeated_angles, _linear_array])
@@ -382,6 +377,32 @@ def test_gains_of_a_stack_equal_single_calls():
     got = gains(f, thetas, phis)
     assert all(np.array_equal(got[b], gains(f[b], thetas, phis)) for b in range(len(f)))
     assert gains(f[0], thetas, phis).shape == (len(thetas),)
+
+
+@pytest.mark.parametrize("rows,cols", [(2, 2), (16, 16), (1, 1024), (64, 64), (128, 128)])
+def test_array_peak_stays_below_its_estimate(traced_peak, rows, cols):
+    # a codeword, then every shift's gain toward two directions, as ser takes
+    # them; wide-array's 64 x 64 is the largest array of the tests and the
+    # benchmark. The first shape may hold numpy.fft's first use (0.18 MB).
+    directions = np.radians([[25.0, -20.0], [-30.0, 10.0]])
+    grid = nearest_grid_index(*directions[0], cols, rows)
+
+    def kernels():
+        f = dft_codeword(grid, ArrayConfig(cols, 1, rows))
+        shift_gains(responses(*directions.T, rows, cols), f, grid)
+
+    assert traced_peak(kernels) < array_bytes(rows, cols)
+
+
+def test_beam_map_growth_stays_below_the_array_estimate(traced_peak):
+    # a map over 181 x 181 one-degree directions, as beam-pattern draws it:
+    # past the mesh's fixed 2.2 MB, each angle's row products and azimuth
+    # factor grow with the columns, 5.8 kB per column on a linear array
+    rad = np.radians(np.arange(-90, 91))
+    th, ph = np.meshgrid(rad, rad, indexing="ij")
+    mesh = np.column_stack([th.ravel(), ph.ravel()])
+    peaks = [traced_peak(beam_pattern, dft_codeword(GridIndex(1), ArrayConfig(n, 1, 1)), mesh) for n in (16, 2048)]
+    assert peaks[1] - peaks[0] < array_bytes(1, 2048) - array_bytes(1, 16)
 
 
 def test_beam_pattern_rejects_empty():

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from csbsim import airspy, cli, csb_defense
-from csbsim.channel_sim import equalize_and_detect
+from csbsim.channel_sim import equalize_and_detect, ser_bytes
 from csbsim.cli import ConfigError, ExperimentConfig, _plan, _write_csv, dump_config, load_config, main
 from csbsim.csb_defense import apn_law
 
@@ -53,6 +53,8 @@ BAD_CONFIGS = [
     ("attack", f"[attack]\ngrid_g = {10**160}\n", "grid_g"),
     # Monte-Carlo runs far past the size cap, rejected whatever the subcommand
     ("ser", "[experiment]\nnum_symbols = 1000000000000\n", "[experiment] num_symbols"),
+    # 256 symbols whose ASM subsets of a 512 x 512 array fill one 1.14 GB mask block
+    ("ser", "[array]\nn_t = 512\n[attack]\ngrid_g = 2\n[experiment]\nnum_symbols = 256\n", "[experiment] num_symbols"),
     ("smi-sweep", "[experiment]\nmi_samples = 1000000000000\n", "[experiment] mi_samples"),
     # an SNR step that cannot move the sweep off -10 dB, and one that moves
     # it through 4e7 points
@@ -125,6 +127,30 @@ class TestConfigFile:
         ExperimentConfig(m_order=512, mi_samples=2_000_000)
         with pytest.raises(ConfigError, match=r"^\[experiment\] mi_samples"):
             ExperimentConfig(m_order=1024)
+
+    def test_ser_size_check_counts_the_asm_mask_block(self):
+        # 256 symbols take 70 kB, but their ASM subsets of a 512 x 512 array
+        # are one mask block of 1.14 GB: the float64 scores, their
+        # partitioned copy and the boolean masks. With no ASM fraction
+        # nothing is masked.
+        with pytest.raises(ConfigError, match=r"^\[experiment\] num_symbols: 256 symbols on a 512 x 512 array: "):
+            ExperimentConfig(n_t=512, grid_g=2, num_symbols=256)
+        ExperimentConfig(n_t=512, grid_g=2, num_symbols=256, asm_c=())
+
+    def test_ser_rows_grow_below_their_estimate(self, tmp_path, capsys, traced_peak):
+        # one symbol at 11 and at 1001 SNR points on a 4 x 4 array: the
+        # error counts and the rows of the ser tables grow with the points
+        path = tmp_path / "ser.ini"
+        argv = ["ser", "--tiny", "--config", str(path), "--seed", "0", "--out", str(tmp_path)]
+        peaks, estimates = [], []
+        for step in ("4", "0.04"):
+            path.write_text(f"[array]\nn_t = 4\n[experiment]\nsnr_step_db = {step}\nasm_c = 0.5\nnum_symbols = 1\n")
+            if not peaks:
+                main(argv)  # untraced, so that no peak holds a first import
+            peaks.append(traced_peak(main, argv))
+            cfg = load_config(str(path))
+            estimates.append(ser_bytes(4, 4, len(cfg.snr_sweep), cfg.asm_c, 1))
+        assert peaks[1] - peaks[0] < estimates[1] - estimates[0]
 
     def test_round_trip_preserves_every_field(self, tmp_path):
         cfg = ExperimentConfig(

@@ -11,7 +11,6 @@ import os
 import re
 import sys
 import threading
-import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -32,7 +31,6 @@ from csbsim.csb_defense import (
     _mi_group_rows,
     _mi_term_groups,
     apn_law,
-    mixture_mi,
     mixture_mi_bytes,
     mixture_mis,
     partition_report,
@@ -48,6 +46,7 @@ from oracles import (
     circulant_shift,
     direct_mixture_mi,
     grid_angles,
+    mixture_mi,
     quadrature_mixture_mi,
     shift_phase_factor,
     shift_phase_fraction,
@@ -537,49 +536,38 @@ def test_mixture_mis_refuses_a_stack_with_one_row_past_the_ceiling():
         mixture_mis(atoms, rhos[:3], 4, rng, 256)
 
 
-def _traced_peak(estimate, *args):
-    """Peak traced bytes of estimate(*args, rng, n); the generator is made
-    before tracing starts, since its first use imports numpy.random."""
-    rng = np.random.default_rng(0)
-    tracemalloc.start()
-    try:
-        estimate(*args[:-1], rng, args[-1])
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def test_mixture_mi_peak_stays_below_its_estimate():
+def test_mixture_mi_peak_stays_below_its_estimate(traced_peak):
     # K = 256 atoms with M = 8: 32-sample exponent blocks in 4096-sample
     # slices, so only the shared draws grow with num_samples
     atoms = np.exp(1j * np.arange(256))
-    peaks = [_traced_peak(mixture_mi, atoms, 10.0, 8, n) for n in (20000, 40000)]
+    peaks = [traced_peak(mixture_mi, atoms, 10.0, 8, np.random.default_rng(0), n) for n in (20000, 40000)]
     assert peaks[0] < mixture_mi_bytes(20000, 8, 256)
     assert peaks[1] < mixture_mi_bytes(40000, 8, 256)
     assert peaks[1] - peaks[0] < mixture_mi_bytes(40000, 8, 256) - mixture_mi_bytes(20000, 8, 256)
     # smi-sweep's ASM column: 182 directions of 256 subsets, in 5-row groups
     stack = np.exp(1j * np.arange(182 * 256)).reshape(182, 256)
-    assert _traced_peak(mixture_mis, stack, np.full(182, 10.0), 4, 256) < mixture_mi_bytes(256, 4, 256, 182)
+    peak = traced_peak(mixture_mis, stack, np.full(182, 10.0), 4, np.random.default_rng(0), 256)
+    assert peak < mixture_mi_bytes(256, 4, 256, 182)
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
-def test_mixture_mi_peak_counts_every_worker(monkeypatch, cpus):
+def test_mixture_mi_peak_counts_every_worker(monkeypatch, traced_peak, cpus):
     # smi-sweep's ASM column again, on one worker and on two whatever the
     # host's CPUs; the estimate at that count must hold the peak
     _on_cpus(monkeypatch, cpus)
     stack = np.exp(1j * np.arange(182 * 256)).reshape(182, 256)
-    peak = _traced_peak(mixture_mis, stack, np.full(182, 10.0), 4, 256)
+    peak = traced_peak(mixture_mis, stack, np.full(182, 10.0), 4, np.random.default_rng(0), 256)
     assert peak < mixture_mi_bytes(256, 4, 256, 182) == mixture_mi_bytes(256, 4, 256, 182, workers=cpus)
 
 
-def test_mixture_mi_peak_stays_below_its_estimate_at_large_m(monkeypatch):
+def test_mixture_mi_peak_stays_below_its_estimate_at_large_m(monkeypatch, traced_peak):
     # The tightest shape measured: one row of 16 atoms at M = 1024, where the
     # per-symbol sums and the log-sum-exp temporaries are almost all of the
     # peak (0.98 of the estimate), so one more full-size temporary there
     # would pass the estimate that the config's size check reads
     _on_cpus(monkeypatch, 1)
     atoms = np.exp(1j * np.arange(16)).reshape(1, 16)
-    peak = _traced_peak(mixture_mis, atoms, np.full(1, 10.0), 1024, 2000)
+    peak = traced_peak(mixture_mis, atoms, np.full(1, 10.0), 1024, np.random.default_rng(0), 2000)
     assert peak < mixture_mi_bytes(2000, 1024, 16, 1, workers=1)
 
 

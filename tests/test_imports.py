@@ -23,7 +23,6 @@ REFERENCE_MODULES = ["oracles.py", "dp_oracle.py"]
 # Public definitions that no subcommand runs, each with the reason it stays.
 UNREACHED_ALLOWED = {
     ("cli", "dump_config"): "writes a config back as the file load_config reads, for runs that record their inputs",
-    ("csb_defense", "mixture_mi"): "the one-row view of mixture_mis, for an estimate over a single atom set",
 }
 
 
