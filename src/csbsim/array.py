@@ -150,8 +150,10 @@ def gains(f: np.ndarray, thetas, phis) -> np.ndarray:
     (B, rows, cols), giving (B, D). Each distinct elevation's row products
     with every beam, and each distinct azimuth's factor, are built once; the
     directions then go through in blocks of about GAIN_BLOCK / (B cols), all
-    beams at once, so no temporary grows with D. Every gain is the same
-    products summed in the same order as for a single direction.
+    beams at once, so no temporary grows with D. A stack's gains equal, bit
+    for bit, those of single calls on each beam. A direction's gain need not
+    equal its gain alone: with more than one distinct elevation, the BLAS
+    call behind the elevation products may round them differently.
     """
     f = np.asarray(f)
     rows, cols = f.shape[-2:]

@@ -79,17 +79,19 @@ def _nearest_psk_indices(z: np.ndarray, m_order: int) -> np.ndarray:
     return k % m_order
 
 
-def equalize_and_detect(y, h_hat, m_order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest-symbol (ML under AWGN) decisions on y / h_hat, elementwise.
+def equalize_and_detect(y, h_hat: complex, m_order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest-symbol (ML under AWGN) decisions on y / h_hat, elementwise,
+    with one trained gain h_hat for every sample.
 
-    Returns (equalized samples, symbol indices). Where h_hat == 0 the
-    receiver has no channel: the sample is 0 and the index -1 (an erasure,
-    always counted as an error).
+    Returns (equalized samples, symbol indices). If h_hat == 0 the receiver
+    has no channel: every sample is 0 and every index -1 (an erasure, always
+    counted as an error).
     """
-    y, h_hat = np.broadcast_arrays(np.asarray(y, dtype=complex), h_hat)
-    trained = h_hat != 0
-    z = np.divide(y, h_hat, out=np.zeros(y.shape, dtype=complex), where=trained)
-    return z, np.where(trained, _nearest_psk_indices(z, m_order), -1)
+    y = np.asarray(y, dtype=complex)
+    if h_hat == 0:
+        return np.zeros(y.shape, dtype=complex), np.full(y.shape, -1)
+    z = y / h_hat
+    return z, _nearest_psk_indices(z, m_order)
 
 
 def defense_gains(defense: str, f: np.ndarray, directions, rx_grid, rng=None, num=None, asm_c=None) -> np.ndarray:
@@ -189,14 +191,14 @@ def smi_sweep(
 def smi_bytes(n_t: int, num_rows: int, m_order: int, asm_c, mi_samples: int) -> float:
     """Peak traced bytes of smi_sweep over num_rows directions (the receiver's
     and the eavesdroppers') on an n_t-element linear array, then of
-    smi_theory: one column's mixture_mis call at one worker (the same on
-    every host), 80 B per direction and atom for the defense gains that
-    become the atoms (64 B measured for CSB), ASM's mask block, and
+    smi_theory: one column's mixture_mis call (at MI_WORKERS workers, the
+    same on every host), 80 B per direction and atom for the defense gains
+    that become the atoms (64 B measured for CSB), ASM's mask block, and
     psk_mutual_information's quadrature (25 B per element of its three
     (M, MI_NODES, MI_NODES) arrays, measured)."""
     atoms = max([n_t] + [MI_SUBSETS] * bool(asm_c))
     return (
-        mixture_mi_bytes(mi_samples, m_order, atoms, num_rows, workers=1)
+        mixture_mi_bytes(mi_samples, m_order, atoms, num_rows)
         + 80.0 * num_rows * atoms
         + 17.0 * min(MASK_BLOCK, MI_SUBSETS) * n_t * bool(asm_c)
         + 25.0 * m_order * MI_NODES**2
@@ -229,19 +231,21 @@ class SymbolRun(NamedTuple):
     eve_equalized: np.ndarray
 
 
-def _draw(f, directions, defense, m_order, num_symbols, rng, asm_c):
+def _draw(f, directions, defense, m_order, num_symbols, rng, asm_c, trained):
     """A Monte-Carlo run's draws from rng toward directions (RX, eavesdropper),
     in a fixed order (symbol indices, RX noise, eavesdropper noise, then the
     defense's gains from defense_gains), so runs that differ only in the
-    defense are exactly paired: (symbol indices, symbols, then per receiver its
-    unit noise re + j im, the defense's gains and the fixed beam's trained gain)."""
+    defense are exactly paired. trained holds the fixed beam's gains toward
+    directions, gains(f, *directions.T). Returns (symbol indices, symbols,
+    then per receiver its unit noise re + j im, the defense's gains and its
+    entry of trained)."""
     if num_symbols < 1:
         raise ValueError(f"num_symbols must be >= 1, got {num_symbols}")
     rows, cols = f.shape
     true_idx = rng.integers(m_order, size=num_symbols)
     normals = [rng.standard_normal(num_symbols) + 1j * rng.standard_normal(num_symbols) for _ in range(2)]
     g = defense_gains(defense, f, directions, nearest_grid_index(*directions[0], cols, rows), rng, num_symbols, asm_c)
-    return true_idx, psk_symbols(m_order)[true_idx], list(zip(normals, g, gains(f, *directions.T)))
+    return true_idx, psk_symbols(m_order)[true_idx], list(zip(normals, g, trained))
 
 
 def _detect(draw, links, m_order: int) -> SymbolRun:
@@ -249,7 +253,7 @@ def _detect(draw, links, m_order: int) -> SymbolRun:
     true_idx, x, paths = draw
     (_, rx_idx), (eve_equalized, eve_idx) = (
         equalize_and_detect(
-            received_symbol(link, g, x, n * math.sqrt(link.sigma2 / 2)), received_symbol(link, h, 1.0, 0.0), m_order
+            received_symbol(link, g, x, n * math.sqrt(link.sigma2 / 2)), math.sqrt(link.p_r) * h, m_order
         )
         for link, (n, g, h) in zip(links, paths)
     )
@@ -289,10 +293,11 @@ def ser_sweep(
     g_rx = abs(gains(f, (rx_direction[0],), (rx_direction[1],))[0])
     sigma2s = [sigma2_for_snr(p_rx, g_rx, snr_db) for snr_db in snr_dbs]
     directions = np.array([rx_direction, eve_direction], dtype=float)
+    trained = gains(f, *directions.T)
     defenses = [("none", None), ("csb", None)] + [("asm", c) for c in asm_c]
     errors = np.empty((len(sigma2s), len(defenses), 2), dtype=np.int64)
     for col, (defense, c) in enumerate(defenses):
-        draw = _draw(f, directions, defense, m_order, num_symbols, np.random.default_rng([seed, 0]), c)
+        draw = _draw(f, directions, defense, m_order, num_symbols, np.random.default_rng([seed, 0]), c, trained)
         for si, s2 in enumerate(sigma2s):
             run = _detect(draw, (LinkState(p_rx, s2), LinkState(p_eve, s2)), m_order)
             errors[si, col] = [np.count_nonzero(idx != run.true_idx) for idx in (run.rx_idx, run.eve_idx)]

@@ -147,6 +147,19 @@ class ExperimentConfig:
         steps = float(self.scenario().num_steps)
         points = (self.snr_max_db - self.snr_min_db + 1e-9) / self.snr_step_db + 1
         shape, ser = f"a {rows} x {cols} array", (self.asm_c, self.num_symbols)
+        # the link budget's peak SNR, p0 (r0 / r)^2 / sigma2 times the array
+        # gain's square (at most the element count): every plane cell lies at
+        # least d from the array, and the lane at least hypot(lane_x, h)
+        r_min = min(self.d, math.hypot(self.lane_x, self.h))
+        try:
+            peak_snr = self.p0 * (self.r0 / r_min) ** 2 / self.sigma2 * rows * cols
+        except OverflowError:
+            peak_snr = math.inf
+        if peak_snr == math.inf:
+            raise ConfigError(
+                f"[scenario] p0 = {self.p0:g}, r0 = {self.r0:g}, sigma2 = {self.sigma2:g}: "
+                f"the peak SNR at range {r_min:g} on {shape} overflows a float"
+            )
         # each estimate sits beside its kernels; the first past the cap names its key
         for where, estimate in (
             (f"[array] n_t = {self.n_t}: {shape}", array_bytes(rows, cols)),

@@ -29,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from csbsim.airspy import Scenario
-from csbsim.array import GridIndex, grid_angle
+from csbsim.array import GridIndex, gains, grid_angle
 from csbsim.channel_sim import LinkState, SymbolRun, _detect, _draw, path_power
 from csbsim.csb_defense import _logsumexp, mixture_mis, psk_symbols
 from csbsim.geometry import RectPoint, UavPlaneSpec, rect_to_msph
@@ -241,7 +241,8 @@ def simulate_symbols(
     from rng is fixed (symbol indices, RX noise, eavesdropper noise, defense
     randomness), so runs differing only in the defense are exactly paired.
     """
-    draw = _draw(f, np.array([rx_direction, eve_direction], dtype=float), defense, m_order, num_symbols, rng, asm_c)
+    directions = np.array([rx_direction, eve_direction], dtype=float)
+    draw = _draw(f, directions, defense, m_order, num_symbols, rng, asm_c, gains(f, *directions.T))
     return _detect(draw, (rx_link, eve_link), m_order)
 
 

@@ -16,7 +16,7 @@ import weakref
 import numpy as np
 import pytest
 
-from csbsim import airspy, cli, csb_defense
+from csbsim import airspy, cli
 from csbsim.channel_sim import equalize_and_detect, ser_bytes
 from csbsim.cli import ConfigError, ExperimentConfig, _plan, _write_csv, dump_config, load_config, main
 from csbsim.csb_defense import apn_law
@@ -56,6 +56,8 @@ BAD_CONFIGS = [
     # 256 symbols whose ASM subsets of a 512 x 512 array fill one 1.14 GB mask block
     ("ser", "[array]\nn_t = 512\n[attack]\ngrid_g = 2\n[experiment]\nnum_symbols = 256\n", "[experiment] num_symbols"),
     ("smi-sweep", "[experiment]\nmi_samples = 1000000000000\n", "[experiment] mi_samples"),
+    # MI estimates that fit the cap at one worker but not at MI_WORKERS
+    ("smi-sweep", "[experiment]\nm_order = 512\nmi_samples = 2000000\n", "[experiment] mi_samples"),
     # an SNR step that cannot move the sweep off -10 dB, and one that moves
     # it through 4e7 points
     ("ser", "[experiment]\nsnr_step_db = 1e-300\n", "[experiment] snr_step_db"),
@@ -73,6 +75,10 @@ BAD_CONFIGS = [
     # above it on a weak path
     ("ser", "[experiment]\nsnr_min_db = -3090\nsnr_max_db = -3090\n", "[experiment] snr_min_db"),
     ("ser", "[scenario]\np0 = 1e-20\n[experiment]\nsnr_min_db = 3000\nsnr_max_db = 3080\n", "[experiment] snr_max_db"),
+    # a link budget whose peak SNR overflows a float, at the plane's nearest
+    # cell (r0) and for every range (sigma2)
+    ("ser", "[scenario]\nr0 = 1e200\n", "[scenario]"),
+    ("attack", "[scenario]\nsigma2 = 1e-320\n", "[scenario]"),
     # a file that is not UTF-8
     ("apn-dist", b"\xff\xfe[array]\nn_t = 16\n", "cannot read config"),
 ]
@@ -114,19 +120,18 @@ class TestConfigFile:
     def test_defaults_without_file(self):
         assert load_config(None) == ExperimentConfig()
 
-    @pytest.mark.parametrize("cap", [csb_defense.MI_WORKERS, 64])
-    def test_size_check_does_not_read_the_host(self, monkeypatch, cap):
-        # 64 CPUs, with MI_WORKERS as it is and raised to 64: the MI size
-        # check reads one worker, so the default config and m_order = 512
-        # pass as on one CPU, and so does m_order = 512 at 2e6 samples
-        # (1.03 GB of 1.07 at one worker, 1.10 GB at two); 1024 fails
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
-        monkeypatch.setattr(csb_defense, "MI_WORKERS", cap)
+    @pytest.mark.parametrize("cpus", [1, 64])
+    def test_size_check_does_not_read_the_host(self, monkeypatch, cpus):
+        # On 1 CPU as on 64, the MI size check counts MI_WORKERS workers: the
+        # default config and m_order = 512 pass, and m_order = 512 at 2e6
+        # samples fails (1.04 GB of the 1.07 GB cap at one worker, 1.10 GB at
+        # two), as does m_order = 1024
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         ExperimentConfig()
         ExperimentConfig(m_order=512)
-        ExperimentConfig(m_order=512, mi_samples=2_000_000)
-        with pytest.raises(ConfigError, match=r"^\[experiment\] mi_samples"):
-            ExperimentConfig(m_order=1024)
+        for fields in ({"m_order": 512, "mi_samples": 2_000_000}, {"m_order": 1024}):
+            with pytest.raises(ConfigError, match=r"^\[experiment\] mi_samples"):
+                ExperimentConfig(**fields)
 
     def test_ser_size_check_counts_the_asm_mask_block(self):
         # 256 symbols take 70 kB, but their ASM subsets of a 512 x 512 array

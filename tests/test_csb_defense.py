@@ -557,33 +557,34 @@ def test_mixture_mi_peak_counts_every_worker(monkeypatch, traced_peak, cpus):
     _on_cpus(monkeypatch, cpus)
     stack = np.exp(1j * np.arange(182 * 256)).reshape(182, 256)
     peak = traced_peak(mixture_mis, stack, np.full(182, 10.0), 4, np.random.default_rng(0), 256)
-    assert peak < mixture_mi_bytes(256, 4, 256, 182) == mixture_mi_bytes(256, 4, 256, 182, workers=cpus)
+    assert peak < mixture_mi_bytes(256, 4, 256, 182)
 
 
 def test_mixture_mi_peak_stays_below_its_estimate_at_large_m(monkeypatch, traced_peak):
-    # The tightest shape measured: one row of 16 atoms at M = 1024, where the
+    # The tightest shape measured: rows of 16 atoms at M = 1024, where the
     # per-symbol sums and the log-sum-exp temporaries are almost all of the
-    # peak (0.98 of the estimate), so one more full-size temporary there
-    # would pass the estimate that the config's size check reads
-    _on_cpus(monkeypatch, 1)
-    atoms = np.exp(1j * np.arange(16)).reshape(1, 16)
-    peak = traced_peak(mixture_mis, atoms, np.full(1, 10.0), 1024, np.random.default_rng(0), 2000)
-    assert peak < mixture_mi_bytes(2000, 1024, 16, 1, workers=1)
+    # peak (0.98 of the estimate), one row on one worker and two rows on two
+    # workers, which hold their buffers at once; one more full-size
+    # temporary there would pass the estimate that the config's size check
+    # reads
+    for rows in (1, 2):
+        _on_cpus(monkeypatch, rows)
+        atoms = np.exp(1j * np.arange(16)) * np.ones((rows, 1))
+        peak = traced_peak(mixture_mis, atoms, np.full(rows, 10.0), 1024, np.random.default_rng(0), 2000)
+        assert peak < mixture_mi_bytes(2000, 1024, 16, rows), rows
 
 
 @pytest.mark.parametrize("m", [4, 512, 1024])
-def test_many_cpus_start_at_most_mi_workers_within_mi_spare(monkeypatch, m):
-    # On 64 CPUs a call starts at most MI_WORKERS workers, and the workers
-    # past the first take at most MI_SPARE bytes: M = 512's 64 MB rows run
-    # on two, M = 1024's 126 MB rows on one. The one-worker size does not
-    # read the host.
-    one = mixture_mi_bytes(20000, m, 256, 182, workers=1)
+def test_many_cpus_start_at_most_mi_workers(monkeypatch, m):
+    # On 64 CPUs a call starts MI_WORKERS workers whatever their buffers
+    # take, M = 1024's 126 MB rows as M = 4's, and on 1 CPU one worker. The
+    # size estimate counts MI_WORKERS workers on both.
+    _on_cpus(monkeypatch, 1, csb_defense.MI_WORKERS)
+    assert csb_defense._mi_workers(182) == 1
+    one = mixture_mi_bytes(20000, m, 256, 182)
     _on_cpus(monkeypatch, 64, csb_defense.MI_WORKERS)
-    workers = csb_defense._mi_workers(182, MI_CHUNK, m, 256)
-    assert 1 <= workers <= csb_defense.MI_WORKERS
-    assert workers == (2 if m < 1024 else 1)
-    assert mixture_mi_bytes(20000, m, 256, 182, workers=1) == one
-    assert one <= mixture_mi_bytes(20000, m, 256, 182) <= one + csb_defense.MI_SPARE
+    assert csb_defense._mi_workers(182) == csb_defense.MI_WORKERS == 2
+    assert mixture_mi_bytes(20000, m, 256, 182) == one
 
 
 def _csb_atom_sets():
