@@ -182,9 +182,11 @@ class _Tables:
         cells = amp.shape[1] - n
         gain2 = amp[:, :cells]
         gain2 *= gain2
-        self.reward = np.full((g, g, n), NEG_INF)
+        # stored step by step, so each step's (g, g) plane is contiguous,
+        # and indexed (u, v, t)
+        self.reward = np.full((n, g, g), NEG_INF).transpose(1, 2, 0)
         self.rx_rate = np.empty(n)
-        self.feasible = np.empty((g, g, n), dtype=bool)
+        self.feasible = np.empty((n, g, g), dtype=bool).transpose(1, 2, 0)
         for t, (beam_grid, (th_r, ph_r), rx_r) in enumerate(states):
             b = beam_of[beam_grid]
             self.reward[:, :, t][self.valid] = np.log2(1.0 + snr * gain2[b])
@@ -221,14 +223,16 @@ def value_iteration(scenario: Scenario, constraints: AttackConstraints) -> tuple
     """Finite-horizon backward induction over (cell, step).
 
     Returns the tables it built and the values H indexed (grid u, grid v,
-    time step). Terminal-layer values are 0; earlier layers satisfy
+    time step), stored step by step like the tables' reward and feasible
+    arrays, so that each step's plane is contiguous. Terminal-layer values
+    are 0; earlier layers satisfy
     H(s, t) = max over permissible successors s' of R(s', t+1) + H(s', t+1),
     with -inf where no successor is permissible. A successor is an in-bounds
     cell at one of the tables' offsets that is feasible at step t+1.
     """
     tab = _Tables(scenario, constraints)
     g, n = tab.g, scenario.num_steps
-    h = np.zeros((g, g, n))
+    h = np.zeros((n, g, g)).transpose(1, 2, 0)
     for t in range(n - 2, -1, -1):
         cand = tab.reward[:, :, t + 1] + h[:, :, t + 1]
         cand[~tab.feasible[:, :, t + 1]] = NEG_INF

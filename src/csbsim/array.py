@@ -22,9 +22,9 @@ import numpy as np
 #: Sentinel for unquantized (infinite-resolution) phase shifters.
 UNQUANTIZED = None
 
-#: Complex elements in one block of gains' (beams, directions, cols)
-#: products: 512 kB, which stays in a core's L2 cache from the block's
-#: gather through its product to its sum.
+#: Complex elements in one chunk of gains' gathered azimuth factors
+#: (directions, cols) and of its (beams, directions) product: 512 kB each,
+#: which stay in a core's L2 cache from the gather through the product.
 GAIN_BLOCK = 2**15
 
 
@@ -148,12 +148,15 @@ def gains(f: np.ndarray, thetas, phis) -> np.ndarray:
 
     f is one (rows, cols) beamformer, giving a (D,) complex array, or a stack
     (B, rows, cols), giving (B, D). Each distinct elevation's row products
-    with every beam, and each distinct azimuth's factor, are built once; the
-    directions then go through in blocks of about GAIN_BLOCK / (B cols), all
-    beams at once, so no temporary grows with D. A stack's gains equal, bit
-    for bit, those of single calls on each beam. A direction's gain need not
-    equal its gain alone: with more than one distinct elevation, the BLAS
-    call behind the elevation products may round them differently.
+    with every beam, and each distinct azimuth's factor, are built once; each
+    elevation's directions then take one matrix product of its (B, cols) row
+    products with their azimuth factors, in chunks of at most
+    GAIN_BLOCK / max(B, cols) directions, so that past the index arrays,
+    8 B per direction each, no temporary grows with D. The BLAS products
+    round as they see fit: a direction's gain may differ in its last bits
+    between calls on different direction sets, and a stack's from single
+    calls on each beam. Against the gathered sum of products, each beam's
+    gains are within 8 eps times the sum of its |F| entries.
     """
     f = np.asarray(f)
     rows, cols = f.shape[-2:]
@@ -163,12 +166,16 @@ def gains(f: np.ndarray, thetas, phis) -> np.ndarray:
     el = _steering(u_phi, rows) @ np.conj(stack)  # (B, distinct phis, cols)
     a_az = _steering(u_theta, cols)
     out = np.empty((len(stack), len(ip)), dtype=complex)
-    step = max(1, GAIN_BLOCK // (len(stack) * cols))
-    for lo in range(0, len(ip), step):
-        blk = slice(lo, lo + step)
-        t = el[:, ip[blk]]
-        t *= a_az[it[blk]]
-        np.sum(t, axis=2, out=out[:, blk])
+    # the directions grouped by elevation, each group in its original order
+    order = np.argsort(ip, kind="stable")
+    ends = np.cumsum(np.bincount(ip, minlength=len(u_phi))).tolist()
+    step = max(1, GAIN_BLOCK // max(cols, len(stack)))
+    lo = 0
+    for e, hi in enumerate(ends):
+        for c in range(lo, hi, step):
+            idx = order[c : min(c + step, hi)]
+            out[:, idx] = el[:, e] @ a_az[it[idx]].T
+        lo = hi
     return out.reshape(f.shape[:-2] + (len(ip),))
 
 

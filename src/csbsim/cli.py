@@ -287,24 +287,41 @@ def dump_config(cfg: ExperimentConfig) -> str:
 
 # The format of a column's values by its numpy dtype kind: str, int, float.
 _FORMATS = {"U": "%s", "i": "%d", "u": "%d", "f": "%.12g"}
+#: Rows _write_csv formats at a time: few enough that their strings stay
+#: small beside the run's arrays, many enough that a repeated float, such as
+#: a beam map's angles, is formatted once for many rows.
+CSV_ROWS = 2048
+
+
+def _fields(column: np.ndarray) -> list[str]:
+    """A column's CSV fields. Each distinct float is formatted once, told
+    apart by its bits so that -0.0 keeps its sign; a NaN is an empty field."""
+    kind = column.dtype.kind
+    if kind == "U":
+        return column.tolist()
+    if kind != "f":
+        return [_FORMATS[kind] % x for x in column.tolist()]
+    bits, inverse = np.unique(column.astype(np.float64).view(np.int64), return_inverse=True)
+    text = np.array(["" if math.isnan(x) else _FORMATS[kind] % x for x in bits.view(np.float64).tolist()], dtype=object)
+    return text[inverse].tolist()
 
 
 def _write_csv(path: str, header, columns) -> str:
     """Write columns (equal-length sequences or arrays) under a header of names.
 
-    Each row is one `%` call on a format built once from the columns' element
-    types; a NaN float is written as an empty field. Columns of unequal
-    length raise ValueError.
+    The rows go out CSV_ROWS at a time: each column's slice is formatted by
+    its element type (see _fields), and each row is its fields joined by
+    commas. Columns of unequal length raise ValueError, before the file is
+    opened.
     """
-    arrays = []
-    for column in map(np.asarray, columns):
-        if column.dtype.kind == "f" and np.isnan(column).any():
-            column = np.array(["" if math.isnan(x) else "%.12g" % x for x in column.tolist()])
-        arrays.append(column)
-    line = ",".join(_FORMATS[a.dtype.kind] for a in arrays) + "\n"
+    arrays = [np.asarray(column) for column in columns]
+    if len({len(a) for a in arrays}) > 1:
+        raise ValueError(f"columns of unequal length: {[len(a) for a in arrays]}")
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(line % row for row in zip(*arrays, strict=True))
+        for lo in range(0, len(arrays[0]) if arrays else 0, CSV_ROWS):
+            fields = [_fields(a[lo : lo + CSV_ROWS]) for a in arrays]
+            fh.writelines(",".join(row) + "\n" for row in zip(*fields))
     return path
 
 

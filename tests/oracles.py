@@ -11,13 +11,15 @@ over a single atom set (mixture_mi, the one-row view of
 csb_defense.mixture_mis). Direct forms of the direction-gain kernel (against
 array.gains, which shares each distinct angle's factor) and of the mixture
 MI estimator (against mixture_mi, whose exponents come from one real
-product); the kernel's previous gathered form, which must match bit for
-bit, and the estimator's previous blocked form, which must match within a
-tolerance that grows with rho times the largest atom power; and a
-quadrature of the mixture MI that its standard error is checked against.
+product); the kernel's previous gathered form, which must match within 8
+eps times each beam's sum of |F| entries, and the estimator's previous
+blocked form, which must match within a tolerance that grows with rho
+times the largest atom power; and a quadrature of the mixture MI that its
+standard error is checked against.
 The single Monte-Carlo symbol run (simulate_symbols: channel_sim's draw
 step then its detect step), which ser_sweep's rows and constellation are
-checked against and the link tests drive directly.
+checked against and the link tests drive directly. The CSV writer's
+previous row-by-row form (row_csv), whose bytes cli._write_csv must equal.
 """
 
 from __future__ import annotations
@@ -108,11 +110,9 @@ def direct_gains(f: np.ndarray, thetas, phis) -> np.ndarray:
 
 
 def gathered_gains(f: np.ndarray, thetas, phis) -> np.ndarray:
-    """array.gains as it was before it went through the directions in blocks:
+    """array.gains as it was before it took one matrix product per elevation:
     per beam, each direction's elevation products and azimuth factor
-    gathered into two fresh (D, cols) arrays, then multiplied and summed.
-    The same floating-point operations on every element, so the result is
-    bit for bit the library's."""
+    gathered into two fresh (D, cols) arrays, then multiplied and summed."""
     def steering(angles, n):
         return np.exp(-1j * np.pi * np.sin(angles)[:, None] * np.arange(n))
 
@@ -319,3 +319,19 @@ def argpartition_subset_masks(size: int, active: int, num: int, rng: np.random.G
     masks = np.zeros((num, size), dtype=bool)
     np.put_along_axis(masks, keep, True, axis=1)
     return masks
+
+
+def row_csv(path: str, header, columns) -> None:
+    """cli._write_csv as it was before it formatted each distinct float once:
+    each row is one `%` call on a format built from the columns' element
+    types, and a float column holding a NaN is formatted field by field."""
+    arrays = []
+    for column in map(np.asarray, columns):
+        if column.dtype.kind == "f" and np.isnan(column).any():
+            column = np.array(["" if math.isnan(x) else "%.12g" % x for x in column.tolist()])
+        arrays.append(column)
+    formats = {"U": "%s", "i": "%d", "u": "%d", "f": "%.12g"}
+    line = ",".join(formats[a.dtype.kind] for a in arrays) + "\n"
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(line % row for row in zip(*arrays, strict=True))

@@ -270,6 +270,15 @@ class TestPlanner:
                 assert np.isneginf(h[a, b, t])
             checked += 1
 
+    def test_each_step_plane_is_contiguous(self):
+        # the build, the backward induction and the walk each touch one
+        # step's (g, g) plane at a time
+        sc, cons = lane_scenario(), lane_constraints(grid_g=16)
+        tab, h = value_iteration(sc, cons)
+        for table in (tab.reward, tab.feasible, h):
+            assert table.shape == (16, 16, sc.num_steps)
+            assert all(table[:, :, t].flags.c_contiguous for t in range(sc.num_steps))
+
     def test_terminal_layer_is_zero(self):
         sc, cons = lane_scenario(), lane_constraints()
         _, h = value_iteration(sc, cons)

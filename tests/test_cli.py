@@ -21,6 +21,8 @@ from csbsim.channel_sim import equalize_and_detect, ser_bytes
 from csbsim.cli import ConfigError, ExperimentConfig, _plan, _write_csv, dump_config, load_config, main
 from csbsim.csb_defense import apn_law
 
+from oracles import row_csv
+
 
 # (subcommand, config text or bytes, the key or section its error line must name)
 BAD_CONFIGS = [
@@ -109,6 +111,23 @@ def test_write_csv_formats_columns_by_type(tmp_path, header, columns, expected):
     path = tmp_path / "t.csv"
     assert _write_csv(str(path), header, columns) == str(path)
     assert path.read_bytes() == expected
+
+
+def test_write_csv_bytes_equal_the_row_writer(tmp_path):
+    # repeated floats, each formatted once, and every float the bits keep
+    # apart: -0.0 and 0.0, NaN, infinities, and a tiny subnormal; over two
+    # whole slices of CSV_ROWS rows and a ragged third
+    rng = np.random.default_rng(5)
+    values = np.array([0.0, -0.0, np.nan, 1 / 3, -2.5, 1e-320, np.inf, -np.inf, 123456789012345.0])
+    rows = 2 * cli.CSV_ROWS + 3
+    floats = np.concatenate([values[rng.integers(len(values), size=rows - 100)], rng.normal(size=100)])
+    header = ["k", "s", "x", "y"]
+    columns = [rng.integers(-5, 5, size=rows), rng.choice(["none", "asm-0.5"], size=rows), floats, floats[::-1].copy()]
+    _write_csv(str(tmp_path / "new.csv"), header, columns)
+    row_csv(str(tmp_path / "old.csv"), header, columns)
+    got = (tmp_path / "new.csv").read_bytes()
+    assert got == (tmp_path / "old.csv").read_bytes()
+    assert b",-0," in got and b",0," in got and b",," in got
 
 
 def test_write_csv_rejects_unequal_columns(tmp_path):
