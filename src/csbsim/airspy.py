@@ -137,7 +137,8 @@ class _Tables:
 
     value_iteration builds one per plan and hands it to extract_trajectory
     with the values; nothing else keeps it, so it is freed with the plan.
-    offsets are the per-step moves in lexicographic order.
+    offsets are the per-step moves in lexicographic order, and widths[k]
+    the largest |dj| among them in row offset di = k - len(widths) // 2.
     """
 
     def __init__(self, scenario: Scenario, constraints: AttackConstraints):
@@ -196,14 +197,13 @@ class _Tables:
             sep2 = (self.theta - th_r) ** 2 + (self.phi - ph_r) ** 2
             self.feasible[:, :, t] = self.valid & (sep2 > eps2)
 
+        # the moves within the index radius, clamped to g - 1 cells per axis:
+        # no farther move lands on the grid
         rad_idx = constraints.step_radius * scenario.t_s * g / 2.0
-        lim = int(math.floor(rad_idx))
-        self.offsets = [
-            (di, dj)
-            for di in range(-lim, lim + 1)
-            for dj in range(-lim, lim + 1)
-            if di * di + dj * dj <= rad_idx * rad_idx
-        ]
+        lim = int(min(rad_idx, g - 1))
+        rows = range(-lim, lim + 1)
+        self.widths = [max(dj for dj in range(lim + 1) if di * di + dj * dj <= rad_idx * rad_idx) for di in rows]
+        self.offsets = [(di, dj) for di, w in zip(rows, self.widths) for dj in range(-w, w + 1)]
 
 
 def planner_bytes(grid_g: int, steps: float, rows: int, cols: int) -> float:
@@ -229,21 +229,38 @@ def value_iteration(scenario: Scenario, constraints: AttackConstraints) -> tuple
     H(s, t) = max over permissible successors s' of R(s', t+1) + H(s', t+1),
     with -inf where no successor is permissible. A successor is an in-bounds
     cell at one of the tables' offsets that is feasible at step t+1.
+
+    Each step takes the maximum over the moves by row maxima: for
+    w = 1 .. the widest row's half-width, the largest R + H within w columns
+    of each cell comes from the one within w - 1 and two shifted maxima,
+    and each row offset di then takes one shifted maximum of it at its own
+    half-width. A maximum is exact, so H is bit-equal to a maximum taken
+    move by move. The tables clamp the moves to g - 1 cells per axis, so any
+    radius past the grid plans as the radius (g - 1) sqrt(2) does.
     """
     tab = _Tables(scenario, constraints)
     g, n = tab.g, scenario.num_steps
+    lim = len(tab.widths) // 2
+    rows_of_width: dict[int, list[int]] = {}
+    for di, w in enumerate(tab.widths, -lim):
+        rows_of_width.setdefault(w, []).append(di)
     h = np.zeros((n, g, g)).transpose(1, 2, 0)
     for t in range(n - 2, -1, -1):
         cand = tab.reward[:, :, t + 1] + h[:, :, t + 1]
         cand[~tab.feasible[:, :, t + 1]] = NEG_INF
-        best = np.full((g, g), NEG_INF)
-        for di, dj in tab.offsets:
-            src_a = slice(max(0, -di), g - max(0, di))
-            src_b = slice(max(0, -dj), g - max(0, dj))
-            dst_a = slice(max(0, di), g + min(0, di))
-            dst_b = slice(max(0, dj), g + min(0, dj))
-            np.maximum(best[src_a, src_b], cand[dst_a, dst_b], out=best[src_a, src_b])
-        h[:, :, t] = best
+        # row[a, b]: the largest cand[a, b - w .. b + w] on the grid, for
+        # w = 0, 1, ... in turn; each row offset di takes it at w = its width
+        row = cand.copy()
+        best = h[:, :, t]
+        best.fill(NEG_INF)
+        for w in range(max(tab.widths) + 1):
+            if w:
+                np.maximum(row[:, w:], cand[:, : g - w], out=row[:, w:])
+                np.maximum(row[:, : g - w], cand[:, w:], out=row[:, : g - w])
+            for di in rows_of_width.get(w, ()):
+                src = slice(max(0, -di), g - max(0, di))
+                dst = slice(max(0, di), g + min(0, di))
+                np.maximum(best[src], row[dst], out=best[src])
     return tab, h
 
 

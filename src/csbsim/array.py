@@ -180,14 +180,20 @@ def gains(f: np.ndarray, thetas, phis) -> np.ndarray:
 
 
 def beam_pattern(f: np.ndarray, directions) -> np.ndarray:
-    """Normalized gain magnitude of a beamformer over a list of directions.
+    """Normalized gain magnitude of a beamformer, or of a stack of them, over
+    a list of directions.
+
+    A stack takes one gains call, so the directions are sorted and their
+    steering tables built once for all its beams (its rows then differ from
+    single calls within gains' declared bound).
 
     Args:
-        f: (rows, cols) beamformer.
+        f: (rows, cols) beamformer, or a (B, rows, cols) stack.
         directions: iterable of (theta, phi) pairs, radians.
 
     Returns:
-        1D array of |<V(theta, phi), F>| / max over the list.
+        |<V(theta, phi), F>| over the list: a (D,) array for one beamformer,
+        (B, D) for a stack, each beam's row divided by its own maximum.
 
     Raises:
         ValueError: if the direction list is empty.
@@ -196,12 +202,17 @@ def beam_pattern(f: np.ndarray, directions) -> np.ndarray:
     if dirs.size == 0:
         raise ValueError("direction list is empty")
     amp = np.abs(gains(f, dirs[:, 0], dirs[:, 1]))
-    return amp / amp.max()
+    amp /= amp.max(axis=-1, keepdims=True)
+    return amp
 
 
 def array_bytes(rows: int, cols: int) -> float:
     """Peak traced bytes of the array's kernels on a rows x cols array: a
     codeword (66 B per element, measured) and every circulant shift's gain
-    toward two directions (171 B); a map of gains over 181 angles per axis
-    (32 B per angle and column); and 256 kB for numpy.fft's first use."""
-    return 2.0**18 + 240.0 * rows * cols + 32.0 * 181 * cols
+    toward two directions (171 B); beam-pattern's three maps, from one
+    beam_pattern call over 181 angles per axis, with per direction its mesh
+    of angles and their degrees (64 B), gains' sort indices (24 B) and the
+    three beams' complex gains and amplitudes (72 B), and per angle and
+    column the three beams' row products and the azimuth factor (64 B); and
+    256 kB for numpy.fft's first use."""
+    return 2.0**18 + 240.0 * rows * cols + 181.0 * (181.0 * 160.0 + 64.0 * cols)

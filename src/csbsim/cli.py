@@ -17,6 +17,7 @@ import configparser
 import ctypes
 import dataclasses
 import io
+import itertools
 import math
 import os
 import sys
@@ -293,6 +294,11 @@ _FORMATS = {"U": "%s", "i": "%d", "u": "%d", "f": "%.12g"}
 CSV_ROWS = 2048
 
 
+def _formatted(fmt: str, values: list) -> list[str]:
+    """Each value formatted by fmt, all of them in one `%`."""
+    return ((fmt + "\n") * len(values) % tuple(values)).split("\n")[:-1]
+
+
 def _fields(column: np.ndarray) -> list[str]:
     """A column's CSV fields. Each distinct float is formatted once, told
     apart by its bits so that -0.0 keeps its sign; a NaN is an empty field."""
@@ -300,9 +306,11 @@ def _fields(column: np.ndarray) -> list[str]:
     if kind == "U":
         return column.tolist()
     if kind != "f":
-        return [_FORMATS[kind] % x for x in column.tolist()]
+        return _formatted(_FORMATS[kind], column.tolist())
     bits, inverse = np.unique(column.astype(np.float64).view(np.int64), return_inverse=True)
-    text = np.array(["" if math.isnan(x) else _FORMATS[kind] % x for x in bits.view(np.float64).tolist()], dtype=object)
+    values = bits.view(np.float64)
+    text = np.array(_formatted(_FORMATS[kind], values.tolist()), dtype=object)
+    text[np.isnan(values)] = ""
     return text[inverse].tolist()
 
 
@@ -310,18 +318,20 @@ def _write_csv(path: str, header, columns) -> str:
     """Write columns (equal-length sequences or arrays) under a header of names.
 
     The rows go out CSV_ROWS at a time: each column's slice is formatted by
-    its element type (see _fields), and each row is its fields joined by
-    commas. Columns of unequal length raise ValueError, before the file is
-    opened.
+    its element type (see _fields), and the slice's rows are one `%` of a
+    comma-separated row format, repeated once per row, over the fields in
+    row order. Columns of unequal length raise ValueError, before the file
+    is opened.
     """
     arrays = [np.asarray(column) for column in columns]
     if len({len(a) for a in arrays}) > 1:
         raise ValueError(f"columns of unequal length: {[len(a) for a in arrays]}")
+    row = ",".join(["%s"] * len(arrays)) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for lo in range(0, len(arrays[0]) if arrays else 0, CSV_ROWS):
             fields = [_fields(a[lo : lo + CSV_ROWS]) for a in arrays]
-            fh.writelines(",".join(row) + "\n" for row in zip(*fields))
+            fh.write(row * len(fields[0]) % tuple(itertools.chain.from_iterable(zip(*fields))))
     return path
 
 
@@ -329,20 +339,18 @@ Table = tuple[list[str], list]  # one CSV's (header, columns), as _write_csv tak
 
 
 def cmd_beam_pattern(cfg: ExperimentConfig) -> dict[str, Table]:
-    """Normalized amplitude maps for the unquantized, 1-bit, and 2-bit beams."""
+    """Normalized amplitude maps for the unquantized, 1-bit, and 2-bit beams,
+    from one beam_pattern call on the three codewords."""
     step = 5 if cfg.tiny else 1
     rad = np.radians(np.arange(-90, 91, step))
     th, ph = np.meshgrid(rad, rad, indexing="ij")
     dirs = np.column_stack([th.ravel(), ph.ravel()])
     degrees = np.degrees(dirs.T)
     grid = nearest_grid_index(math.radians(cfg.target_theta_deg), math.radians(cfg.target_phi_deg), cfg.n_t, cfg.n_rows)
-    return {
-        f"beam_pattern_q{label}.csv": (
-            ["theta_deg", "phi_deg", "normalized_amplitude"],
-            [*degrees, beam_pattern(dft_codeword(grid, ArrayConfig(cfg.n_t, q, cfg.n_rows)), dirs)],
-        )
-        for label, q in (("inf", None), ("1", 1), ("2", 2))
-    }
+    labels, qs = ("inf", "1", "2"), (None, 1, 2)
+    maps = beam_pattern(np.stack([dft_codeword(grid, ArrayConfig(cfg.n_t, q, cfg.n_rows)) for q in qs]), dirs)
+    header = ["theta_deg", "phi_deg", "normalized_amplitude"]
+    return {f"beam_pattern_q{label}.csv": (header, [*degrees, amp]) for label, amp in zip(labels, maps)}
 
 
 def cmd_smi_sweep(cfg: ExperimentConfig) -> dict[str, Table]:

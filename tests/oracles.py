@@ -20,6 +20,8 @@ The single Monte-Carlo symbol run (simulate_symbols: channel_sim's draw
 step then its detect step), which ser_sweep's rows and constellation are
 checked against and the link tests drive directly. The CSV writer's
 previous row-by-row form (row_csv), whose bytes cli._write_csv must equal.
+The planner's previous move-by-move backward induction (offset_values),
+whose values airspy.value_iteration must equal bit for bit.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from csbsim.airspy import Scenario
+from csbsim.airspy import NEG_INF, AttackConstraints, Scenario, _Tables
 from csbsim.array import GridIndex, gains, grid_angle
 from csbsim.channel_sim import LinkState, SymbolRun, _detect, _draw, path_power
 from csbsim.csb_defense import _logsumexp, mixture_mis, psk_symbols
@@ -335,3 +337,26 @@ def row_csv(path: str, header, columns) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         fh.writelines(line % row for row in zip(*arrays, strict=True))
+
+
+def offset_values(scenario: Scenario, constraints: AttackConstraints) -> np.ndarray:
+    """airspy.value_iteration's values as they were taken before its row
+    maxima: each step's maximum of R + H taken one move at a time, over
+    every offset within the index radius that can land on the grid."""
+    tab = _Tables(scenario, constraints)
+    g, n = tab.g, scenario.num_steps
+    rad = constraints.step_radius * scenario.t_s * g / 2.0
+    offsets = [(di, dj) for di in range(1 - g, g) for dj in range(1 - g, g) if di * di + dj * dj <= rad * rad]
+    h = np.zeros((g, g, n))
+    for t in range(n - 2, -1, -1):
+        cand = tab.reward[:, :, t + 1] + h[:, :, t + 1]
+        cand[~tab.feasible[:, :, t + 1]] = NEG_INF
+        best = np.full((g, g), NEG_INF)
+        for di, dj in offsets:
+            src_a = slice(max(0, -di), g - max(0, di))
+            src_b = slice(max(0, -dj), g - max(0, dj))
+            dst_a = slice(max(0, di), g + min(0, di))
+            dst_b = slice(max(0, dj), g + min(0, dj))
+            np.maximum(best[src_a, src_b], cand[dst_a, dst_b], out=best[src_a, src_b])
+        h[:, :, t] = best
+    return h

@@ -38,6 +38,7 @@ from csbsim.geometry import UavPlaneSpec, rect_to_msph
 from dp_oracle import brute_force_trajectory, successors, tiny_instance
 from oracles import (
     array_response,
+    offset_values,
     beam_gain,
     direct_gains,
     msph_angles_of_plane_coord,
@@ -307,6 +308,29 @@ class TestPlanner:
             assert traj.total_reward == total
             feasible_seen += 1
         assert feasible_seen >= 4
+
+    @pytest.mark.parametrize("radius", [0.5, 1.0, 1.5, 2.4, 3.2, 7.5, 1e6])
+    def test_values_bit_equal_the_move_by_move_maximum(self, radius):
+        # the row maxima against a maximum taken one move at a time, from
+        # staying put up to a radius past the 16-cell grid
+        sc = lane_scenario()
+        base = lane_constraints(grid_g=16)
+        cons = dataclasses.replace(base, v_max=base.v_max * radius / index_radius(sc, base))
+        _, h = value_iteration(sc, cons)
+        assert np.array_equal(h, offset_values(sc, cons))
+
+    def test_radius_past_the_grid_plans_as_the_grid_diagonal(self):
+        # no move longer than g - 1 cells per axis lands on the grid, so any
+        # larger radius gives the same values and no oversized move table
+        sc = lane_scenario()
+        base = lane_constraints(grid_g=16)
+        values = []
+        for radius in (15 * math.sqrt(2) + 1, 1e6):
+            cons = dataclasses.replace(base, v_max=base.v_max * radius / index_radius(sc, base))
+            tab, h = value_iteration(sc, cons)
+            assert len(tab.offsets) == 31 * 31
+            values.append(h)
+        assert np.array_equal(*values)
 
     def test_infeasible_when_separation_covers_the_view(self):
         sc = lane_scenario()

@@ -24,7 +24,7 @@ from csbsim.array import (
 from csbsim.csb_defense import shift_gains
 
 from csbsim.airspy import AttackConstraints, Scenario, _Tables, rx_state_at
-from csbsim.cli import ExperimentConfig
+from csbsim.cli import ExperimentConfig, cmd_beam_pattern
 from csbsim.geometry import UavPlaneSpec
 
 from oracles import array_response, beam_gain, direct_gains, gathered_gains, grid_angles, steering_vector
@@ -427,6 +427,30 @@ def test_beam_map_growth_stays_below_the_array_estimate(traced_peak):
     mesh = np.column_stack([th.ravel(), ph.ravel()])
     peaks = [traced_peak(beam_pattern, dft_codeword(GridIndex(1), ArrayConfig(n, 1, 1)), mesh) for n in (16, 2048)]
     assert peaks[1] - peaks[0] < array_bytes(1, 2048) - array_bytes(1, 16)
+
+
+def test_beam_pattern_of_a_stack_normalizes_each_beam():
+    # the three codewords peak at different gains: each row is divided by its own
+    dirs = _deg_grid(5)
+    g = GridIndex(-5 % 16, -5 % 16)
+    f = np.stack([dft_codeword(g, ArrayConfig(16, q)) for q in (UNQUANTIZED, 1, 2)])
+    maps = beam_pattern(f, dirs)
+    assert maps.shape == (3, len(dirs))
+    assert (maps.max(axis=1) == 1.0).all()
+    for f_b, amp in zip(f, maps):
+        assert_allclose(amp, beam_pattern(f_b, dirs), rtol=0, atol=1e-12)
+    with pytest.raises(ValueError):
+        beam_pattern(f, [])
+
+
+@pytest.mark.parametrize("tiny", [False, True])
+@pytest.mark.parametrize("rows,cols", [(16, 16), (64, 64), (1, 2048)])
+def test_beam_maps_peak_stays_below_the_array_estimate(traced_peak, rows, cols, tiny):
+    # beam-pattern's three maps from one call: the 181 x 181 mesh's
+    # per-direction tables dominate small arrays, and the three beams' row
+    # products a long linear one
+    cfg = ExperimentConfig(n_t=cols, n_rows=rows, tiny=tiny, mi_samples=100, grid_g=8)
+    assert traced_peak(cmd_beam_pattern, cfg) < array_bytes(rows, cols)
 
 
 def test_beam_pattern_rejects_empty():

@@ -114,20 +114,23 @@ def test_write_csv_formats_columns_by_type(tmp_path, header, columns, expected):
 
 
 def test_write_csv_bytes_equal_the_row_writer(tmp_path):
-    # repeated floats, each formatted once, and every float the bits keep
-    # apart: -0.0 and 0.0, NaN, infinities, and a tiny subnormal; over two
-    # whole slices of CSV_ROWS rows and a ragged third
+    # a whole slice of CSV_ROWS distinct floats, then repeated floats, each
+    # formatted once, and every float the bits keep apart: -0.0 and 0.0,
+    # NaN, NaN with its sign bit set and NaN with a payload, infinities, and
+    # a tiny subnormal; over two whole slices and a ragged third
     rng = np.random.default_rng(5)
-    values = np.array([0.0, -0.0, np.nan, 1 / 3, -2.5, 1e-320, np.inf, -np.inf, 123456789012345.0])
+    nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000123], dtype=np.uint64).view(np.float64)
+    values = np.concatenate([[0.0, -0.0, 1 / 3, -2.5, 1e-320, np.inf, -np.inf, 123456789012345.0], nans])
     rows = 2 * cli.CSV_ROWS + 3
-    floats = np.concatenate([values[rng.integers(len(values), size=rows - 100)], rng.normal(size=100)])
+    repeated = values[rng.integers(len(values), size=rows - cli.CSV_ROWS)]
+    floats = np.concatenate([rng.normal(size=cli.CSV_ROWS), repeated])
     header = ["k", "s", "x", "y"]
     columns = [rng.integers(-5, 5, size=rows), rng.choice(["none", "asm-0.5"], size=rows), floats, floats[::-1].copy()]
     _write_csv(str(tmp_path / "new.csv"), header, columns)
     row_csv(str(tmp_path / "old.csv"), header, columns)
     got = (tmp_path / "new.csv").read_bytes()
     assert got == (tmp_path / "old.csv").read_bytes()
-    assert b",-0," in got and b",0," in got and b",," in got
+    assert b",-0," in got and b",0," in got and b",," in got and b"nan" not in got
 
 
 def test_write_csv_rejects_unequal_columns(tmp_path):
@@ -321,15 +324,12 @@ class TestExitCodes:
         assert os.path.exists(printed[0])
 
     def test_command_that_raises_leaves_no_csvs(self, tmp_path, monkeypatch, capsys):
-        # the second of the three beam maps fails after the first is computed
-        calls = []
+        # the one call for the three beam maps fails after they are computed
         real = cli.beam_pattern
 
         def beam_pattern(*args):
-            calls.append(args)
-            if len(calls) == 2:
-                raise OSError("no room for the 1-bit beam map")
-            return real(*args)
+            real(*args)
+            raise OSError("no room for the beam maps")
 
         monkeypatch.setattr(cli, "beam_pattern", beam_pattern)
         out = tmp_path / "o"
@@ -398,6 +398,13 @@ class TestAttackCommand:
             for row in rows:
                 u, v = float(row[1]), float(row[2])
                 assert -1.0 <= u <= 1.0 and -1.0 <= v <= 1.0
+
+    def test_step_radius_past_the_grid_plans(self, tmp_path, capsys):
+        # v_max = 970 moves up to 17.1 cells a step on a 16-cell grid
+        cfg = tmp_path / "c.ini"
+        cfg.write_text("[attack]\nv_max = 970\ngrid_g = 16\n")
+        assert main(["attack", "--config", str(cfg), "--seed", "0", "--out", str(tmp_path / "o")]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_plan_leaves_no_table_alive(self, monkeypatch):
         # attack plans twice per run: a table kept past its plan would double
