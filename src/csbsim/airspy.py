@@ -269,8 +269,8 @@ def extract_trajectory(tab: _Tables, h: np.ndarray) -> Trajectory:
 
     The start is the feasible step-0 cell with maximal finite value; each
     step follows the successor maximizing R + H at the next layer. All ties
-    break toward the lexicographically smallest cell, and the returned
-    path's summed reward reproduces the start value exactly.
+    break toward the lexicographically smallest cell. The path's total
+    reward is its start value, value_iteration's sum of its rewards.
 
     Raises:
         InfeasibleError: if no step-0 cell is both feasible and has a
@@ -298,9 +298,6 @@ def extract_trajectory(tab: _Tables, h: np.ndarray) -> Trajectory:
         cell = (int(a[k]), int(b[k]))
         cells.append(cell)
 
-    total = 0.0
-    for t in range(n - 1, 0, -1):
-        total = tab.reward[cells[t][0], cells[t][1], t] + total
     rad = constraints.step_radius * scenario.t_s
     for t in range(1, n):
         du = tab.u_grid[cells[t][0]] - tab.u_grid[cells[t - 1][0]]
@@ -315,7 +312,7 @@ def extract_trajectory(tab: _Tables, h: np.ndarray) -> Trajectory:
     step_reward = tab.reward[a, b, np.arange(n)]
     return Trajectory(
         cells=tuple(cells),
-        total_reward=total,
+        total_reward=float(h[cells[0][0], cells[0][1], 0]),
         u=tab.u_grid[a],
         v=tab.u_grid[b],
         theta=tab.theta[a, b],

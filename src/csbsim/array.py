@@ -206,13 +206,17 @@ def beam_pattern(f: np.ndarray, directions) -> np.ndarray:
     return amp
 
 
+def beam_map_bytes(cols: int) -> float:
+    """Peak traced bytes of beam-pattern's three maps past array_bytes, one
+    beam_pattern call over 181 angles per axis with cols columns: per
+    direction, the mesh and its degrees (64 B), gains' sort indices (24 B)
+    and the three beams' gains and amplitudes (72 B); per angle and column,
+    the three beams' row products and the azimuth factor (64 B)."""
+    return 181.0 * (181.0 * 160.0 + 64.0 * cols)
+
+
 def array_bytes(rows: int, cols: int) -> float:
-    """Peak traced bytes of the array's kernels on a rows x cols array: a
-    codeword (66 B per element, measured) and every circulant shift's gain
-    toward two directions (171 B); beam-pattern's three maps, from one
-    beam_pattern call over 181 angles per axis, with per direction its mesh
-    of angles and their degrees (64 B), gains' sort indices (24 B) and the
-    three beams' complex gains and amplitudes (72 B), and per angle and
-    column the three beams' row products and the azimuth factor (64 B); and
-    256 kB for numpy.fft's first use."""
-    return 2.0**18 + 240.0 * rows * cols + 181.0 * (181.0 * 160.0 + 64.0 * cols)
+    """Peak traced bytes of the array's kernels on a rows x cols array, as ser
+    runs them: a codeword (66 B per element, measured), every circulant
+    shift's gain toward two directions (171 B) and numpy.fft's first use."""
+    return 2.0**18 + 240.0 * rows * cols

@@ -310,10 +310,10 @@ def ser_sweep(
 
 def ser_bytes(rows: int, cols: int, num_points: float, asm_c, num_symbols: int) -> float:
     """Peak traced bytes of ser_sweep on a rows x cols array, with the rows of
-    the ser tables: array_bytes (every shift's gain toward both receivers,
-    and beam-pattern's maps, which ser does not draw: about 5 MB over),
-    1 MB for numpy.random's and numpy.fft's first use, 272 B per symbol, 160 B
-    per SNR point and 190 B per defense row of it, and ASM's mask block."""
+    the ser tables: array_bytes (a codeword and every shift's gain toward
+    both receivers), 1 MB for numpy.random's and numpy.fft's first use,
+    272 B per symbol, 160 B per SNR point and 190 B per defense row of it,
+    and ASM's mask block."""
     return (
         array_bytes(rows, cols)
         + 2.0**20

@@ -35,16 +35,18 @@ from .airspy import (
     rx_state_at,
     value_iteration,
 )
-from .array import ArrayConfig, array_bytes, beam_pattern, dft_codeword, gains, grid_angle, nearest_grid_index
+from .array import (
+    ArrayConfig, array_bytes, beam_map_bytes, beam_pattern, dft_codeword, gains, grid_angle, nearest_grid_index,
+)
 from .asm_baseline import AsmConfig
 from .channel_sim import path_power, rx_power_penalty_db, ser_bytes, ser_sweep, sigma2_for_snr, smi_bytes, smi_sweep
 from .csb_defense import SnrCeilingError, apn_law, smi_theory
 from .geometry import UavPlaneSpec
 
 # Largest array, planner or Monte-Carlo run accepted, in estimated traced
-# bytes (array_bytes, planner_bytes, ser_bytes, smi_bytes): about 18 times
-# the 59 MB estimated for the wide-array benchmark's planner (128 x 128
-# grid, 41 steps, 64 x 64 array; traced peak 23 MB).
+# bytes (array_bytes with beam_map_bytes, planner_bytes, ser_bytes,
+# smi_bytes): about 18 times the 59 MB estimated for the wide-array
+# benchmark's planner (128 x 128 grid, 41 steps, 64 x 64 array; 23 MB traced).
 MAX_BYTES = 2**30
 
 
@@ -148,22 +150,31 @@ class ExperimentConfig:
         steps = float(self.scenario().num_steps)
         points = (self.snr_max_db - self.snr_min_db + 1e-9) / self.snr_step_db + 1
         shape, ser = f"a {rows} x {cols} array", (self.asm_c, self.num_symbols)
-        # the link budget's peak SNR, p0 (r0 / r)^2 / sigma2 times the array
-        # gain's square (at most the element count): every plane cell lies at
-        # least d from the array, and the lane at least hypot(lane_x, h)
+        # floats the runs form, each checked finite: the peak SNR p0 (r0 / r)^2 /
+        # sigma2 times the element count (the array gain's largest square), as
+        # every plane cell lies at least d from the array and the lane at least
+        # hypot(lane_x, h); the planner's squared range to its farthest cell
+        # (u = v = -1); and a step's squared elevation separation, below tilt^2
         r_min = min(self.d, math.hypot(self.lane_x, self.h))
-        try:
-            peak_snr = self.p0 * (self.r0 / r_min) ** 2 / self.sigma2 * rows * cols
-        except OverflowError:
-            peak_snr = math.inf
-        if peak_snr == math.inf:
-            raise ConfigError(
+        ratio, half = self.r0 / r_min, self.d * math.tan(math.radians(self.beta_deg) / 2)
+        tilt = abs(math.radians(self.theta_tilt_deg)) + math.pi
+        for where, value in (
+            (
                 f"[scenario] p0 = {self.p0:g}, r0 = {self.r0:g}, sigma2 = {self.sigma2:g}: "
-                f"the peak SNR at range {r_min:g} on {shape} overflows a float"
-            )
+                f"the peak SNR at range {r_min:g} on {shape}",
+                self.p0 * (ratio * ratio) / self.sigma2 * rows * cols,
+            ),
+            (
+                f"[attack] d = {self.d:.12g}, beta_deg = {self.beta_deg:.12g}: the farthest plane cell's squared range",
+                self.d * self.d + 2 * half * half,
+            ),
+            (f"[scenario] theta_tilt_deg = {self.theta_tilt_deg:.12g}: the squared elevation separation", tilt * tilt),
+        ):
+            if not math.isfinite(value):
+                raise ConfigError(f"{where} overflows a float")
         # each estimate sits beside its kernels; the first past the cap names its key
         for where, estimate in (
-            (f"[array] n_t = {self.n_t}: {shape}", array_bytes(rows, cols)),
+            (f"[array] n_t = {self.n_t}: {shape}", array_bytes(rows, cols) + beam_map_bytes(cols)),
             (
                 f"[attack] grid_g = {self.grid_g} with [scenario] {steps:.3g} steps: the planner on {shape}",
                 planner_bytes(self.grid_g, steps, rows, cols),
@@ -514,8 +525,8 @@ def _openblas(name: str):
 
 def _blas_one_thread() -> None:
     """Hold numpy's OpenBLAS to one thread and stop its idle threads:
-    mixture_mis runs a worker per core, and OpenBLAS's own threads would
-    spin beside them, the first for about 0.1 s after numpy loads.
+    mixture_mis runs MI_WORKERS worker threads, and OpenBLAS's own threads
+    would spin beside them, the first for about 0.1 s after numpy loads.
 
     The count is set before blas_thread_shutdown_ (what OpenBLAS calls at
     fork) joins the idle threads, and never set after: setting it rebuilds

@@ -13,7 +13,6 @@ mutual information for PSK inputs.
 from __future__ import annotations
 
 import math
-import os
 import threading
 from dataclasses import dataclass
 
@@ -153,9 +152,9 @@ MI_NODES = 256  # most quadrature nodes per axis psk_mutual_information uses
 MI_BLOCK = 2**16
 MI_GROUP = 2**18  # bytes of a row group's y4, c4 and sums buffers in mixture_mis
 MI_CHUNK = 4096  # samples per summation slice of mixture_mis
-# most workers of one mixture_mis call, and the count its size estimate
-# (mixture_mi_bytes) holds: the gain of a second worker was measured on
-# 2 vCPUs, and what more workers gain or cost is unmeasured
+# workers of a mixture_mis call on every host (one per row when fewer), as
+# its size estimate (mixture_mi_bytes) counts them: the gain of a second was
+# measured on 2 vCPUs, and what more workers gain or cost is unmeasured
 MI_WORKERS = 2
 # largest rho * max|atom|^2 mixture_mis accepts (about 120 dB): the rounding
 # of its exponents grows with this product (see mixture_mis)
@@ -249,16 +248,6 @@ def _mi_group_rows(num_rows: int, chunk: int, m_order: int, num_atoms: int) -> i
     return max(1, min(MI_GROUP // row_bytes, num_rows))
 
 
-def _mi_workers(num_rows: int) -> int:
-    """Workers of a mixture_mis call on num_rows rows: one per core this
-    process may run on, at most MI_WORKERS and one per row."""
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity API on this platform
-        cores = os.cpu_count() or 1
-    return max(1, min(cores, MI_WORKERS, num_rows))
-
-
 def mixture_mi_bytes(num_samples: int, m_order: int, num_atoms: int, num_rows: int = 1) -> float:
     """Peak traced bytes of one mixture_mis call on num_rows sets of num_atoms
     atoms, measured: 64 B per sample (the shared draws, 56 B while the noise
@@ -266,12 +255,10 @@ def mixture_mi_bytes(num_samples: int, m_order: int, num_atoms: int, num_rows: i
     each of min(MI_WORKERS, num_rows) workers on ceil(num_rows / workers)
     rows, 24 B per element of a row group's y4, sums and c4 buffers (with the
     slice's y, c, log-sum-exp and term temporaries) and 8 B per exponent of
-    its block. Nothing else grows with num_samples. The measured peak at that
-    worker count is 0.45 to 0.98 of this on 20 shapes (D up to 1000, K up to
-    4096, M up to 1024, up to 300000 samples). It reads nothing from the
-    host, and bounds the call at any worker count: fewer workers hold no
-    more, as no worker's row group outgrows its part and each worker has its
-    own block."""
+    its block. Nothing else grows with num_samples. These are the workers
+    mixture_mis runs on every host. The measured peak is 0.45 to 0.98 of
+    this on 20 shapes (D up to 1000, K up to 4096, M up to 1024, up to
+    300000 samples)."""
     chunk = min(num_samples, MI_CHUNK)
     workers = min(MI_WORKERS, num_rows)
     elems = m_order * num_atoms
@@ -391,12 +378,12 @@ def mixture_mis(
     gives alone. Deterministic for a given rng state, whatever the number of
     workers.
 
-    The rows are split into one contiguous part per worker, one worker per
-    core this process may run on (os.sched_getaffinity), at most MI_WORKERS
-    and one per row; the calling thread runs the first part and a thread
-    each the others, each on its own buffers, writing its own rows'
-    totals. numpy releases the interpreter lock in the products and in exp.
-    A part's exception is raised here once every part has ended.
+    The rows are split into min(MI_WORKERS, D) contiguous parts, one per
+    worker, whatever the host's CPUs (two workers on one CPU took the time
+    of one); the calling thread runs the first part and a thread each the
+    others, each on its own buffers, writing its own rows' totals. numpy
+    releases the interpreter lock in the products and in exp. A part's
+    exception is raised here once every part has ended.
 
     Each exponent -|y - a_k x_m|^2 comes from one real product,
     [Re y, Im y, |y|^2, 1] @ [2 Re c; 2 Im c; -1; -|c|^2] with c = a_k x_m, and
@@ -452,7 +439,7 @@ def mixture_mis(
         for rows, terms in _mi_term_groups(atoms[lo:hi], rhos[lo:hi], m_order, draws):
             total[rows] += terms.sum(axis=1)
 
-    workers = _mi_workers(len(rhos))
+    workers = max(1, min(MI_WORKERS, len(rhos)))
     bounds = [len(rhos) * w // workers for w in range(workers + 1)]
     _run_parts(part, list(zip(bounds[:-1], bounds[1:])))
     return out / num_samples / math.log(2)

@@ -13,6 +13,7 @@ from csbsim.array import (
     ArrayConfig,
     GridIndex,
     array_bytes,
+    beam_map_bytes,
     beam_pattern,
     dft_codeword,
     gains,
@@ -426,7 +427,7 @@ def test_beam_map_growth_stays_below_the_array_estimate(traced_peak):
     th, ph = np.meshgrid(rad, rad, indexing="ij")
     mesh = np.column_stack([th.ravel(), ph.ravel()])
     peaks = [traced_peak(beam_pattern, dft_codeword(GridIndex(1), ArrayConfig(n, 1, 1)), mesh) for n in (16, 2048)]
-    assert peaks[1] - peaks[0] < array_bytes(1, 2048) - array_bytes(1, 16)
+    assert peaks[1] - peaks[0] < array_bytes(1, 2048) + beam_map_bytes(2048) - array_bytes(1, 16) - beam_map_bytes(16)
 
 
 def test_beam_pattern_of_a_stack_normalizes_each_beam():
@@ -450,7 +451,7 @@ def test_beam_maps_peak_stays_below_the_array_estimate(traced_peak, rows, cols, 
     # per-direction tables dominate small arrays, and the three beams' row
     # products a long linear one
     cfg = ExperimentConfig(n_t=cols, n_rows=rows, tiny=tiny, mi_samples=100, grid_g=8)
-    assert traced_peak(cmd_beam_pattern, cfg) < array_bytes(rows, cols)
+    assert traced_peak(cmd_beam_pattern, cfg) < array_bytes(rows, cols) + beam_map_bytes(cols)
 
 
 def test_beam_pattern_rejects_empty():

@@ -20,9 +20,9 @@ Two more checks run the BLAS-heavy subcommands and require the same bytes
 each way. One runs them in this process with numpy's OpenBLAS at two threads
 and at one (skipped under another BLAS); ``main`` holds OpenBLAS to one
 thread, so that check calls the subcommands without it. The other runs them
-in a child process limited to one CPU, where mixture_mis runs one worker,
-against this process with a worker per CPU; it shows a difference only
-when the suite itself runs on more than one CPU.
+in a child process limited to one CPU against this process on every CPU it
+may use; mixture_mis runs MI_WORKERS workers in both, two threads on one
+CPU in the child.
 """
 
 import dataclasses

@@ -475,15 +475,17 @@ def test_asm_rx_keeps_phase_but_pays_amplitude():
     [(1, 16, (), 50000), (16, 16, (0.3, 0.5, 0.7), 2000), (64, 64, (0.3, 0.5, 0.7), 500), (128, 128, (0.5,), 256)],
 )
 def test_ser_peak_stays_below_its_estimate(traced_peak, rows, cols, asm_c, num_symbols):
-    # many symbols on a linear array with no ASM; the lock's run;
-    # wide-array's, the largest of the tests and the benchmark, where the ASM
-    # mask block is the peak; and one full mask block on a 128 x 128 array,
-    # the closest shape measured (0.94 of the estimate)
+    # many symbols on a linear array with no ASM; the lock's run, the
+    # loosest shape measured (0.47 of the estimate, which counts no beam
+    # map: with beam-pattern's maps it read 0.17); wide-array's, the largest
+    # of the tests and the benchmark, where the ASM mask block is the peak;
+    # and one full mask block on a 128 x 128 array, the closest shape
+    # measured (0.96 of the estimate)
     rx_dir, eve_dir = (math.radians(25.0), math.radians(-20.0)), (math.radians(-30.0), math.radians(10.0))
     f = dft_codeword(nearest_grid_index(*rx_dir, cols, rows), ArrayConfig(cols, 1, rows))
     snr_dbs = list(range(-10, 31, 2))
     peak = traced_peak(ser_sweep, f, rx_dir, eve_dir, 1.0, 0.5, snr_dbs, 4, asm_c, num_symbols, 0)
-    assert peak < ser_bytes(rows, cols, len(snr_dbs), asm_c, num_symbols)
+    assert peak < ser_bytes(rows, cols, len(snr_dbs), asm_c, num_symbols) < 3 * peak
 
 
 @pytest.mark.parametrize("n_t,asm_c,mi_samples", [(16, (0.5,), 256), (16, (0.3, 0.5, 0.7), 500), (4096, (), 64)])

@@ -81,6 +81,12 @@ BAD_CONFIGS = [
     # cell (r0) and for every range (sigma2)
     ("ser", "[scenario]\nr0 = 1e200\n", "[scenario]"),
     ("attack", "[scenario]\nsigma2 = 1e-320\n", "[scenario]"),
+    # a plane whose farthest cell's squared range overflows a float, far
+    # out or under a near-flat aperture, and a tilt whose squared
+    # elevation separation does
+    ("attack", "[attack]\nd = 1e200\n", "[attack]"),
+    ("ser", "[attack]\nd = 1e150\nbeta_deg = 179.9999\n", "[attack]"),
+    ("attack", "[scenario]\ntheta_tilt_deg = 1e300\n", "[scenario] theta_tilt_deg"),
     # a file that is not UTF-8
     ("apn-dist", b"\xff\xfe[array]\nn_t = 16\n", "cannot read config"),
 ]

@@ -421,11 +421,9 @@ def test_mixture_mis_rows_equal_each_row_alone(d, k, m, n):
         assert got[row] == alone[0] == mixture_mi(atoms[row], rhos[row], m, np.random.default_rng(9), n), row
 
 
-def _on_cpus(monkeypatch, count, cap=None):
-    """Make mixture_mis see count CPUs in this process's affinity set, and
-    MI_WORKERS at cap (count by default)."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
-    monkeypatch.setattr(csb_defense, "MI_WORKERS", count if cap is None else cap)
+def _on_cpus(monkeypatch, count):
+    """Make mixture_mis run min(count, D) workers on D rows: MI_WORKERS at count."""
+    monkeypatch.setattr(csb_defense, "MI_WORKERS", count)
 
 
 @pytest.mark.parametrize("d,k,m,n", [(37, 16, 4, 256), (30, 1, 2, 256), (12, 256, 4, 256), (3, 256, 8, 5000)])
@@ -574,17 +572,49 @@ def test_mixture_mi_peak_stays_below_its_estimate_at_large_m(monkeypatch, traced
         assert peak < mixture_mi_bytes(2000, 1024, 16, rows), rows
 
 
+def _count_parts(monkeypatch, run=True):
+    """Record the number of parts of each mixture_mis call in the returned
+    list; with run=False a call stops at its parts, before any runs."""
+    counts, real = [], csb_defense._run_parts
+
+    def run_parts(fn, parts):
+        counts.append(len(parts))
+        if not run:
+            raise InterruptedError("parts counted")
+        real(fn, parts)
+
+    monkeypatch.setattr(csb_defense, "_run_parts", run_parts)
+    return counts
+
+
 @pytest.mark.parametrize("m", [4, 512, 1024])
 def test_many_cpus_start_at_most_mi_workers(monkeypatch, m):
-    # On 64 CPUs a call starts MI_WORKERS workers whatever their buffers
-    # take, M = 1024's 126 MB rows as M = 4's, and on 1 CPU one worker. The
-    # size estimate counts MI_WORKERS workers on both.
-    _on_cpus(monkeypatch, 1, csb_defense.MI_WORKERS)
-    assert csb_defense._mi_workers(182) == 1
-    one = mixture_mi_bytes(20000, m, 256, 182)
-    _on_cpus(monkeypatch, 64, csb_defense.MI_WORKERS)
-    assert csb_defense._mi_workers(182) == csb_defense.MI_WORKERS == 2
-    assert mixture_mi_bytes(20000, m, 256, 182) == one
+    # On 64 CPUs as on 1, smi-sweep's 182-row call splits into MI_WORKERS
+    # parts whatever their buffers take, M = 1024's 126 MB rows as M = 4's,
+    # and the size estimate counts that many workers on both
+    counts = _count_parts(monkeypatch, run=False)
+    estimates = []
+    for cpus in (64, 1):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+        with pytest.raises(InterruptedError):
+            mixture_mis(np.ones((182, 256), dtype=complex), np.ones(182), m, np.random.default_rng(0), 256)
+        estimates.append(mixture_mi_bytes(20000, m, 256, 182))
+    assert counts == [csb_defense.MI_WORKERS] * 2 == [2, 2]
+    assert estimates[0] == estimates[1]
+
+
+def test_one_cpu_runs_mi_workers_parts_with_the_one_worker_bits(monkeypatch):
+    # Under taskset -c 0, smi-sweep's 182 rows still run in MI_WORKERS
+    # parts, which give the bits one worker gives
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    counts = _count_parts(monkeypatch)
+    r = np.random.default_rng(182)
+    atoms = np.exp(2j * np.pi * r.random((182, 16)))
+    rhos = r.uniform(0.1, 30.0, 182)
+    got = mixture_mis(atoms, rhos, 4, np.random.default_rng(9), 256)
+    _on_cpus(monkeypatch, 1)
+    assert np.array_equal(mixture_mis(atoms, rhos, 4, np.random.default_rng(9), 256), got)
+    assert counts == [2, 1]
 
 
 def _csb_atom_sets():
