@@ -154,10 +154,18 @@ class ExperimentConfig:
         # sigma2 times the element count (the array gain's largest square), as
         # every plane cell lies at least d from the array and the lane at least
         # hypot(lane_x, h); the planner's squared range to its farthest cell
-        # (u = v = -1); and a step's squared elevation separation, below tilt^2
+        # (u = v = -1); a step's squared elevation separation, below tilt^2;
+        # and the squared separation bound epsilon^2 it is compared with
         r_min = min(self.d, math.hypot(self.lane_x, self.h))
         ratio, half = self.r0 / r_min, self.d * math.tan(math.radians(self.beta_deg) / 2)
+        # the plane's half-width divides the planner's step radius
+        if not half > 0:
+            raise ConfigError(
+                f"[attack] d = {self.d:.12g}, beta_deg = {self.beta_deg:.12g}: "
+                f"the plane's half-width d tan(beta/2) rounds to 0"
+            )
         tilt = abs(math.radians(self.theta_tilt_deg)) + math.pi
+        epsilon = math.radians(self.epsilon_deg)
         for where, value in (
             (
                 f"[scenario] p0 = {self.p0:g}, r0 = {self.r0:g}, sigma2 = {self.sigma2:g}: "
@@ -169,6 +177,7 @@ class ExperimentConfig:
                 self.d * self.d + 2 * half * half,
             ),
             (f"[scenario] theta_tilt_deg = {self.theta_tilt_deg:.12g}: the squared elevation separation", tilt * tilt),
+            (f"[attack] epsilon_deg = {self.epsilon_deg:.12g}: the squared separation bound", epsilon * epsilon),
         ):
             if not math.isfinite(value):
                 raise ConfigError(f"{where} overflows a float")

@@ -137,20 +137,24 @@ def psk_symbols(m_order: int) -> np.ndarray:
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    """log(sum(exp(a))) along axis, in float64 whatever a's float dtype."""
     mx = a.max(axis=axis, keepdims=True)
-    return np.squeeze(mx, axis=axis) + np.log(np.sum(np.exp(a - mx), axis=axis))
+    return np.squeeze(mx, axis=axis) + np.log(np.sum(np.exp(a - mx), axis=axis, dtype=float))
 
 
 MI_TOL = 1e-3  # accuracy target of psk_mutual_information, in bits
 MI_NODES = 256  # most quadrature nodes per axis psk_mutual_information uses
-# exponents per block of mixture_mis (512 kB of float64; 768 kB with a
-# group), one block per worker: each fits a core's cache, and its product
-# (4 * MI_BLOCK multiply-adds) stays at OpenBLAS's one-thread threshold. The
-# atom sum's matrix-vector product is past OpenBLAS's own threshold, so
-# with its default threads a second thread would spin beside every worker;
-# cli.main holds OpenBLAS to one thread and leaves the cores to the workers
+# exponents per block of mixture_mis in either dtype (512 kB of float64 or
+# 256 kB of float32; 768 or 384 kB with a group), one block per worker: each
+# fits a core's cache, and its product (4 * MI_BLOCK multiply-adds) stays at
+# OpenBLAS's one-thread threshold. The atom sum's matrix-vector product is
+# past OpenBLAS's own threshold, so with its default threads a second thread
+# would spin beside every worker; cli.main holds OpenBLAS to one thread and
+# leaves the cores to the workers
 MI_BLOCK = 2**16
-MI_GROUP = 2**18  # bytes of a row group's y4, c4 and sums buffers in mixture_mis
+# bytes of a row group's y4, c4 and sums buffers in mixture_mis in float64:
+# a float32 group has as many rows, in half the bytes
+MI_GROUP = 2**18
 MI_CHUNK = 4096  # samples per summation slice of mixture_mis
 # workers of a mixture_mis call on every host (one per row when fewer), as
 # its size estimate (mixture_mi_bytes) counts them: the gain of a second was
@@ -159,6 +163,16 @@ MI_WORKERS = 2
 # largest rho * max|atom|^2 mixture_mis accepts (about 120 dB): the rounding
 # of its exponents grows with this product (see mixture_mis)
 MI_RHO_MAX = 2.0**40
+# largest rho * max|atom|^2 at which a mixture_mis row runs in float32 (about
+# 36 dB): the largest power of two at which float32 estimates stayed within
+# 1e-5 bits of float64 ones, measured (see mixture_mis)
+MI_F32_MAX = 2.0**12
+# a float32 row whose exponents can fall below this raises them to it before
+# exp: exp(-87) = 1.6e-38 is just above float32's smallest normal, and a
+# subnormal result costs about 7 ns against 0.6 ns. What it adds to a sum is
+# far below float32 rounding of the drawn symbol's own sum, about
+# exp(-|noise|^2)
+MI_F32_EXP_MIN = -87.0
 
 
 class SnrCeilingError(ValueError):
@@ -242,8 +256,9 @@ def _mi_block_rows(num_samples: int, elems: int) -> int:
 
 def _mi_group_rows(num_rows: int, chunk: int, m_order: int, num_atoms: int) -> int:
     """Directions per group of mixture_mis: as many as fit their y4 (chunk, 4),
-    sums (chunk, M) and c4 (4, M * K) buffers in MI_GROUP bytes, at least one
-    and at most all; chunk is the samples of one MI_CHUNK slice."""
+    sums (chunk, M) and c4 (4, M * K) buffers in MI_GROUP bytes of float64,
+    at least one and at most all; chunk is the samples of one MI_CHUNK slice.
+    A float32 group has as many rows."""
     row_bytes = 8 * (chunk * (4 + m_order) + 4 * m_order * num_atoms)
     return max(1, min(MI_GROUP // row_bytes, num_rows))
 
@@ -256,9 +271,10 @@ def mixture_mi_bytes(num_samples: int, m_order: int, num_atoms: int, num_rows: i
     rows, 24 B per element of a row group's y4, sums and c4 buffers (with the
     slice's y, c, log-sum-exp and term temporaries) and 8 B per exponent of
     its block. Nothing else grows with num_samples. These are the workers
-    mixture_mis runs on every host. The measured peak is 0.45 to 0.98 of
-    this on 20 shapes (D up to 1000, K up to 4096, M up to 1024, up to
-    300000 samples)."""
+    mixture_mis runs on every host. It counts every row in float64; a float32
+    row's buffers and block take half the bytes. The measured peak of float64
+    rows is 0.45 to 0.98 of this on 20 shapes (D up to 1000, K up to 4096, M
+    up to 1024, up to 300000 samples)."""
     chunk = min(num_samples, MI_CHUNK)
     workers = min(MI_WORKERS, num_rows)
     elems = m_order * num_atoms
@@ -280,57 +296,71 @@ def _mi_draws(rng, m_order, num_atoms, num_samples):
 def _mi_term_groups(atoms, rhos, m_order, draws):
     """mixture_mis's per-sample terms log p(y | x) - log p(y), in nats, on
     the _mi_draws draws, one group of rows and one MI_CHUNK slice of samples
-    at a time: yields (rows, terms) with terms of shape (len(rows), slice
-    length), the slices of a group in order. A row's terms average to its
-    estimate, and their std / sqrt(num_samples) is its standard error. Takes
-    validated inputs with m_order >= 2."""
+    at a time: yields (rows, terms) with rows an index array into atoms and
+    terms a float64 array of shape (len(rows), slice length), the slices of
+    a group in order. A row's terms average to its estimate, and their std /
+    sqrt(num_samples) is its standard error. The rows whose rho * max|a|^2 is
+    at most MI_F32_MAX run first, in float32, then the others in float64.
+    Takes validated inputs with m_order >= 2."""
     idx, draw, x, noise = draws
     num_samples = len(idx)
     num_rows, num_atoms = atoms.shape
     elems = m_order * num_atoms
     syms = psk_symbols(m_order)
-    # log p(y | x_m) up to the common 1/(pi K): with c = a_k x_m, the exponent
-    # -|y - c|^2 = 2 Re(y conj(c)) - |y|^2 - |c|^2 is one real product with
-    # inner dimension 4, and at most 0 up to rounding (which MI_RHO_MAX
-    # bounds), so exp cannot overflow unshifted
     chunk = min(num_samples, MI_CHUNK)
-    group = _mi_group_rows(num_rows, chunk, m_order, num_atoms)
-    y4 = np.empty((group, chunk, 4))
-    y4[:, :, 3] = 1.0
-    c4 = np.empty((group, 4, elems))
-    c4[:, 2] = -1.0
-    sums = np.empty((group, chunk, m_order))
     height = _mi_block_rows(chunk, elems)
-    block = np.empty((height, elems))  # reused by every block of every row
-    ones = np.ones(num_atoms)
     log_m = math.log(m_order)
-    for d0 in range(0, num_rows, group):
-        d1 = min(d0 + group, num_rows)
-        g = d1 - d0
-        a = np.sqrt(rhos[d0:d1, None]) * atoms[d0:d1]
-        c = (syms[None, :, None] * a[:, None, :]).reshape(g, elems)
-        c4[:g, 0] = 2 * c.real
-        c4[:g, 1] = 2 * c.imag
-        c4[:g, 3] = -(c.real**2 + c.imag**2)
-        for lo in range(0, num_samples, chunk):
-            n = min(chunk, num_samples - lo)
-            y = a[:, draw[lo:lo + n]] * x[lo:lo + n] + noise[lo:lo + n]
-            y4[:g, :n, 0] = y.real
-            y4[:g, :n, 1] = y.imag
-            y4[:g, :n, 2] = y.real**2 + y.imag**2
-            for r in range(g):
-                for b0 in range(0, n, height):
-                    b1 = min(b0 + height, n)
-                    e = np.matmul(y4[r, b0:b1], c4[r], out=block[:b1 - b0])
-                    np.exp(e, out=e)
-                    # the sum over the atoms as one matrix-vector product
-                    np.matmul(e.reshape(-1, num_atoms), ones, out=sums[r, b0:b1].reshape(-1))
-            ll = sums[:g, :n]
-            # a symbol far from y can sum to 0, and its -inf drops out of lpy
-            with np.errstate(divide="ignore"):
-                np.log(ll, out=ll)  # (g, n, M)
-            lpy = _logsumexp(ll, axis=2) - log_m
-            yield slice(d0, d1), ll[:, np.arange(n), idx[lo:lo + n]] - lpy
+    peak = rhos * np.max(atoms.real**2 + atoms.imag**2, axis=1)
+    low = peak <= MI_F32_MAX
+    # float32 rows whose exponents can pass MI_F32_EXP_MIN: |y - c| is at
+    # most 2 sqrt(peak) + |noise|, and |noise|^2 > 12 has probability 6e-6
+    floor = low & ((2 * np.sqrt(peak) + math.sqrt(12)) ** 2 > -MI_F32_EXP_MIN)
+    for dtype, part in ((np.float32, np.flatnonzero(low)), (np.float64, np.flatnonzero(~low))):
+        if not len(part):
+            continue
+        # log p(y | x_m) up to the common 1/(pi K): with c = a_k x_m, the
+        # exponent -|y - c|^2 = 2 Re(y conj(c)) - |y|^2 - |c|^2 is one real
+        # product with inner dimension 4, and at most 0 up to rounding (which
+        # MI_F32_MAX and MI_RHO_MAX bound), so exp cannot overflow unshifted
+        group = _mi_group_rows(len(part), chunk, m_order, num_atoms)
+        y4 = np.empty((group, chunk, 4), dtype)
+        y4[:, :, 3] = 1.0
+        c4 = np.empty((group, 4, elems), dtype)
+        c4[:, 2] = -1.0
+        sums = np.empty((group, chunk, m_order), dtype)
+        block = np.empty((height, elems), dtype)  # reused by every block of every row
+        ones = np.ones(num_atoms, dtype)
+        for d0 in range(0, len(part), group):
+            rows = part[d0:d0 + group]
+            g = len(rows)
+            a = np.sqrt(rhos[rows, None]) * atoms[rows]
+            c = (syms[None, :, None] * a[:, None, :]).reshape(g, elems)
+            c4[:g, 0] = 2 * c.real
+            c4[:g, 1] = 2 * c.imag
+            c4[:g, 3] = -(c.real**2 + c.imag**2)
+            for lo in range(0, num_samples, chunk):
+                n = min(chunk, num_samples - lo)
+                y = a[:, draw[lo:lo + n]] * x[lo:lo + n] + noise[lo:lo + n]
+                y4[:g, :n, 0] = y.real
+                y4[:g, :n, 1] = y.imag
+                y4[:g, :n, 2] = y.real**2 + y.imag**2
+                for r in range(g):
+                    for b0 in range(0, n, height):
+                        b1 = min(b0 + height, n)
+                        e = np.matmul(y4[r, b0:b1], c4[r], out=block[:b1 - b0])
+                        if floor[rows[r]]:
+                            np.maximum(e, MI_F32_EXP_MIN, out=e)
+                        np.exp(e, out=e)
+                        # the sum over the atoms as one matrix-vector product
+                        np.matmul(e.reshape(-1, num_atoms), ones, out=sums[r, b0:b1].reshape(-1))
+                ll = sums[:g, :n]
+                # a symbol far from y can sum to 0, and its -inf drops out of lpy
+                with np.errstate(divide="ignore"):
+                    np.log(ll, out=ll)  # (g, n, M)
+                lpy = _logsumexp(ll, axis=2) - log_m
+                yield rows, np.subtract(ll[:, np.arange(n), idx[lo:lo + n]], lpy, dtype=float)
+        # this dtype's buffers go before the next one's are taken
+        del y4, c4, sums, block, ones
 
 
 def _run_parts(fn, parts):
@@ -391,16 +421,29 @@ def mixture_mis(
     the atoms as one matrix-vector product with a ones vector. A block holds
     the M * K exponents of MI_BLOCK // (M * K) samples of one row, at least
     one and at most a slice, small enough to stay in a core's cache. A part's
-    rows run in groups, one MI_CHUNK slice of samples at a time, and a
-    group's y4, c4 and per-symbol sums fill at most MI_GROUP bytes (at least
-    one row). For each slice, a group takes the logs, the log-sum-exp over
-    the symbols and the terms log p(y | x) - log p(y) at once, and adds the
-    slice's sum to each row's total; only the draws span every sample.
+    rows run in groups of one dtype, one MI_CHUNK slice of samples at a
+    time, and a group's y4, c4 and per-symbol sums fill at most MI_GROUP
+    bytes of float64 (at least one row). For each slice, a group takes the
+    logs, the log-sum-exp over the symbols and the terms log p(y | x) -
+    log p(y) at once, and adds the slice's sum to each row's total; only the
+    draws span every sample.
 
-    The exponents' rounding error grows with rho * max|a|^2. At MI_RHO_MAX
-    it moves the estimate by under 1e-5 bits from the direct distances (48
-    atom sets, K up to 256, M up to 16, 2000 samples), and near 1e19 exp
-    overflows; estimates above MI_RHO_MAX are refused.
+    The dtype belongs to the row. A row whose rho * max|a|^2 is at most
+    MI_F32_MAX runs its y4, c4, exponent block, ones vector and per-symbol
+    sums in float32, with each exponent raised to MI_F32_EXP_MIN before exp;
+    its log-sum-exp sums in float64 and its terms are float64. Every other
+    row runs in float64. A part runs its float32 rows first, then the
+    others, so a group never mixes dtypes and each row gives the bits it
+    gives alone. A float32 block takes half the bytes and its exp half the
+    time of a float64 one.
+
+    The exponents' rounding error grows with rho * max|a|^2. In float32 at
+    MI_F32_MAX it moves the estimate by under 1e-5 bits from the float64
+    one, and by 1.05e-5 at twice that (48 atom sets, K up to 256, M up to
+    16, 256 to 20000 samples). In float64 at MI_RHO_MAX it moves the
+    estimate by under 1e-5 bits from the direct distances (48 such atom
+    sets at 2000 samples), and near 1e19 exp overflows; estimates above
+    MI_RHO_MAX are refused.
 
     Args:
         atoms: (D, K) complex relative-channel atoms, one defense's

@@ -87,6 +87,11 @@ BAD_CONFIGS = [
     ("attack", "[attack]\nd = 1e200\n", "[attack]"),
     ("ser", "[attack]\nd = 1e150\nbeta_deg = 179.9999\n", "[attack]"),
     ("attack", "[scenario]\ntheta_tilt_deg = 1e300\n", "[scenario] theta_tilt_deg"),
+    # a plane whose half-width d tan(beta/2) rounds to 0, which the
+    # planner's step radius divides by, and a separation bound whose square
+    # overflows a float
+    ("attack", "[attack]\nbeta_deg = 5e-324\n", "[attack]"),
+    ("ser", "[attack]\nepsilon_deg = 1e300\n", "[attack] epsilon_deg"),
     # a file that is not UTF-8
     ("apn-dist", b"\xff\xfe[array]\nn_t = 16\n", "cannot read config"),
 ]

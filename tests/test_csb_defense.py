@@ -18,11 +18,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from csbsim.array import ArrayConfig, GridIndex, dft_codeword, gains, nearest_grid_index
+from csbsim.array import ArrayConfig, GridIndex, dft_codeword, gains, grid_angle, nearest_grid_index
 from csbsim import csb_defense
 from csbsim.channel_sim import MI_SUBSETS, defense_gains, smi_sweep
+from csbsim.cli import load_config, main
 from csbsim.csb_defense import (
     MI_CHUNK,
+    MI_F32_MAX,
     MI_RHO_MAX,
     ApnLaw,
     SnrCeilingError,
@@ -359,23 +361,38 @@ def test_mixture_mi_binary_support_leaves_one_bit():
     assert val == pytest.approx(1.0, abs=0.03)
 
 
-@pytest.mark.parametrize("rho", [0.0, 0.1, 10.0, 1e3])
+def _rho_and_tolerance(rho, atoms):
+    """The test's rho for these atoms ("ceiling": just below MI_F32_MAX over
+    their largest power) and the declared bound on the estimate's rounding:
+    C eps (1 + rho max|a|^2), with C = 8 in float64 and 1 in float32. The
+    largest ratio measured on the two oracle tests' shapes was 0.35 in
+    float64 and 0.034 in float32."""
+    power = np.max(np.abs(atoms)) ** 2
+    if rho == "ceiling":
+        rho = 0.999 * MI_F32_MAX / power
+    if rho * power <= MI_F32_MAX:
+        return rho, np.finfo(np.float32).eps * (1 + rho * power)
+    return rho, 8 * np.finfo(float).eps * (1 + rho * power)
+
+
+# rho 0, 0.1 and 10 and the ceiling run every (K, M) pair below MI_F32_MAX,
+# in float32, and 1e3 runs every pair above it, in float64
+@pytest.mark.parametrize("rho", [0.0, 0.1, 10.0, 1e3, "ceiling"])
 def test_mixture_mi_matches_direct_distances(rho):
     # The exponents -|y - c|^2 come from |y|^2, |c|^2 and 2 Re(y conj(c)), so
     # they cancel terms of size rho |a|^2 that the direct distances never
     # form: the declared tolerance grows with rho times the largest atom power.
-    eps = np.finfo(float).eps
     for k in (1, 16, 256):
         for m in (2, 4, 8):
             r = np.random.default_rng([k, m])
             atoms = (r.standard_normal(k) + 1j * r.standard_normal(k)) * 2.0
-            got = mixture_mi(atoms, rho, m, np.random.default_rng(5), 512)
-            want = direct_mixture_mi(atoms, rho, m, np.random.default_rng(5), 512)
-            tol = 8 * eps * (1 + rho * np.max(np.abs(atoms)) ** 2)
+            rho_k, tol = _rho_and_tolerance(rho, atoms)
+            got = mixture_mi(atoms, rho_k, m, np.random.default_rng(5), 512)
+            want = direct_mixture_mi(atoms, rho_k, m, np.random.default_rng(5), 512)
             assert abs(got - want) <= tol, (k, m, got, want)
 
 
-@pytest.mark.parametrize("rho", [0.0, 0.1, 10.0, 1e3])
+@pytest.mark.parametrize("rho", [0.0, 0.1, 10.0, 1e3, "ceiling"])
 def test_mixture_mi_matches_the_blocked_body(rho):
     # The same draws and terms as the 4096-row blocks that shifted each
     # exponent row by its max before exp, summed per 4096-row slice as
@@ -383,34 +400,46 @@ def test_mixture_mi_matches_the_blocked_body(rho):
     # tolerance. n = 5000 and 20000 cross the summation slices and, for
     # K >= 16, the exponent blocks; K = 256 with M = 8 makes a block 32
     # samples high.
-    eps = np.finfo(float).eps
     for k in (1, 16, 256):
         for m in (2, 4, 8):
             r = np.random.default_rng([k, m])
             atoms = (r.standard_normal(k) + 1j * r.standard_normal(k)) * 2.0
-            tol = 8 * eps * (1 + rho * np.max(np.abs(atoms)) ** 2)
+            rho_k, tol = _rho_and_tolerance(rho, atoms)
             for n in (256, 5000, 20000):
-                got = mixture_mi(atoms, rho, m, np.random.default_rng(5), n)
-                want = blocked_mixture_mi(atoms, rho, m, np.random.default_rng(5), n)
+                got = mixture_mi(atoms, rho_k, m, np.random.default_rng(5), n)
+                want = blocked_mixture_mi(atoms, rho_k, m, np.random.default_rng(5), n)
                 assert abs(got - want) <= tol, (k, m, n, got, want)
 
 
-@pytest.mark.parametrize(
-    "d,k,m,n",
-    [
-        (37, 16, 4, 256),  # 14-row groups, the last one of 9
-        (30, 1, 2, 256),  # one atom, 21-row groups
-        (12, 256, 4, 256),  # 64-sample blocks, 5-row groups
-        (3, 256, 8, 5000),  # 32-sample blocks and two MI_CHUNK slices
-        (4, 16, 1, 300),  # one symbol: nothing to learn
-    ],
-)
-def test_mixture_mis_rows_equal_each_row_alone(d, k, m, n):
-    # Every row reads the same draws, whatever group it falls in: each value
-    # is the one its row gives alone, bit for bit.
+def _stack(d, k, m, interleaved):
+    """D random atom sets of K atoms and their rhos, 0 first: all below
+    MI_F32_MAX, or with every odd row 1.5 to 64 times above it."""
     r = np.random.default_rng([d, k, m])
     atoms = r.standard_normal((d, k)) + 1j * r.standard_normal((d, k))
     rhos = np.concatenate([[0.0], r.uniform(0.1, 30.0, d - 1)])
+    power = np.max(np.abs(atoms) ** 2, axis=1)
+    if interleaved:
+        rhos[1::2] = MI_F32_MAX * r.uniform(1.5, 64.0, d // 2) / power[1::2]
+    assert np.array_equal(rhos * power > MI_F32_MAX, interleaved & (np.arange(d) % 2 == 1))
+    return atoms, rhos
+
+
+@pytest.mark.parametrize(
+    "d,k,m,n,interleaved",
+    [
+        pytest.param(37, 16, 4, 256, False, id="37-16-4-256"),  # 14-row groups, the last one of 9
+        pytest.param(30, 1, 2, 256, False, id="30-1-2-256"),  # one atom, 21-row groups
+        pytest.param(12, 256, 4, 256, False, id="12-256-4-256"),  # 64-sample blocks, 5-row groups
+        pytest.param(3, 256, 8, 5000, False, id="3-256-8-5000"),  # 32-sample blocks and two MI_CHUNK slices
+        pytest.param(4, 16, 1, 300, False, id="4-16-1-300"),  # one symbol: nothing to learn
+        # float32 and float64 rows in turn, each dtype in groups of 14 rows
+        pytest.param(37, 16, 4, 5000, True, id="37-16-4-5000-interleaved"),
+    ],
+)
+def test_mixture_mis_rows_equal_each_row_alone(d, k, m, n, interleaved):
+    # Every row reads the same draws, whatever group it falls in: each value
+    # is the one its row gives alone, bit for bit.
+    atoms, rhos = _stack(d, k, m, interleaved)
     if m > 1:
         assert _mi_group_rows(d, min(n, MI_CHUNK), m, k) < d or n > MI_CHUNK
         assert _mi_block_rows(min(n, MI_CHUNK), m * k) < n or k < 256
@@ -426,14 +455,21 @@ def _on_cpus(monkeypatch, count):
     monkeypatch.setattr(csb_defense, "MI_WORKERS", count)
 
 
-@pytest.mark.parametrize("d,k,m,n", [(37, 16, 4, 256), (30, 1, 2, 256), (12, 256, 4, 256), (3, 256, 8, 5000)])
-def test_mixture_mis_bits_do_not_depend_on_the_worker_count(monkeypatch, d, k, m, n):
+@pytest.mark.parametrize(
+    "d,k,m,n,interleaved",
+    [
+        pytest.param(37, 16, 4, 256, False, id="37-16-4-256"),
+        pytest.param(30, 1, 2, 256, False, id="30-1-2-256"),
+        pytest.param(12, 256, 4, 256, False, id="12-256-4-256"),
+        pytest.param(3, 256, 8, 5000, False, id="3-256-8-5000"),
+        pytest.param(37, 16, 4, 5000, True, id="37-16-4-5000-interleaved"),
+    ],
+)
+def test_mixture_mis_bits_do_not_depend_on_the_worker_count(monkeypatch, d, k, m, n, interleaved):
     # The shapes of test_mixture_mis_rows_equal_each_row_alone, split into
     # 1, 2 and 3 parts and into one part per row (more CPUs than rows), with
     # the interpreter switching threads as often as it can.
-    r = np.random.default_rng([d, k, m])
-    atoms = r.standard_normal((d, k)) + 1j * r.standard_normal((d, k))
-    rhos = np.concatenate([[0.0], r.uniform(0.1, 30.0, d - 1)])
+    atoms, rhos = _stack(d, k, m, interleaved)
     _on_cpus(monkeypatch, 1)
     want = mixture_mis(atoms, rhos, m, np.random.default_rng(9), n)
     interval = sys.getswitchinterval()
@@ -643,6 +679,48 @@ def test_mixture_mi_within_4_se_of_quadrature(atoms, m, rho):
     assert 0 < se < math.inf
     est = mixture_mi(atoms, rho, m, np.random.default_rng(11), 20000)
     assert abs(est - quadrature_mixture_mi(atoms, rho, m, 64)) <= 4 * se
+
+
+def test_smi_sweep_csb_column_within_4_paired_se_of_quadrature(tmp_path, capsys):
+    # smi-sweep --tiny on the lock config sweeps the n_t grid angles. Each
+    # CSB entry is max(I_rx - I_eve, 0) over every shift's relative channel,
+    # so its exact value comes from the quadrature of both atom sets, built
+    # here from the oracles' shifted beams at the SNR the gain ratio gives.
+    # The bound is 4 standard errors of the paired per-sample differences
+    # on the sweep's own draws.
+    lock = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "lock", "lock.ini")
+    assert main(["smi-sweep", "--tiny", "--seed", "0", "--config", lock, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    with open(tmp_path / "smi_sweep.csv") as fh:
+        got = [row.split(",")[1] for row in fh.read().splitlines()[1:]]
+    cfg = load_config(lock)
+    n, m = cfg.n_t, cfg.m_order
+    rx_dir = (math.radians(cfg.rx_theta_deg), 0.0)
+    rx = nearest_grid_index(*rx_dir, n, 1)
+    f = dft_codeword(rx, ArrayConfig(n, cfg.q, n_rows=1))
+    shifts = [(0, s) for s in range(n)]
+    eves = [(grid_angle(i, n), 0.0) for i in range(1 - n // 2, n // 2 + 1)]
+    atoms, rhos = [], []
+    rx_base = beam_gain(array_response(*rx_dir, n, 1), f)
+    for theta, phi in [rx_dir, *eves]:
+        v = array_response(theta, phi, n, 1)
+        base = beam_gain(v, f)
+        atoms.append([beam_gain(v, circulant_shift(f, s)) / shift_phase_factor(s, rx, n, 1) / base for s in shifts])
+        rhos.append(10 ** (cfg.rx_snr_db / 10) * abs(base / rx_base) ** 2)
+    atoms, rhos = np.array(atoms), np.array(rhos)
+    assert len(got) == len(eves) and "" not in got  # a 1-bit beam has no null on the grid
+    draws = _mi_draws(np.random.default_rng([0, 101]), m, n, min(cfg.mi_samples, 500))
+    terms = [[] for _ in rhos]
+    for rows, slice_terms in _mi_term_groups(atoms, rhos, m, draws):
+        for row, row_terms in zip(np.arange(len(rhos))[rows], slice_terms):
+            terms[row].append(row_terms)
+    terms = [np.concatenate(t) for t in terms]
+    exact = [quadrature_mixture_mi(a, rho, m, 64) for a, rho in zip(atoms, rhos)]
+    for row, value in enumerate(got):
+        diff = terms[0] - terms[1 + row]
+        se = float(np.std(diff, ddof=1)) / math.sqrt(diff.size) / math.log(2)
+        want = max(exact[0] - exact[1 + row], 0.0)
+        assert abs(float(value) - want) <= 4 * se, (row, value, want, se)
 
 
 def test_mixture_mi_rejects_negative_rho():
