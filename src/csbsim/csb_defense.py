@@ -171,7 +171,8 @@ MI_F32_MAX = 2.0**12
 # exp: exp(-87) = 1.6e-38 is just above float32's smallest normal, and a
 # subnormal result costs about 7 ns against 0.6 ns. What it adds to a sum is
 # far below float32 rounding of the drawn symbol's own sum, about
-# exp(-|noise|^2)
+# exp(-|noise|^2). The raise itself costs 0.27 ns per exponent, so a row
+# whose exponents cannot reach this skips it
 MI_F32_EXP_MIN = -87.0
 
 
@@ -274,7 +275,9 @@ def mixture_mi_bytes(num_samples: int, m_order: int, num_atoms: int, num_rows: i
     mixture_mis runs on every host. It counts every row in float64; a float32
     row's buffers and block take half the bytes. The measured peak of float64
     rows is 0.45 to 0.98 of this on 20 shapes (D up to 1000, K up to 4096, M
-    up to 1024, up to 300000 samples)."""
+    up to 1024, up to 300000 samples), and of float32 rows 0.33 to 0.64 on
+    the tests' shapes; a part that runs both holds one dtype's buffers at a
+    time."""
     chunk = min(num_samples, MI_CHUNK)
     workers = min(MI_WORKERS, num_rows)
     elems = m_order * num_atoms
@@ -293,74 +296,79 @@ def _mi_draws(rng, m_order, num_atoms, num_samples):
     return idx, draw, psk_symbols(m_order)[idx], noise
 
 
-def _mi_term_groups(atoms, rhos, m_order, draws):
+def _mi_term_groups(atoms, rhos, peaks, m_order, draws):
     """mixture_mis's per-sample terms log p(y | x) - log p(y), in nats, on
     the _mi_draws draws, one group of rows and one MI_CHUNK slice of samples
     at a time: yields (rows, terms) with rows an index array into atoms and
     terms a float64 array of shape (len(rows), slice length), the slices of
     a group in order. A row's terms average to its estimate, and their std /
-    sqrt(num_samples) is its standard error. The rows whose rho * max|a|^2 is
-    at most MI_F32_MAX run first, in float32, then the others in float64.
-    Takes validated inputs with m_order >= 2."""
+    sqrt(num_samples) is its standard error. peaks holds each row's
+    rho * max|a|^2: the rows at most MI_F32_MAX run first, in float32, then
+    the others in float64. Takes validated inputs with m_order >= 2."""
+    low = peaks <= MI_F32_MAX
+    # float32 rows whose exponents can pass MI_F32_EXP_MIN: |y - c| is at
+    # most 2 sqrt(peak) + |noise|, and |noise|^2 > 12 has probability 6e-6
+    clamp = low & ((2 * np.sqrt(peaks) + math.sqrt(12)) ** 2 > -MI_F32_EXP_MIN)
+    for dtype, part in ((np.float32, np.flatnonzero(low)), (np.float64, np.flatnonzero(~low))):
+        # a dtype's buffers go with its generator's frame, before the next
+        # dtype's are taken
+        yield from _mi_dtype_term_groups(atoms, rhos, clamp, part, dtype, m_order, draws)
+
+
+def _mi_dtype_term_groups(atoms, rhos, clamp, part, dtype, m_order, draws):
+    """_mi_term_groups on the rows in the index array part, all in dtype;
+    a row with clamp set raises its exponents to MI_F32_EXP_MIN before exp."""
+    if not len(part):
+        return
     idx, draw, x, noise = draws
     num_samples = len(idx)
-    num_rows, num_atoms = atoms.shape
+    num_atoms = atoms.shape[1]
     elems = m_order * num_atoms
     syms = psk_symbols(m_order)
     chunk = min(num_samples, MI_CHUNK)
     height = _mi_block_rows(chunk, elems)
     log_m = math.log(m_order)
-    peak = rhos * np.max(atoms.real**2 + atoms.imag**2, axis=1)
-    low = peak <= MI_F32_MAX
-    # float32 rows whose exponents can pass MI_F32_EXP_MIN: |y - c| is at
-    # most 2 sqrt(peak) + |noise|, and |noise|^2 > 12 has probability 6e-6
-    floor = low & ((2 * np.sqrt(peak) + math.sqrt(12)) ** 2 > -MI_F32_EXP_MIN)
-    for dtype, part in ((np.float32, np.flatnonzero(low)), (np.float64, np.flatnonzero(~low))):
-        if not len(part):
-            continue
-        # log p(y | x_m) up to the common 1/(pi K): with c = a_k x_m, the
-        # exponent -|y - c|^2 = 2 Re(y conj(c)) - |y|^2 - |c|^2 is one real
-        # product with inner dimension 4, and at most 0 up to rounding (which
-        # MI_F32_MAX and MI_RHO_MAX bound), so exp cannot overflow unshifted
-        group = _mi_group_rows(len(part), chunk, m_order, num_atoms)
-        y4 = np.empty((group, chunk, 4), dtype)
-        y4[:, :, 3] = 1.0
-        c4 = np.empty((group, 4, elems), dtype)
-        c4[:, 2] = -1.0
-        sums = np.empty((group, chunk, m_order), dtype)
-        block = np.empty((height, elems), dtype)  # reused by every block of every row
-        ones = np.ones(num_atoms, dtype)
-        for d0 in range(0, len(part), group):
-            rows = part[d0:d0 + group]
-            g = len(rows)
-            a = np.sqrt(rhos[rows, None]) * atoms[rows]
-            c = (syms[None, :, None] * a[:, None, :]).reshape(g, elems)
-            c4[:g, 0] = 2 * c.real
-            c4[:g, 1] = 2 * c.imag
-            c4[:g, 3] = -(c.real**2 + c.imag**2)
-            for lo in range(0, num_samples, chunk):
-                n = min(chunk, num_samples - lo)
-                y = a[:, draw[lo:lo + n]] * x[lo:lo + n] + noise[lo:lo + n]
-                y4[:g, :n, 0] = y.real
-                y4[:g, :n, 1] = y.imag
-                y4[:g, :n, 2] = y.real**2 + y.imag**2
-                for r in range(g):
-                    for b0 in range(0, n, height):
-                        b1 = min(b0 + height, n)
-                        e = np.matmul(y4[r, b0:b1], c4[r], out=block[:b1 - b0])
-                        if floor[rows[r]]:
-                            np.maximum(e, MI_F32_EXP_MIN, out=e)
-                        np.exp(e, out=e)
-                        # the sum over the atoms as one matrix-vector product
-                        np.matmul(e.reshape(-1, num_atoms), ones, out=sums[r, b0:b1].reshape(-1))
-                ll = sums[:g, :n]
-                # a symbol far from y can sum to 0, and its -inf drops out of lpy
-                with np.errstate(divide="ignore"):
-                    np.log(ll, out=ll)  # (g, n, M)
-                lpy = _logsumexp(ll, axis=2) - log_m
-                yield rows, np.subtract(ll[:, np.arange(n), idx[lo:lo + n]], lpy, dtype=float)
-        # this dtype's buffers go before the next one's are taken
-        del y4, c4, sums, block, ones
+    # log p(y | x_m) up to the common 1/(pi K): with c = a_k x_m, the
+    # exponent -|y - c|^2 = 2 Re(y conj(c)) - |y|^2 - |c|^2 is one real
+    # product with inner dimension 4, and at most 0 up to rounding (which
+    # MI_F32_MAX and MI_RHO_MAX bound), so exp cannot overflow unshifted
+    group = _mi_group_rows(len(part), chunk, m_order, num_atoms)
+    y4 = np.empty((group, chunk, 4), dtype)
+    y4[:, :, 3] = 1.0
+    c4 = np.empty((group, 4, elems), dtype)
+    c4[:, 2] = -1.0
+    sums = np.empty((group, chunk, m_order), dtype)
+    block = np.empty((height, elems), dtype)  # reused by every block of every row
+    ones = np.ones(num_atoms, dtype)
+    for d0 in range(0, len(part), group):
+        rows = part[d0:d0 + group]
+        g = len(rows)
+        a = np.sqrt(rhos[rows, None]) * atoms[rows]
+        c = (syms[None, :, None] * a[:, None, :]).reshape(g, elems)
+        c4[:g, 0] = 2 * c.real
+        c4[:g, 1] = 2 * c.imag
+        c4[:g, 3] = -(c.real**2 + c.imag**2)
+        for lo in range(0, num_samples, chunk):
+            n = min(chunk, num_samples - lo)
+            y = a[:, draw[lo:lo + n]] * x[lo:lo + n] + noise[lo:lo + n]
+            y4[:g, :n, 0] = y.real
+            y4[:g, :n, 1] = y.imag
+            y4[:g, :n, 2] = y.real**2 + y.imag**2
+            for r in range(g):
+                for b0 in range(0, n, height):
+                    b1 = min(b0 + height, n)
+                    e = np.matmul(y4[r, b0:b1], c4[r], out=block[:b1 - b0])
+                    if clamp[rows[r]]:
+                        np.maximum(e, MI_F32_EXP_MIN, out=e)
+                    np.exp(e, out=e)
+                    # the sum over the atoms as one matrix-vector product
+                    np.matmul(e.reshape(-1, num_atoms), ones, out=sums[r, b0:b1].reshape(-1))
+            ll = sums[:g, :n]
+            # a symbol far from y can sum to 0, and its -inf drops out of lpy
+            with np.errstate(divide="ignore"):
+                np.log(ll, out=ll)  # (g, n, M)
+            lpy = _logsumexp(ll, axis=2) - log_m
+            yield rows, np.subtract(ll[:, np.arange(n), idx[lo:lo + n]], lpy, dtype=float)
 
 
 def _run_parts(fn, parts):
@@ -469,9 +477,10 @@ def mixture_mis(
         raise ValueError(f"rho must be nonnegative, got {rhos.min()}")
     if num_samples < 1:
         raise ValueError(f"num_samples must be >= 1, got {num_samples}")
-    peak = rhos * np.max(atoms.real**2 + atoms.imag**2, axis=1)
-    if not (peak <= MI_RHO_MAX).all():
-        raise SnrCeilingError(f"rho * max|atom|^2 = {np.max(peak):.3g} is above MI_RHO_MAX = {MI_RHO_MAX:.4g}")
+    # what the ceiling and each row's dtype are decided from
+    peaks = rhos * np.max(atoms.real**2 + atoms.imag**2, axis=1)
+    if not (peaks <= MI_RHO_MAX).all():
+        raise SnrCeilingError(f"rho * max|atom|^2 = {np.max(peaks):.3g} is above MI_RHO_MAX = {MI_RHO_MAX:.4g}")
     out = np.zeros(len(rhos))
     if m_order == 1:
         return out
@@ -479,7 +488,7 @@ def mixture_mis(
 
     def part(lo, hi):
         total = out[lo:hi]
-        for rows, terms in _mi_term_groups(atoms[lo:hi], rhos[lo:hi], m_order, draws):
+        for rows, terms in _mi_term_groups(atoms[lo:hi], rhos[lo:hi], peaks[lo:hi], m_order, draws):
             total[rows] += terms.sum(axis=1)
 
     workers = max(1, min(MI_WORKERS, len(rhos)))

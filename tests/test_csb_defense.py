@@ -489,10 +489,10 @@ def test_mixture_mis_raises_a_failing_parts_error_and_leaves_no_thread(monkeypat
     # terms fails on the part that starts at row `failing`.
     real = csb_defense._mi_term_groups
 
-    def terms(atoms, rhos, m_order, draws):
+    def terms(atoms, rhos, peaks, m_order, draws):
         if rhos[0] == failing:
             raise ArithmeticError(f"part at row {failing}")
-        return real(atoms, rhos, m_order, draws)
+        return real(atoms, rhos, peaks, m_order, draws)
 
     monkeypatch.setattr(csb_defense, "_mi_term_groups", terms)
     _on_cpus(monkeypatch, 3)
@@ -570,18 +570,23 @@ def test_mixture_mis_refuses_a_stack_with_one_row_past_the_ceiling():
         mixture_mis(atoms, rhos[:3], 4, rng, 256)
 
 
+# rho on unit-magnitude atoms: every row in float32, then every row in float64
+PEAK_RHOS = (10.0, 2 * MI_F32_MAX)
+
+
 def test_mixture_mi_peak_stays_below_its_estimate(traced_peak):
-    # K = 256 atoms with M = 8: 32-sample exponent blocks in 4096-sample
-    # slices, so only the shared draws grow with num_samples
-    atoms = np.exp(1j * np.arange(256))
-    peaks = [traced_peak(mixture_mi, atoms, 10.0, 8, np.random.default_rng(0), n) for n in (20000, 40000)]
-    assert peaks[0] < mixture_mi_bytes(20000, 8, 256)
-    assert peaks[1] < mixture_mi_bytes(40000, 8, 256)
-    assert peaks[1] - peaks[0] < mixture_mi_bytes(40000, 8, 256) - mixture_mi_bytes(20000, 8, 256)
-    # smi-sweep's ASM column: 182 directions of 256 subsets, in 5-row groups
-    stack = np.exp(1j * np.arange(182 * 256)).reshape(182, 256)
-    peak = traced_peak(mixture_mis, stack, np.full(182, 10.0), 4, np.random.default_rng(0), 256)
-    assert peak < mixture_mi_bytes(256, 4, 256, 182)
+    for rho in PEAK_RHOS:
+        # K = 256 atoms with M = 8: 32-sample exponent blocks in 4096-sample
+        # slices, so only the shared draws grow with num_samples
+        atoms = np.exp(1j * np.arange(256))
+        peaks = [traced_peak(mixture_mi, atoms, rho, 8, np.random.default_rng(0), n) for n in (20000, 40000)]
+        assert peaks[0] < mixture_mi_bytes(20000, 8, 256), rho
+        assert peaks[1] < mixture_mi_bytes(40000, 8, 256), rho
+        assert peaks[1] - peaks[0] < mixture_mi_bytes(40000, 8, 256) - mixture_mi_bytes(20000, 8, 256), rho
+        # smi-sweep's ASM column: 182 directions of 256 subsets, in 5-row groups
+        stack = np.exp(1j * np.arange(182 * 256)).reshape(182, 256)
+        peak = traced_peak(mixture_mis, stack, np.full(182, rho), 4, np.random.default_rng(0), 256)
+        assert peak < mixture_mi_bytes(256, 4, 256, 182), rho
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -590,22 +595,27 @@ def test_mixture_mi_peak_counts_every_worker(monkeypatch, traced_peak, cpus):
     # host's CPUs; the estimate at that count must hold the peak
     _on_cpus(monkeypatch, cpus)
     stack = np.exp(1j * np.arange(182 * 256)).reshape(182, 256)
-    peak = traced_peak(mixture_mis, stack, np.full(182, 10.0), 4, np.random.default_rng(0), 256)
-    assert peak < mixture_mi_bytes(256, 4, 256, 182)
+    for rho in PEAK_RHOS:
+        peak = traced_peak(mixture_mis, stack, np.full(182, rho), 4, np.random.default_rng(0), 256)
+        assert peak < mixture_mi_bytes(256, 4, 256, 182), rho
 
 
 def test_mixture_mi_peak_stays_below_its_estimate_at_large_m(monkeypatch, traced_peak):
     # The tightest shape measured: rows of 16 atoms at M = 1024, where the
     # per-symbol sums and the log-sum-exp temporaries are almost all of the
-    # peak (0.98 of the estimate), one row on one worker and two rows on two
-    # workers, which hold their buffers at once; one more full-size
-    # temporary there would pass the estimate that the config's size check
-    # reads
-    for rows in (1, 2):
-        _on_cpus(monkeypatch, rows)
-        atoms = np.exp(1j * np.arange(16)) * np.ones((rows, 1))
-        peak = traced_peak(mixture_mis, atoms, np.full(rows, 10.0), 1024, np.random.default_rng(0), 2000)
-        assert peak < mixture_mi_bytes(2000, 1024, 16, rows), rows
+    # peak. One float64 row on one worker takes 0.98 of the estimate, and
+    # one row on each of two workers may hold their buffers at once; one
+    # more full-size temporary there would pass the estimate that the
+    # config's size check reads. A float32 row takes about half. In the
+    # mixed stack each part runs a float32 row, then a float64 row, so the
+    # float32 buffers must be gone before the float64 ones are taken.
+    for rhos in ([PEAK_RHOS[0]], [PEAK_RHOS[1]], list(PEAK_RHOS)):
+        for workers in (1, 2):
+            _on_cpus(monkeypatch, workers)
+            rows = len(rhos) * workers
+            atoms = np.exp(1j * np.arange(16)) * np.ones((rows, 1))
+            peak = traced_peak(mixture_mis, atoms, np.array(rhos * workers), 1024, np.random.default_rng(0), 2000)
+            assert peak < mixture_mi_bytes(2000, 1024, 16, rows), (rhos, workers)
 
 
 def _count_parts(monkeypatch, run=True):
@@ -673,7 +683,8 @@ def _csb_atom_sets():
 @pytest.mark.parametrize("atoms,m", _csb_atom_sets())
 def test_mixture_mi_within_4_se_of_quadrature(atoms, m, rho):
     draws = _mi_draws(np.random.default_rng(11), m, atoms.size, 20000)
-    slices = _mi_term_groups(atoms[None], np.array([rho]), m, draws)
+    peak = rho * np.max(np.abs(atoms) ** 2)
+    slices = _mi_term_groups(atoms[None], np.array([rho]), np.array([peak]), m, draws)
     terms = np.concatenate([t[0] for _, t in slices])
     se = float(np.std(terms, ddof=1)) / math.sqrt(terms.size) / math.log(2)
     assert 0 < se < math.inf
@@ -711,7 +722,8 @@ def test_smi_sweep_csb_column_within_4_paired_se_of_quadrature(tmp_path, capsys)
     assert len(got) == len(eves) and "" not in got  # a 1-bit beam has no null on the grid
     draws = _mi_draws(np.random.default_rng([0, 101]), m, n, min(cfg.mi_samples, 500))
     terms = [[] for _ in rhos]
-    for rows, slice_terms in _mi_term_groups(atoms, rhos, m, draws):
+    peaks = rhos * np.max(np.abs(atoms) ** 2, axis=1)
+    for rows, slice_terms in _mi_term_groups(atoms, rhos, peaks, m, draws):
         for row, row_terms in zip(np.arange(len(rhos))[rows], slice_terms):
             terms[row].append(row_terms)
     terms = [np.concatenate(t) for t in terms]
