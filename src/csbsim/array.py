@@ -35,7 +35,8 @@ class ArrayConfig:
     Attributes:
         n_t: elements per azimuth row; must be even and >= 2 so the on-grid
             index set is symmetric in angle.
-        q: phase-shifter resolution in bits (>= 1), or UNQUANTIZED.
+        q: phase-shifter resolution in bits (1 to 1023, so that its 2^q
+            levels are a float), or UNQUANTIZED.
         n_rows: elements per elevation column; None means square (n_t),
             1 models a uniform linear array, otherwise must be even.
     """
@@ -47,8 +48,8 @@ class ArrayConfig:
     def __post_init__(self):
         if self.n_t < 2 or self.n_t % 2 != 0:
             raise ValueError(f"n_t must be even and >= 2, got {self.n_t}")
-        if self.q is not UNQUANTIZED and (not isinstance(self.q, int) or self.q < 1):
-            raise ValueError(f"q must be a positive integer or UNQUANTIZED, got {self.q}")
+        if self.q is not UNQUANTIZED and (not isinstance(self.q, int) or not 1 <= self.q <= 1023):
+            raise ValueError(f"q must be an integer in [1, 1023] or UNQUANTIZED, got {self.q}")
         rows = self.n_rows
         if rows is not None and rows != 1 and (rows < 2 or rows % 2 != 0):
             raise ValueError(f"n_rows must be None, 1, or even >= 2, got {rows}")

@@ -4,20 +4,16 @@ Signal model per symbol: y = sqrt(P_r) * g * x + n, where g is
 the transmitter-compensated gain of the defended beamformer toward the
 receiver (defense_gains: the fixed beam, a circulant shift, or an antenna
 subset). Both receivers equalize on the fixed, unshifted beamformer's gain
-(perfect training) and detect the nearest PSK symbol. A Monte-Carlo run is
-a draw step (symbols, unit noise and the defense's gains) then a detect
-step that scales the noise to each link, so ser_sweep draws each defense
-once, only rescales the noise at each SNR point, and takes the
-eavesdropper's constellation from its own CSB draw. smi_sweep and
-rx_power_penalty_db evaluate the same gains as secrecy mutual information
-and as exact mean receive power.
+(perfect training) and detect the nearest PSK symbol. ser_sweep draws each
+defense's symbols, unit noise and gains once, then at each SNR point scales
+the noise to it and detects, so it takes the eavesdropper's constellation
+from its own CSB draw. smi_sweep and rx_power_penalty_db evaluate the same
+gains as secrecy mutual information and as exact mean receive power.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -39,20 +35,6 @@ MASK_BLOCK = 256
 MI_SUBSETS = 256
 
 
-@dataclass(frozen=True)
-class LinkState:
-    """Received reference power (linear) and noise power."""
-
-    p_r: float
-    sigma2: float
-
-    def __post_init__(self):
-        if self.p_r < 0:
-            raise ValueError(f"p_r must be nonnegative, got {self.p_r}")
-        if self.sigma2 <= 0:
-            raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
-
-
 def path_power(r, p0: float = 1.0, r0: float = 1.0):
     """Free-space inverse-square received power: p0 * (r0 / r)^2.
 
@@ -66,11 +48,6 @@ def path_power(r, p0: float = 1.0, r0: float = 1.0):
 def sigma2_for_snr(p_r: float, gain_mag: float, snr_db: float) -> float:
     """Noise power that yields the given post-beamforming SNR (dB)."""
     return p_r * gain_mag**2 / 10 ** (snr_db / 10)
-
-
-def received_symbol(link: LinkState, gain, x, noise):
-    """y = sqrt(P_r) * gain * x + n, elementwise over arrays."""
-    return math.sqrt(link.p_r) * gain * x + noise
 
 
 def _nearest_psk_indices(z: np.ndarray, m_order: int) -> np.ndarray:
@@ -222,44 +199,6 @@ def rx_power_penalty_db(f: np.ndarray, rx_direction, asm_c) -> np.ndarray:
     return np.array([10 * math.log10(mean / p_fixed) for mean in means])
 
 
-class SymbolRun(NamedTuple):
-    """Raw per-symbol record of a Monte-Carlo run."""
-
-    true_idx: np.ndarray
-    rx_idx: np.ndarray
-    eve_idx: np.ndarray
-    eve_equalized: np.ndarray
-
-
-def _draw(f, directions, defense, m_order, num_symbols, rng, asm_c, trained):
-    """A Monte-Carlo run's draws from rng toward directions (RX, eavesdropper),
-    in a fixed order (symbol indices, RX noise, eavesdropper noise, then the
-    defense's gains from defense_gains), so runs that differ only in the
-    defense are exactly paired. trained holds the fixed beam's gains toward
-    directions, gains(f, *directions.T). Returns (symbol indices, symbols,
-    then per receiver its unit noise re + j im, the defense's gains and its
-    entry of trained)."""
-    if num_symbols < 1:
-        raise ValueError(f"num_symbols must be >= 1, got {num_symbols}")
-    rows, cols = f.shape
-    true_idx = rng.integers(m_order, size=num_symbols)
-    normals = [rng.standard_normal(num_symbols) + 1j * rng.standard_normal(num_symbols) for _ in range(2)]
-    g = defense_gains(defense, f, directions, nearest_grid_index(*directions[0], cols, rows), rng, num_symbols, asm_c)
-    return true_idx, psk_symbols(m_order)[true_idx], list(zip(normals, g, trained))
-
-
-def _detect(draw, links, m_order: int) -> SymbolRun:
-    """Both receivers' decisions on a _draw, each one's unit noise scaled to its link's noise power."""
-    true_idx, x, paths = draw
-    (_, rx_idx), (eve_equalized, eve_idx) = (
-        equalize_and_detect(
-            received_symbol(link, g, x, n * math.sqrt(link.sigma2 / 2)), math.sqrt(link.p_r) * h, m_order
-        )
-        for link, (n, g, h) in zip(links, paths)
-    )
-    return SymbolRun(true_idx, rx_idx, eve_idx, eve_equalized)
-
-
 def ser_sweep(
     f: np.ndarray,
     rx_direction,
@@ -275,11 +214,18 @@ def ser_sweep(
     """Symbol errors at the RX and the eavesdropper, per defense and SNR point.
 
     f is the fixed beam steered at the RX's nearest grid point, p_rx and
-    p_eve the received reference powers. At each point both receivers see
-    the noise power that gives the RX a post-beamforming SNR of snr_db on f.
-    Each defense is drawn once, from the stream [seed, 0], and detected at
-    every point, so the defenses are paired; one defense's draws are held at a
-    time.
+    p_eve the received reference powers. A receiver at power p sees
+    y = sqrt(p) * g * x + n for each symbol x: g is the defense's gain toward
+    it (defense_gains, which compensates CSB's shifts for the RX's grid
+    point) and n complex Gaussian noise of power sigma2. It equalizes on
+    sqrt(p) * h, h the fixed beam's gain toward it, and decides the nearest
+    symbol (equalize_and_detect). At each point both receivers see the
+    sigma2 that gives the RX a post-beamforming SNR of snr_db on f.
+
+    Each defense draws from the stream [seed, 0] in one order: symbol
+    indices, RX noise, eavesdropper noise, then defense_gains' draws. So the
+    defenses are paired, and each is drawn once and detected at every point
+    with its unit noise rescaled; one defense's draws are held at a time.
 
     Returns:
         (errors, constellation). errors is an int array of shape
@@ -289,22 +235,44 @@ def ser_sweep(
         symbol index) rows of the CSB draw at the last SNR point, the same
         symbols its error count is taken over, at most CONSTELLATION_CAP of
         them.
+
+    Raises:
+        ValueError: before any draw, if p_rx or p_eve is negative, snr_dbs
+            is empty, num_symbols is below 1, or a point's sigma2 is not
+            positive.
     """
+    if p_rx < 0 or p_eve < 0:
+        raise ValueError(f"received powers must be nonnegative, got p_rx={p_rx}, p_eve={p_eve}")
+    if len(snr_dbs) == 0:
+        raise ValueError("snr_dbs must hold at least one SNR point")
+    if num_symbols < 1:
+        raise ValueError(f"num_symbols must be >= 1, got {num_symbols}")
     g_rx = abs(gains(f, (rx_direction[0],), (rx_direction[1],))[0])
     sigma2s = [sigma2_for_snr(p_rx, g_rx, snr_db) for snr_db in snr_dbs]
+    if not all(s2 > 0 for s2 in sigma2s):
+        raise ValueError(f"noise power must be positive at every SNR point, got {sigma2s}")
+    rows, cols = f.shape
     directions = np.array([rx_direction, eve_direction], dtype=float)
-    trained = gains(f, *directions.T)
+    rx_grid = nearest_grid_index(*directions[0], cols, rows)
+    powers = (p_rx, p_eve)
+    trained = [math.sqrt(p) * h for p, h in zip(powers, gains(f, *directions.T))]
     defenses = [("none", None), ("csb", None)] + [("asm", c) for c in asm_c]
     errors = np.empty((len(sigma2s), len(defenses), 2), dtype=np.int64)
     for col, (defense, c) in enumerate(defenses):
-        draw = _draw(f, directions, defense, m_order, num_symbols, np.random.default_rng([seed, 0]), c, trained)
+        rng = np.random.default_rng([seed, 0])
+        true_idx = rng.integers(m_order, size=num_symbols)
+        noise = [rng.standard_normal(num_symbols) + 1j * rng.standard_normal(num_symbols) for _ in powers]
+        g = defense_gains(defense, f, directions, rx_grid, rng, num_symbols, c)
+        x = psk_symbols(m_order)[true_idx]
+        signal = [math.sqrt(p) * g_p * x for p, g_p in zip(powers, g)]
         for si, s2 in enumerate(sigma2s):
-            run = _detect(draw, (LinkState(p_rx, s2), LinkState(p_eve, s2)), m_order)
-            errors[si, col] = [np.count_nonzero(idx != run.true_idx) for idx in (run.rx_idx, run.eve_idx)]
-        if defense == "csb":  # a capped copy: the run itself is freed below
-            z, k = run.eve_equalized[:CONSTELLATION_CAP], run.true_idx[:CONSTELLATION_CAP]
+            for r in range(2):
+                z, idx = equalize_and_detect(signal[r] + noise[r] * math.sqrt(s2 / 2), trained[r], m_order)
+                errors[si, col, r] = np.count_nonzero(idx != true_idx)
+        if defense == "csb":  # the eavesdropper's last point, a capped copy
+            z, k = z[:CONSTELLATION_CAP], true_idx[:CONSTELLATION_CAP]
             constellation = np.column_stack([z.real, z.imag, k.astype(float)])
-        del draw, run  # freed before the next defense is drawn
+        del true_idx, noise, g, x, signal, z, idx  # freed before the next defense is drawn
     return errors, constellation
 
 

@@ -16,9 +16,11 @@ eps times each beam's sum of |F| entries, and the estimator's previous
 blocked form, which must match within a tolerance that grows with rho
 times the largest atom power; and a quadrature of the mixture MI that its
 standard error is checked against.
-The single Monte-Carlo symbol run (simulate_symbols: channel_sim's draw
-step then its detect step), which ser_sweep's rows and constellation are
-checked against and the link tests drive directly. The CSV writer's
+The single Monte-Carlo symbol run (simulate_symbols, written from the
+link model with its own nearest-symbol decision), which ser_sweep's rows
+and constellation are checked against and the link tests drive directly,
+and the exact SER of BPSK and QPSK through a finite mixture of gains
+(exact_ser), which ser_sweep's none and csb rows are checked against. The CSV writer's
 previous row-by-row form (row_csv), whose bytes cli._write_csv must equal.
 The planner's previous move-by-move backward induction (offset_values),
 whose values airspy.value_iteration must equal bit for bit.
@@ -28,13 +30,15 @@ from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from csbsim.airspy import NEG_INF, AttackConstraints, Scenario, _Tables
-from csbsim.array import GridIndex, gains, grid_angle
-from csbsim.channel_sim import LinkState, SymbolRun, _detect, _draw, path_power
+from csbsim.array import GridIndex, gains, grid_angle, nearest_grid_index
+from csbsim.channel_sim import defense_gains, path_power
 from csbsim.csb_defense import _logsumexp, mixture_mis, psk_symbols
 from csbsim.geometry import RectPoint, UavPlaneSpec, rect_to_msph
 
@@ -221,6 +225,29 @@ def quadrature_mixture_mi(atoms, rho: float, m_order: int, nodes: int) -> float:
     return total / atoms.size / math.log(2)
 
 
+@dataclass(frozen=True)
+class LinkState:
+    """A receiver's received reference power (linear) and noise power."""
+
+    p_r: float
+    sigma2: float
+
+    def __post_init__(self):
+        if self.p_r < 0:
+            raise ValueError(f"p_r must be nonnegative, got {self.p_r}")
+        if self.sigma2 <= 0:
+            raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
+
+
+class SymbolRun(NamedTuple):
+    """Raw per-symbol record of a Monte-Carlo run."""
+
+    true_idx: np.ndarray
+    rx_idx: np.ndarray
+    eve_idx: np.ndarray
+    eve_equalized: np.ndarray
+
+
 def simulate_symbols(
     f: np.ndarray,
     rx_link: LinkState,
@@ -234,18 +261,67 @@ def simulate_symbols(
     asm_c: float | None = None,
 ) -> SymbolRun:
     """One Monte-Carlo run of num_symbols transmissions, detected at the RX
-    and the eavesdropper: channel_sim's draw step then its detect step, as
-    ser_sweep takes them for one defense at one SNR point.
+    and the eavesdropper, as ser_sweep takes them for one defense at one SNR
+    point.
 
     f is the fixed beamformer steered at the RX's nearest grid point; both
     receivers equalize on its unshifted gain (perfect training). Each symbol
     goes out on its own draw of the defense (defense_gains). The draw order
     from rng is fixed (symbol indices, RX noise, eavesdropper noise, defense
     randomness), so runs differing only in the defense are exactly paired.
+    Each receiver decides the symbol x_m with the largest Re(z conj(x_m)),
+    the nearest one to its equalized sample z, and erases (index -1) when
+    its trained gain is 0.
     """
+    if num_symbols < 1:
+        raise ValueError(f"num_symbols must be >= 1, got {num_symbols}")
+    rows, cols = f.shape
     directions = np.array([rx_direction, eve_direction], dtype=float)
-    draw = _draw(f, directions, defense, m_order, num_symbols, rng, asm_c, gains(f, *directions.T))
-    return _detect(draw, (rx_link, eve_link), m_order)
+    symbols = psk_symbols(m_order)
+    true_idx = rng.integers(m_order, size=num_symbols)
+    noise = [rng.standard_normal(num_symbols) + 1j * rng.standard_normal(num_symbols) for _ in range(2)]
+    g = defense_gains(defense, f, directions, nearest_grid_index(*directions[0], cols, rows), rng, num_symbols, asm_c)
+    x = symbols[true_idx]
+    decided = []
+    for link, g_r, h, n in zip((rx_link, eve_link), g, gains(f, *directions.T), noise):
+        y = math.sqrt(link.p_r) * g_r * x + n * math.sqrt(link.sigma2 / 2)
+        h_hat = math.sqrt(link.p_r) * h
+        if h_hat == 0:
+            decided.append((np.zeros(num_symbols, dtype=complex), np.full(num_symbols, -1)))
+        else:
+            z = y / h_hat
+            decided.append((z, np.argmax((z[:, None] * np.conj(symbols)).real, axis=1)))
+    (_, rx_idx), (eve_equalized, eve_idx) = decided
+    return SymbolRun(true_idx, rx_idx, eve_idx, eve_equalized)
+
+
+def _phi(x: float) -> float:
+    """The standard normal CDF."""
+    return 0.5 * math.erfc(-x / math.sqrt(2))
+
+
+def exact_ser(g, h: complex, p_r: float, sigma2: float, m_order: int) -> float:
+    """Exact SER of BPSK (m_order 2) or QPSK (4) at a receiver of received
+    reference power p_r and noise power sigma2 that equalizes on sqrt(p_r) h
+    and decides the nearest symbol, when each symbol goes out on a gain drawn
+    uniformly from g (the fixed beam's, or every shift's).
+
+    Given the gain g_k, the equalized sample times conj(x) is Gaussian with
+    mean g_k / h and variance s^2 = sigma2 / (2 p_r |h|^2) per axis. So
+    P(correct | g_k) is Phi(Re(g_k / h) / s) for BPSK and, the correct wedge
+    turned by pi/4 being the open first quadrant, Phi(Re mu / s) Phi(Im mu / s)
+    with mu = (g_k / h) e^{j pi/4} for QPSK. h = 0 (or p_r = 0) is an
+    erasure, SER 1.
+    """
+    if m_order not in (2, 4):
+        raise ValueError(f"m_order must be 2 or 4, got {m_order}")
+    if p_r * abs(h) ** 2 == 0:
+        return 1.0
+    s = math.sqrt(sigma2 / (2 * p_r * abs(h) ** 2))
+    p_correct = 0.0
+    for mu in np.ravel(g) / h * (cmath.exp(1j * math.pi / 4) if m_order == 4 else 1):
+        p_correct += _phi(mu.real / s) * (_phi(mu.imag / s) if m_order == 4 else 1.0)
+    return 1.0 - p_correct / np.size(g)
 
 
 def grid_angles(g: GridIndex, n_t: int, n_rows: int | None = None) -> tuple[float, float]:

@@ -23,13 +23,14 @@ from csbsim.airspy import (
 )
 from csbsim.array import ArrayConfig, GridIndex, dft_codeword
 from csbsim.asm_baseline import AsmConfig, random_subset_masks
-from csbsim.channel_sim import LinkState, sigma2_for_snr, smi_sweep
+from csbsim.channel_sim import sigma2_for_snr, smi_sweep
 from csbsim.cli import ExperimentConfig
 from csbsim.csb_defense import apn_law, partition_report
 from csbsim.geometry import UavPlaneSpec
 
 from dp_oracle import brute_force_trajectory, tiny_instance
 from oracles import (
+    LinkState,
     array_response,
     beam_gain,
     circulant_shift,

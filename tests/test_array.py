@@ -42,6 +42,10 @@ def test_array_config_validation():
         ArrayConfig(16, 0)
     with pytest.raises(ValueError):
         ArrayConfig(16, -1)
+    # 2^q levels past the float range, or a shift 1 << q that fills memory
+    for q in (1024, 2**62):
+        with pytest.raises(ValueError):
+            ArrayConfig(16, q)
     with pytest.raises(ValueError):
         ArrayConfig(16, 2, 3)
     assert ArrayConfig(16).shape == (16, 16)

@@ -1,14 +1,15 @@
 """Link-simulation tests.
 
-The off-grid sweep at the bottom uses a closed-form conditional-SER oracle
-(rotated-QPSK decision probabilities under the exact per-shift relative
+The off-grid sweep at the bottom uses the exact SER oracle (exact_ser:
+rotated-QPSK decision probabilities under the exact per-shift relative
 channels) because the interesting regime sits at SER ~ 1e-8 where
 Monte-Carlo cannot resolve anything; the oracle itself is cross-validated
-against a Monte-Carlo run at 6 dB where both are sharp.
+against ser_sweep's rows and a Monte-Carlo run where both are sharp.
 """
 
+import dataclasses
 import math
-from math import erf
+import os
 
 import numpy as np
 import pytest
@@ -18,17 +19,17 @@ from csbsim.array import (
     ArrayConfig,
     GridIndex,
     dft_codeword,
+    gains,
     nearest_grid_index,
+    responses,
 )
-from csbsim import channel_sim
+from csbsim import channel_sim, cli
 from csbsim.channel_sim import (
     CONSTELLATION_CAP,
     MASK_BLOCK,
-    LinkState,
     defense_gains,
     equalize_and_detect,
     path_power,
-    received_symbol,
     rx_power_penalty_db,
     ser_bytes,
     ser_sweep,
@@ -37,24 +38,51 @@ from csbsim.channel_sim import (
     smi_sweep,
 )
 from csbsim.asm_baseline import AsmConfig, random_subset_masks
-from csbsim.csb_defense import apn_law, psk_symbols, smi_theory
+from csbsim.csb_defense import apn_law, psk_symbols, shift_gains, smi_theory
 
-from oracles import array_response, beam_gain, circulant_shift, grid_angles, shift_phase_factor, simulate_symbols
+from oracles import (
+    LinkState,
+    array_response,
+    beam_gain,
+    circulant_shift,
+    exact_ser,
+    grid_angles,
+    shift_phase_factor,
+    simulate_symbols,
+)
+
+LOCK_INI = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "lock", "lock.ini")
 
 
 # ---------------------------------------------------------------- basics
 
-def test_link_state_validation():
-    LinkState(0.0, 1.0)
-    with pytest.raises(ValueError):
-        LinkState(-0.1, 1.0)
-    with pytest.raises(ValueError):
-        LinkState(1.0, 0.0)
-    with pytest.raises(ValueError):
-        psk_symbols(1)
+def _entry_case():
+    """A one-bit 8-element linear beam at grid point 1, and the RX and
+    eavesdropper directions at grid points 1 and 3."""
+    f = dft_codeword(GridIndex(1, 0), ArrayConfig(8, 1, 1))
+    return f, grid_angles(GridIndex(1, 0), 8, 1), grid_angles(GridIndex(3, 0), 8, 1)
+
+
+def test_ser_sweep_entry_checks(monkeypatch):
+    # refused before anything is drawn: a negative received power, and a
+    # noise power of 0 at some point (no RX power to scale it to, or an
+    # underflow at 300 dB); a dead eavesdropper (p_eve = 0) is an erasure
+    f, rx_dir, eve_dir = _entry_case()
+    monkeypatch.setattr(channel_sim, "defense_gains", lambda *args: pytest.fail("drew before checking"))
+    for p_rx, p_eve, snr_dbs in ((-0.1, 1.0, [10.0]), (1.0, -0.1, [10.0]), (0.0, 1.0, [10.0]), (1e-300, 0.0, [0.0, 300.0])):
+        with pytest.raises(ValueError):
+            ser_sweep(f, rx_dir, eve_dir, p_rx, p_eve, snr_dbs, 4, (), 10, 0)
+
+
+def test_ser_sweep_refuses_an_empty_snr_list():
+    f, rx_dir, eve_dir = _entry_case()
+    with pytest.raises(ValueError, match="snr_dbs"):
+        ser_sweep(f, rx_dir, eve_dir, 1.0, 1.0, [], 4, (), 10, 0)
 
 
 def test_constellation_unit_energy():
+    with pytest.raises(ValueError):
+        psk_symbols(1)
     symbols = psk_symbols(8)
     assert_allclose(np.abs(symbols), 1.0, atol=1e-15)
     assert np.mean(np.abs(symbols) ** 2) == pytest.approx(1.0)
@@ -84,8 +112,7 @@ def test_received_magnitude_matched_beam():
     theta, phi = grid_angles(g, 16)
     v = array_response(theta, phi, 16)
     f = dft_codeword(g, cfg)
-    link = LinkState(9.0, 1.0)
-    y = received_symbol(link, beam_gain(v, f), 1 + 0j, 0.0)
+    y = math.sqrt(9.0) * beam_gain(v, f) * (1 + 0j) + 0.0
     assert abs(y) == pytest.approx(3.0 * 16.0, abs=1e-9)
 
 
@@ -278,11 +305,10 @@ def test_csb_single_symbol_transparency():
     rx_dir = grid_angles(rx_grid, 16)
     f = dft_codeword(rx_grid, cfg)
     v = array_response(*rx_dir, 16)
-    link = LinkState(2.0, 0.01)
     x = np.exp(1j * 2 * np.pi * 3 / 8)
     noise = 0.01 - 0.02j
-    y0 = received_symbol(link, beam_gain(v, f), x, noise)
-    y1 = received_symbol(link, defense_gains("csb", f, [rx_dir], rx_grid)[0], x, noise)
+    y0 = math.sqrt(2.0) * beam_gain(v, f) * x + noise
+    y1 = math.sqrt(2.0) * defense_gains("csb", f, [rx_dir], rx_grid)[0] * x + noise
     assert y1.shape == (256,)
     assert_allclose(y1, y0, rtol=0, atol=1e-12)
 
@@ -401,13 +427,13 @@ def test_ser_sweep_pairs_defenses(monkeypatch):
     rx_dir = grid_angles(rx_grid, 8)
     eve_dir = grid_angles(GridIndex(7, 6), 8)
     snr_dbs, asm_c, n, seed = [0.0, 5.0, 10.0], (0.3, 0.7), 2000, 11
-    real_draw, draws = channel_sim._draw, []
+    real_gains, draws = channel_sim.defense_gains, []
 
-    def counted_draw(*args):
-        draws.append(args[2])
-        return real_draw(*args)
+    def counted_gains(defense, *args):
+        draws.append(defense)
+        return real_gains(defense, *args)
 
-    monkeypatch.setattr(channel_sim, "_draw", counted_draw)
+    monkeypatch.setattr(channel_sim, "defense_gains", counted_gains)
     errors, _ = ser_sweep(f, rx_dir, eve_dir, 1.0, 0.8, snr_dbs, 4, asm_c, n, seed)
     assert draws == ["none", "csb", "asm", "asm"]  # one draw per defense, the constellation's included
     assert errors.shape == (len(snr_dbs), 2 + len(asm_c), 2)
@@ -445,17 +471,70 @@ def test_ser_sweep_none_rows_fall_with_snr():
     assert np.all(errors[0] > errors[-1])
 
 
+def _within_wilson(count, n, p, z):
+    """Whether p lies in the z-sigma Wilson interval of count successes in n trials."""
+    rate = count / n
+    center = (rate + z * z / (2 * n)) / (1 + z * z / n)
+    half = z / (1 + z * z / n) * math.sqrt(rate * (1 - rate) / n + z * z / (4 * n * n))
+    return abs(p - center) <= half
+
+
 def test_ser_sweep_none_rx_matches_qpsk_closed_form():
     # QPSK SER at SNR gamma is 2 Q(sqrt(gamma)) - Q(sqrt(gamma))^2; every
     # point's count lies in the 4-sigma Wilson interval around its rate.
-    snr_dbs, n, z = np.arange(-6.0, 11.0, 2.0), 20000, 4.0
+    snr_dbs, n = np.arange(-6.0, 11.0, 2.0), 20000
     errors = _none_sweep(snr_dbs, n)
     for snr_db, count in zip(snr_dbs, errors[:, 0]):
         q = 0.5 * math.erfc(math.sqrt(10 ** (snr_db / 10)) / math.sqrt(2))
-        rate = count / n
-        center = (rate + z * z / (2 * n)) / (1 + z * z / n)
-        half = z / (1 + z * z / n) * math.sqrt(rate * (1 - rate) / n + z * z / (4 * n * n))
-        assert abs(2 * q - q * q - center) <= half, f"{snr_db} dB: {rate} vs {2 * q - q * q}"
+        assert _within_wilson(count, n, 2 * q - q * q, 4.0), f"{snr_db} dB: {count / n} vs {2 * q - q * q}"
+
+
+@pytest.mark.parametrize("config,tiny", [(None, False), (LOCK_INI, True)], ids=["default", "lock-tiny"])
+def test_ser_none_and_csb_rows_within_5_wilson_of_exact(monkeypatch, config, tiny):
+    # every none and csb row of ser, at the RX and the eavesdropper, against
+    # the exact SER over the fixed beam's gain or every shift's, on the
+    # geometry cmd_ser planned and passed to ser_sweep
+    seen = []
+
+    def spy(*args):
+        seen.append(args)
+        return ser_sweep(*args)
+
+    monkeypatch.setattr(cli, "ser_sweep", spy)
+    _, (snr_col, labels, rx_ser, eve_ser, trials) = cli.cmd_ser(
+        dataclasses.replace(cli.load_config(config), seed=0, tiny=tiny)
+    )["ser_sweep.csv"]
+    [(f, rx_dir, eve_dir, p_rx, p_eve, _, m_order, _, n, _)] = seen
+    rows, cols = f.shape
+    thetas, phis = np.array([rx_dir, eve_dir], dtype=float).T
+    h = gains(f, thetas, phis)
+    every_shift = shift_gains(responses(thetas, phis, rows, cols), f, nearest_grid_index(*rx_dir, cols, rows))
+    ensembles = {"none": h[:, None], "csb": every_shift}
+    checked = 0
+    for snr_db, label, rates in zip(snr_col, labels, zip(rx_ser, eve_ser)):
+        if label not in ensembles:
+            continue
+        sigma2 = sigma2_for_snr(p_rx, abs(h[0]), snr_db)
+        for r, (p_r, rate) in enumerate(zip((p_rx, p_eve), rates)):
+            exact = exact_ser(ensembles[label][r], h[r], p_r, sigma2, m_order)
+            assert _within_wilson(round(rate * n), n, exact, 5.0), f"{snr_db} dB {label} receiver {r}: {rate} vs {exact}"
+            checked += 1
+    assert np.all(trials == n) and checked == 4 * len(set(snr_col))
+
+
+def test_exact_csb_eve_ser_is_three_quarters_at_unit_gcd():
+    # criterion 7's geometry: the eavesdropper one grid point off the RX sees
+    # every shift's gain rotated by one of 16 equally likely phases, 3 of
+    # them inside the symbol's wedge and 2 on its edges, so QPSK is right
+    # 1/4 of the time once the noise cannot move a sample across a wedge
+    cfg = ArrayConfig(16, 1)
+    rx_grid = GridIndex(3, 0)
+    f = dft_codeword(rx_grid, cfg)
+    eve_dir = grid_angles(GridIndex(2, 0), 16)
+    h = beam_gain(array_response(*eve_dir, 16), f)
+    g = defense_gains("csb", f, [eve_dir], rx_grid)[0]
+    for snr_db in (30.0, 40.0, 60.0):
+        assert exact_ser(g, h, 1.0, sigma2_for_snr(1.0, abs(h), snr_db), 4) == pytest.approx(0.75, abs=1e-12)
 
 
 def test_asm_rx_keeps_phase_but_pays_amplitude():
@@ -505,10 +584,6 @@ def test_smi_peak_stays_below_its_estimate(traced_peak, n_t, asm_c, mi_samples):
 
 # ---------------------------------------------------------------- off-grid sweep
 
-def _phi_cdf(x):
-    return 0.5 * (1 + erf(x / math.sqrt(2)))
-
-
 def _relative_shift_atoms(cfg, theta, phi_ang):
     """Exact per-shift relative channel after nearest-grid compensation."""
     rows, cols = cfg.shape
@@ -527,18 +602,6 @@ def _relative_shift_atoms(cfg, theta, phi_ang):
     return out
 
 
-def _qpsk_ser_mixture(atoms, gamma):
-    """Closed-form QPSK SER through known relative channels a e^{j d}:
-    P(correct) = Phi(sqrt(2 g)|a| sin(pi/4 - d)) Phi(sqrt(2 g)|a| sin(pi/4 + d))."""
-    p = 0.0
-    for a in atoms:
-        amp = abs(a)
-        d = math.atan2(a.imag, a.real)
-        arg = math.sqrt(2 * gamma) * amp
-        p += _phi_cdf(arg * math.sin(math.pi / 4 - d)) * _phi_cdf(arg * math.sin(math.pi / 4 + d))
-    return 1 - p / len(atoms)
-
-
 def _off_grid_direction(bi, bj, frac, n=16):
     return math.asin(2 * (bi + frac) / n), math.asin(2 * (bj + frac) / n)
 
@@ -548,7 +611,7 @@ def test_offgrid_oracle_matches_monte_carlo_at_6db():
     th, ph = _off_grid_direction(3, 2, 0.49)
     atoms = _relative_shift_atoms(cfg, th, ph)
     gamma = 4.0
-    pred = _qpsk_ser_mixture(atoms, gamma)
+    pred = exact_ser(atoms, 1.0, 1.0, 1 / gamma, 4)
     f = dft_codeword(nearest_grid_index(th, ph, 16), cfg)
     g0 = abs(beam_gain(array_response(th, ph, 16), f))
     rx = LinkState(1.0, sigma2_for_snr(1.0, g0, 10 * math.log10(gamma)))
@@ -570,7 +633,7 @@ def test_offgrid_unquantized_is_exactly_transparent():
 
 
 GAMMA_15DB = 10 ** 1.5
-SER_UNDEFENDED_15DB = 1 - _phi_cdf(math.sqrt(GAMMA_15DB)) ** 2
+SER_UNDEFENDED_15DB = exact_ser([1.0], 1.0, 1.0, 1 / GAMMA_15DB, 4)
 
 
 def test_offgrid_three_bit_within_10x_through_04_cell():
@@ -585,7 +648,7 @@ def test_offgrid_three_bit_within_10x_through_04_cell():
                 if bi + frac >= 8 or bj + frac >= 8:
                     continue
                 atoms = _relative_shift_atoms(cfg, *_off_grid_direction(bi, bj, frac))
-                worst = max(worst, _qpsk_ser_mixture(atoms, GAMMA_15DB) / SER_UNDEFENDED_15DB)
+                worst = max(worst, exact_ser(atoms, 1.0, 1.0, 1 / GAMMA_15DB, 4) / SER_UNDEFENDED_15DB)
     assert worst <= 10.0
 
 
@@ -608,5 +671,5 @@ def test_offgrid_one_bit_amplitude_collapse_documented():
     worst = 0.0
     for bi, bj in ((0, 1), (0, 0), (2, 4), (4, 2)):
         atoms = _relative_shift_atoms(cfg, *_off_grid_direction(bi, bj, 0.25))
-        worst = max(worst, _qpsk_ser_mixture(atoms, GAMMA_15DB) / SER_UNDEFENDED_15DB)
+        worst = max(worst, exact_ser(atoms, 1.0, 1.0, 1 / GAMMA_15DB, 4) / SER_UNDEFENDED_15DB)
     assert worst > 10.0

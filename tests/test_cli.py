@@ -32,6 +32,8 @@ BAD_CONFIGS = [
     ("beam-pattern", "[array]\nn_t = 7\n", "[array]"),
     ("apn-dist", "[array]\nn_t = 7\n", "[array]"),
     ("beam-pattern", "[array]\nq = 0\n", "[array]"),
+    # 2^q quantizer levels past the float range
+    ("smi-sweep", "[array]\nq = 1024\n", "[array]"),
     ("ser", "[array]\nn_rows = 3\n", "[array]"),
     ("smi-sweep", "[experiment]\nasm_c = 0.001\n", "[experiment] asm_c"),
     ("ser", "[experiment]\nasm_c = 0.3,nan\n", "asm_c"),
@@ -310,6 +312,39 @@ class TestExitCodes:
         assert len(lines) == 1 and lines[0].startswith("config error:"), err
         assert re.search(rf"(?<!\w){re.escape(where)}(?!\w)", lines[0]), err
         assert not list((tmp_path / "o").glob("*"))
+
+    def test_every_key_at_extreme_values_exits_cleanly(self, tmp_path, capsys):
+        # each key of the config file alone at each value of a fixed table,
+        # on the cheapest subcommand at --tiny that reads it: a run prints
+        # the files it wrote, or is one stderr line and exit 1 or 2, and
+        # never raises (RuntimeWarnings are errors here)
+        floats = ("0", "-1", "5e-324", "1e-300", "0.5", "179.9999", "1e12", "-1e12", "1e300", "-1e300", "inf", "nan")
+        ints = ("0", "-1", "1", "2", "3", "7", "64", str(2**62), str(2**63))
+        command = {
+            "n_t": "apn-dist", "n_rows": "beam-pattern", "target_theta_deg": "beam-pattern",
+            "target_phi_deg": "beam-pattern", "q": "smi-sweep", "asm_c": "smi-sweep", "mi_samples": "smi-sweep",
+            "rx_snr_db": "smi-sweep", "rx_theta_deg": "smi-sweep", "m_order": "ser", "snr_min_db": "ser",
+            "snr_max_db": "ser", "snr_step_db": "ser", "num_symbols": "ser",
+            **{key: "attack" for key in cli._SECTIONS["scenario"] + cli._SECTIONS["attack"]},
+        }
+        assert set(command) == cli._FILE_KEYS
+        runs = 0
+        for section, keys in cli._SECTIONS.items():
+            for key in keys:
+                for value in ints if key in cli._INT_FIELDS or key in ("n_rows", "q") else floats:
+                    run = tmp_path / str(runs)
+                    run.mkdir()
+                    (run / "c.ini").write_text(f"[{section}]\n{key} = {value}\n")
+                    argv = [command[key], "--tiny", "--seed", "0", "--config", str(run / "c.ini")]
+                    code = main(argv + ["--out", str(run / "o")])
+                    out, err = capsys.readouterr()
+                    case = f"{command[key]} [{section}] {key} = {value}: exit {code}, {err!r}"
+                    if code == 0:
+                        assert sorted(out.splitlines()) == sorted(map(str, (run / "o").iterdir())), case
+                    else:
+                        assert code in (1, 2) and len(err.splitlines()) == 1, case
+                    runs += 1
+        assert runs == 22 * len(floats) + 7 * len(ints)
 
     @pytest.mark.parametrize("command", ["beam-pattern", "apn-dist"])
     def test_array_past_the_size_cap_never_reaches_a_subcommand(self, tmp_path, capsys, monkeypatch, command):
