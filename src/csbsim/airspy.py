@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .array import ArrayConfig, dft_codeword, gains, nearest_grid_index
+from .array import ArrayConfig, GridIndex, dft_codeword, gains, nearest_grid_index
 from .channel_sim import path_power
 from .geometry import RectPoint, UavPlaneSpec, rect_to_msph
 
@@ -96,13 +96,13 @@ class AttackConstraints:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Planned eavesdropper path, one entry per episode step in each column.
+    """Planned episode, one entry per step in each column.
 
-    cells are the visited (grid u, grid v) cells; u, v their plane
-    coordinates; theta, phi and r their angles and range. reward is the
-    eavesdropper's rate under the step's beam (index 0, the start cell's, is
-    not counted in total_reward), and secrecy_rate the receiver's rate minus
-    reward, unclamped.
+    cells are the eavesdropper's (grid u, grid v) cells; u, v, theta, phi
+    and r their plane coordinates, angles and range. rx is the receiver's
+    track, rx_state_at(scenario, t) per step: (beam grid, (theta, phi), r).
+    reward is the eavesdropper's rate under the step's beam (index 0 is not
+    counted in total_reward), secrecy_rate the RX rate minus reward, unclamped.
     """
 
     cells: tuple[tuple[int, int], ...]
@@ -112,6 +112,7 @@ class Trajectory:
     theta: np.ndarray
     phi: np.ndarray
     r: np.ndarray
+    rx: tuple[tuple[GridIndex, tuple[float, float], float], ...]
     reward: np.ndarray
     secrecy_rate: np.ndarray
 
@@ -136,22 +137,21 @@ class _Tables:
     """Static cell geometry plus per-step beams, rewards, and feasibility.
 
     value_iteration builds one per plan and hands it to extract_trajectory
-    with the values; nothing else keeps it, so it is freed with the plan.
+    with the values; the trajectory keeps only rx, each step's
+    rx_state_at(scenario, t). The plane is tilted by scenario.theta_tilt.
     offsets are the per-step moves in lexicographic order, and widths[k]
     the largest |dj| among them in row offset di = k - len(widths) // 2.
     """
 
     def __init__(self, scenario: Scenario, constraints: AttackConstraints):
         spec = constraints.uav_plane
-        if abs(spec.theta_tilt - scenario.theta_tilt) > 1e-12:
-            raise ValueError("UAV plane tilt differs from the scenario tilt")
         g = constraints.grid_g
         self.g = g
         self.scenario = scenario
         self.constraints = constraints
         self.u_grid = -1.0 + 2.0 * np.arange(g) / g
         half = spec.d * math.tan(spec.beta / 2)
-        sin_t, cos_t = math.sin(spec.theta_tilt), math.cos(spec.theta_tilt)
+        sin_t, cos_t = math.sin(scenario.theta_tilt), math.cos(scenario.theta_tilt)
         uu = self.u_grid[:, None]
         vv = self.u_grid[None, :]
         x = uu * half * sin_t + spec.d * cos_t + 0.0 * vv
@@ -160,7 +160,7 @@ class _Tables:
         self.r = np.sqrt(x * x + y * y + z * z)
         with np.errstate(divide="ignore", invalid="ignore"):
             theta = np.arctan(y / x)
-            phi = np.arctan(z / x) + spec.theta_tilt
+            phi = np.arctan(z / x) + scenario.theta_tilt
         fov = spec.beta / 2 + 1e-12
         self.valid = (x > 0) & (np.abs(theta) <= fov) & (np.abs(phi) <= fov)
         self.theta = np.where(self.valid, theta, 0.0)
@@ -173,12 +173,12 @@ class _Tables:
         n = scenario.num_steps
         eps2 = constraints.epsilon**2
         snr = path_power(self.r[self.valid], scenario.p0, scenario.r0) / scenario.sigma2
-        states = [rx_state_at(scenario, t) for t in range(n)]
-        beam_of = {grid: b for b, grid in enumerate(dict.fromkeys(s[0] for s in states))}
+        self.rx = tuple(rx_state_at(scenario, t) for t in range(n))
+        beam_of = {grid: b for b, grid in enumerate(dict.fromkeys(s[0] for s in self.rx))}
         f = np.stack([dft_codeword(grid, cfg) for grid in beam_of])
         # |gain| of every valid cell, then of every step's receiver, under
         # every distinct beam, in one call; the cells' columns are squared in place
-        rx_theta, rx_phi = np.array([s[1] for s in states]).T
+        rx_theta, rx_phi = np.array([s[1] for s in self.rx]).T
         amp = np.abs(gains(f, np.append(self.theta[self.valid], rx_theta), np.append(self.phi[self.valid], rx_phi)))
         cells = amp.shape[1] - n
         gain2 = amp[:, :cells]
@@ -188,7 +188,7 @@ class _Tables:
         self.reward = np.full((n, g, g), NEG_INF).transpose(1, 2, 0)
         self.rx_rate = np.empty(n)
         self.feasible = np.empty((n, g, g), dtype=bool).transpose(1, 2, 0)
-        for t, (beam_grid, (th_r, ph_r), rx_r) in enumerate(states):
+        for t, (beam_grid, (th_r, ph_r), rx_r) in enumerate(self.rx):
             b = beam_of[beam_grid]
             self.reward[:, :, t][self.valid] = np.log2(1.0 + snr * gain2[b])
             g_rx = amp[b, cells + t]
@@ -270,7 +270,8 @@ def extract_trajectory(tab: _Tables, h: np.ndarray) -> Trajectory:
     The start is the feasible step-0 cell with maximal finite value; each
     step follows the successor maximizing R + H at the next layer. All ties
     break toward the lexicographically smallest cell. The path's total
-    reward is its start value, value_iteration's sum of its rewards.
+    reward is its start value, value_iteration's sum of its rewards; its rx
+    is the tables' own receiver track.
 
     Raises:
         InfeasibleError: if no step-0 cell is both feasible and has a
@@ -318,6 +319,7 @@ def extract_trajectory(tab: _Tables, h: np.ndarray) -> Trajectory:
         theta=tab.theta[a, b],
         phi=tab.phi[a, b],
         r=tab.r[a, b],
+        rx=tab.rx,
         reward=step_reward,
         secrecy_rate=tab.rx_rate - step_reward,
     )

@@ -32,7 +32,6 @@ from .airspy import (
     Trajectory,
     extract_trajectory,
     planner_bytes,
-    rx_state_at,
     value_iteration,
 )
 from .array import (
@@ -218,7 +217,7 @@ class ExperimentConfig:
 
     def constraints(self) -> AttackConstraints:
         return AttackConstraints(
-            uav_plane=UavPlaneSpec(self.d, math.radians(self.beta_deg), math.radians(self.theta_tilt_deg)),
+            uav_plane=UavPlaneSpec(self.d, math.radians(self.beta_deg)),
             v_max=self.v_max,
             epsilon=math.radians(self.epsilon_deg),
             grid_g=self.grid_g,
@@ -425,18 +424,18 @@ def cmd_attack(cfg: ExperimentConfig) -> dict[str, Table]:
 
 
 def cmd_ser(cfg: ExperimentConfig) -> dict[str, Table]:
-    """SER vs. SNR for {none, csb, asm-c} with the eavesdropper parked on the
-    planned trajectory's midpoint cell (each defense drawn once, from the
-    stream [seed, 0], and rescaled at every SNR point), the defenses' exact
-    mean receive-power penalty at the RX, and the eavesdropper's constellation
-    under CSB at the top SNR point, from the same CSB draw as its csb row of
-    ser_sweep.csv. The RX sits at its true, off-grid angles, so CSB's penalty
-    is not 0 dB: the compensation keeps the gain exactly only on the beam
-    grid (-1.44 dB on the default 16 x 16 config)."""
+    """SER vs. SNR for {none, csb, asm-c} at the planned episode's midpoint
+    step, the RX at its traj.rx entry and the eavesdropper parked on its cell
+    (each defense drawn once, from the stream [seed, 0], and rescaled at every
+    SNR point), the defenses' exact mean receive-power penalty at the RX, and
+    the eavesdropper's constellation under CSB at the top SNR point, from the
+    same CSB draw as its csb row of ser_sweep.csv. The RX sits at its true,
+    off-grid angles, so CSB's penalty is not 0 dB: the compensation keeps the
+    gain exactly only on the beam grid (-1.44 dB on the default 16 x 16 config)."""
     num_symbols = min(cfg.num_symbols, 2000) if cfg.tiny else cfg.num_symbols
     scenario, traj = _plan(cfg, cfg.q)
     t_mid = scenario.num_steps // 2
-    rx_grid, rx_dir, rx_r = rx_state_at(scenario, t_mid)
+    rx_grid, rx_dir, rx_r = traj.rx[t_mid]
     f = dft_codeword(rx_grid, scenario.array_cfg)
     p_rx = path_power(rx_r, cfg.p0, cfg.r0)
     snr_dbs = cfg.snr_sweep

@@ -8,8 +8,8 @@ Three frames are used throughout the toolkit:
   use the single-argument arctangent (valid because x > 0 is enforced),
 * a normalized 2D plane at distance d in front of the array that bounds
   where an airborne eavesdropper may hover, with coordinates (u, v) in
-  [-1, 1]^2; UavPlaneSpec holds its geometry, and the planner's tables
-  (airspy._Tables) map every grid cell to its point and angles at once.
+  [-1, 1]^2; UavPlaneSpec holds its d and beta, and airspy._Tables maps
+  every grid cell, tilted by the scenario's theta_tilt, to its angles.
 
 All angles are radians internally; degrees appear only at CLI boundaries.
 """
@@ -48,13 +48,11 @@ class UavPlaneSpec(NamedTuple):
     Attributes:
         d: perpendicular distance from the array to the plane, meters, > 0.
         beta: full angular aperture of the plane as seen from the array,
-            radians, in (0, pi).
-        theta_tilt: downward tilt of the array's elevation reference, radians.
+            radians, in (0, pi). The tilt is airspy.Scenario.theta_tilt.
     """
 
     d: float
     beta: float
-    theta_tilt: float = 0.0
 
 
 def rect_to_msph(p, theta_tilt: float = 0.0) -> SphPoint:

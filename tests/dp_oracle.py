@@ -110,7 +110,7 @@ def tiny_instance(seed: int) -> tuple[Scenario, AttackConstraints]:
         float(rng.uniform(0.005, 0.1)),
     )
     assert scenario.num_steps == 4
-    plane = UavPlaneSpec(float(rng.uniform(0.5, 2.0)), math.radians(float(rng.uniform(100.0, 160.0))), tilt)
+    plane = UavPlaneSpec(float(rng.uniform(0.5, 2.0)), math.radians(float(rng.uniform(100.0, 160.0))))
     constraints = AttackConstraints(
         plane,
         float(rng.uniform(6.0, 40.0)),

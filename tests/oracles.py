@@ -19,8 +19,9 @@ standard error is checked against.
 The single Monte-Carlo symbol run (simulate_symbols, written from the
 link model with its own nearest-symbol decision), which ser_sweep's rows
 and constellation are checked against and the link tests drive directly,
-and the exact SER of BPSK and QPSK through a finite mixture of gains
-(exact_ser), which ser_sweep's none and csb rows are checked against. The CSV writer's
+and the exact SER of M-PSK at any order through a finite mixture of gains
+(exact_ser), which ser_sweep's none and csb rows, and its asm rows over
+the subsets actually drawn, are checked against. The CSV writer's
 previous row-by-row form (row_csv), whose bytes cli._write_csv must equal.
 The planner's previous move-by-move backward induction (offset_values),
 whose values airspy.value_iteration must equal bit for bit.
@@ -295,33 +296,50 @@ def simulate_symbols(
     return SymbolRun(true_idx, rx_idx, eve_idx, eve_equalized)
 
 
-def _phi(x: float) -> float:
-    """The standard normal CDF."""
-    return 0.5 * math.erfc(-x / math.sqrt(2))
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+# Gauss-Legendre nodes and weights on [-1, 1] for exact_ser's sector integral
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(48)
+
+
+def _phi(x) -> np.ndarray:
+    """The standard normal CDF, elementwise, from math.erfc."""
+    return 0.5 * _erfc(-np.asarray(x, dtype=float) / math.sqrt(2)).astype(float)
 
 
 def exact_ser(g, h: complex, p_r: float, sigma2: float, m_order: int) -> float:
-    """Exact SER of BPSK (m_order 2) or QPSK (4) at a receiver of received
-    reference power p_r and noise power sigma2 that equalizes on sqrt(p_r) h
-    and decides the nearest symbol, when each symbol goes out on a gain drawn
-    uniformly from g (the fixed beam's, or every shift's).
+    """Exact M-PSK SER (any m_order >= 2) at a receiver of received reference
+    power p_r and noise power sigma2 that equalizes on sqrt(p_r) h and
+    decides the nearest symbol, when each symbol goes out on a gain drawn
+    uniformly from g (the fixed beam's, every shift's, or the drawn subsets').
 
-    Given the gain g_k, the equalized sample times conj(x) is Gaussian with
-    mean g_k / h and variance s^2 = sigma2 / (2 p_r |h|^2) per axis. So
-    P(correct | g_k) is Phi(Re(g_k / h) / s) for BPSK and, the correct wedge
-    turned by pi/4 being the open first quadrant, Phi(Re mu / s) Phi(Im mu / s)
-    with mu = (g_k / h) e^{j pi/4} for QPSK. h = 0 (or p_r = 0) is an
-    erasure, SER 1.
+    Given the gain g_k, the equalized sample times conj(x), over
+    s = sqrt(sigma2 / (2 p_r |h|^2)), is a unit-variance Gaussian per axis,
+    w, with mean mu = g_k / (h s). BPSK is right with probability Phi(Re mu).
+    For M >= 3 the correct wedge |arg w| < pi/M is where Im(w e^{j pi/M})
+    and -Im(w e^{-j pi/M}) are both positive: unit normals with means
+    a = Im(mu e^{j pi/M}) and b = -Im(mu e^{-j pi/M}) and correlation
+    rho = -cos(2 pi / M). So P(correct | g_k) =
+    Phi2(a, b; rho) = Phi(a) Phi(b) + (1 / 2 pi) * integral from 0 to
+    asin(rho) of exp(-(a^2 - 2 a b sin t + b^2) / (2 cos^2 t)) dt, taken
+    with 48 Gauss-Legendre nodes (it vanishes for QPSK, where rho = 0).
+    h = 0 (or p_r = 0) is an erasure, SER 1.
     """
-    if m_order not in (2, 4):
-        raise ValueError(f"m_order must be 2 or 4, got {m_order}")
+    if m_order < 2:
+        raise ValueError(f"m_order must be >= 2, got {m_order}")
     if p_r * abs(h) ** 2 == 0:
         return 1.0
     s = math.sqrt(sigma2 / (2 * p_r * abs(h) ** 2))
-    p_correct = 0.0
-    for mu in np.ravel(g) / h * (cmath.exp(1j * math.pi / 4) if m_order == 4 else 1):
-        p_correct += _phi(mu.real / s) * (_phi(mu.imag / s) if m_order == 4 else 1.0)
-    return 1.0 - p_correct / np.size(g)
+    mu = np.ravel(g) / (h * s)
+    if m_order == 2:
+        return 1.0 - float(np.mean(_phi(mu.real)))
+    a = (mu * cmath.exp(1j * math.pi / m_order)).imag
+    b = -(mu * cmath.exp(-1j * math.pi / m_order)).imag
+    p_correct = _phi(a) * _phi(b)
+    top = math.asin(-math.cos(2 * math.pi / m_order))
+    t = top / 2 * (_GL_X + 1)
+    ex = -(a[:, None] ** 2 - 2 * (a * b)[:, None] * np.sin(t) + b[:, None] ** 2) / (2 * np.cos(t) ** 2)
+    p_correct += top / 2 * (np.exp(ex) @ _GL_W) / (2 * math.pi)
+    return 1.0 - float(np.mean(p_correct))
 
 
 def grid_angles(g: GridIndex, n_t: int, n_rows: int | None = None) -> tuple[float, float]:
@@ -337,7 +355,7 @@ def _check_plane_spec(spec: UavPlaneSpec) -> None:
         raise ValueError(f"plane aperture must lie in (0, pi), got beta={spec.beta}")
 
 
-def uav_plane_to_rect(c, spec: UavPlaneSpec) -> RectPoint:
+def uav_plane_to_rect(c, spec: UavPlaneSpec, theta_tilt: float = 0.0) -> RectPoint:
     """Map normalized plane coordinates to rectangular space.
 
     The plane is perpendicular to the tilted boresight, at distance d:
@@ -346,6 +364,7 @@ def uav_plane_to_rect(c, spec: UavPlaneSpec) -> RectPoint:
     Args:
         c: (u, v) pair, each component in [-1, 1].
         spec: plane geometry.
+        theta_tilt: the array's elevation reference tilt in radians.
 
     Returns:
         RectPoint on the plane. u moves the point in elevation, v in azimuth.
@@ -358,23 +377,24 @@ def uav_plane_to_rect(c, spec: UavPlaneSpec) -> RectPoint:
     if abs(u) > 1 or abs(v) > 1:
         raise ValueError(f"plane coordinates must lie in [-1,1]^2, got ({u}, {v})")
     half = spec.d * math.tan(spec.beta / 2)
-    sin_t = math.sin(spec.theta_tilt)
-    cos_t = math.cos(spec.theta_tilt)
+    sin_t = math.sin(theta_tilt)
+    cos_t = math.cos(theta_tilt)
     x = u * half * sin_t + spec.d * cos_t
     y = v * half
     z = u * half * cos_t - spec.d * sin_t
     return RectPoint(x, y, z)
 
 
-def msph_angles_of_plane_coord(c, spec: UavPlaneSpec) -> tuple[float, float]:
-    """Angles (theta, phi) of a hover-plane point, composing the two maps above.
+def msph_angles_of_plane_coord(c, spec: UavPlaneSpec, theta_tilt: float = 0.0) -> tuple[float, float]:
+    """Angles (theta, phi) of a hover-plane point under the tilt theta_tilt,
+    composing the two maps above.
 
     Raises:
         ValueError: if the plane point falls on or behind the array plane
             (possible for tilted arrays at extreme u).
     """
-    p = uav_plane_to_rect(c, spec)
-    s = rect_to_msph(p, spec.theta_tilt)
+    p = uav_plane_to_rect(c, spec, theta_tilt)
+    s = rect_to_msph(p, theta_tilt)
     return s.theta, s.phi
 
 

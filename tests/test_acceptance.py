@@ -263,7 +263,7 @@ def test_criterion_09_lane_crossing_secrecy_stays_nonpositive():
         tilt = math.radians(15.0)
         scenario = Scenario(cfg, tilt, 8.0, 3.0, 20.0, (-10.0, 10.0), 0.025, 0.01)
         constraints = AttackConstraints(
-            UavPlaneSpec(1.0, math.radians(160.0), tilt), 17.0, math.radians(3.0), 64
+            UavPlaneSpec(1.0, math.radians(160.0)), 17.0, math.radians(3.0), 64
         )
         assert scenario.num_steps == 41
         traj = extract_trajectory(*value_iteration(scenario, constraints))

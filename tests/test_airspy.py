@@ -48,7 +48,7 @@ from oracles import (
 
 CFG = ArrayConfig(16, 1, n_rows=16)
 TILT = math.radians(15.0)
-PLANE = UavPlaneSpec(1.0, math.radians(160.0), TILT)
+PLANE = UavPlaneSpec(1.0, math.radians(160.0))
 
 
 def lane_scenario(rx_speed=20.0, y_range=(-10.0, 10.0)):
@@ -64,7 +64,7 @@ def index_radius(scenario, constraints):
     return constraints.step_radius * scenario.t_s * constraints.grid_g / 2.0
 
 
-def plane_cell_angles(constraints):
+def plane_cell_angles(scenario, constraints):
     """(theta, phi) arrays over the plane grid, NaN where off the array's view."""
     g = constraints.grid_g
     theta = np.full((g, g), np.nan)
@@ -73,7 +73,7 @@ def plane_cell_angles(constraints):
         for b in range(g):
             coord = (-1.0 + 2.0 * a / g, -1.0 + 2.0 * b / g)
             try:
-                ang = msph_angles_of_plane_coord(coord, constraints.uav_plane)
+                ang = msph_angles_of_plane_coord(coord, constraints.uav_plane, scenario.theta_tilt)
             except ValueError:
                 continue
             theta[a, b] = ang[0]
@@ -165,7 +165,7 @@ class TestRewardOp:
         sc, cons = lane_scenario(), lane_constraints()
         a = b = cons.grid_g // 2
         coord = (-1.0 + 2.0 * a / cons.grid_g, -1.0 + 2.0 * b / cons.grid_g)
-        sph = rect_to_msph(uav_plane_to_rect(coord, cons.uav_plane), sc.theta_tilt)
+        sph = rect_to_msph(uav_plane_to_rect(coord, cons.uav_plane, sc.theta_tilt), sc.theta_tilt)
         f = dft_codeword(rx_state_at(sc, 7)[0], sc.array_cfg)
         v_eve = array_response(sph.theta, sph.phi, sc.array_cfg.n_t, sc.array_cfg.n_rows)
         snr = path_power(sph.r, sc.p0, sc.r0) / sc.sigma2
@@ -244,12 +244,6 @@ class TestSecrecyRate:
         rate = secrecy_rate(f, ang, r, (-ang[0], -ang[1]), r / 2.0, sc)
         assert rate < 0.0
         assert rate == pytest.approx(-1.860613400399616, rel=1e-9)
-
-    def test_plane_tilt_mismatch_raises(self):
-        sc = lane_scenario()
-        cons = AttackConstraints(UavPlaneSpec(1.0, math.radians(160.0), 0.0), 17.0, 0.05, 8)
-        with pytest.raises(ValueError, match="tilt"):
-            value_iteration(sc, cons)
 
 
 class TestPlanner:
@@ -380,10 +374,20 @@ class TestPlanner:
             grid, rx_ang, rx_r = rx_state_at(sc, t)
             a, b = traj.cells[t]
             coord = (-1.0 + 2.0 * a / cons.grid_g, -1.0 + 2.0 * b / cons.grid_g)
-            sph = rect_to_msph(uav_plane_to_rect(coord, cons.uav_plane), sc.theta_tilt)
+            sph = rect_to_msph(uav_plane_to_rect(coord, cons.uav_plane, sc.theta_tilt), sc.theta_tilt)
             f = dft_codeword(grid, sc.array_cfg)
             expected = secrecy_rate(f, rx_ang, rx_r, (sph.theta, sph.phi), sph.r, sc)
             assert profile[t] == pytest.approx(expected, rel=1e-12)
+
+    def test_trajectory_carries_the_receiver_track(self):
+        # the tables' own rx_state_at results, one per step, handed on as they are
+        sc, cons = lane_scenario(), lane_constraints()
+        tab, h = value_iteration(sc, cons)
+        traj = extract_trajectory(tab, h)
+        assert traj.rx is tab.rx
+        assert len(traj.rx) == sc.num_steps
+        for t in range(sc.num_steps):
+            assert traj.rx[t] == rx_state_at(sc, t)
 
     def test_ties_break_toward_smallest_cell(self):
         # with H = -R every successor scores 0, so each step must take the
@@ -425,8 +429,8 @@ class TestPlanner:
             g = cons.grid_g
             for t, (a, b) in enumerate(traj.cells):
                 assert (traj.u[t], traj.v[t]) == (-1.0 + 2.0 * a / g, -1.0 + 2.0 * b / g)
-                theta, phi = msph_angles_of_plane_coord((traj.u[t], traj.v[t]), cons.uav_plane)
-                rect = uav_plane_to_rect((traj.u[t], traj.v[t]), cons.uav_plane)
+                theta, phi = msph_angles_of_plane_coord((traj.u[t], traj.v[t]), cons.uav_plane, sc.theta_tilt)
+                rect = uav_plane_to_rect((traj.u[t], traj.v[t]), cons.uav_plane, sc.theta_tilt)
                 assert traj.theta[t] == pytest.approx(theta, abs=1e-12)
                 assert traj.phi[t] == pytest.approx(phi, abs=1e-12)
                 assert traj.r[t] == pytest.approx(math.hypot(*rect), abs=1e-12)
@@ -449,7 +453,7 @@ class TestMirrorTracking:
     """How the planner relates to the one-bit conjugate lobe."""
 
     def mirror_paths(self, sc, cons, tab):
-        theta, phi = plane_cell_angles(cons)
+        theta, phi = plane_cell_angles(sc, cons)
         continuous, lobe = [], []
         for t in range(sc.num_steps):
             grid, ang, _ = rx_state_at(sc, t)

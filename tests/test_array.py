@@ -290,7 +290,7 @@ def _planner_cells():
     cfg = ArrayConfig(64, 1)
     tilt = math.radians(15.0)
     sc = Scenario(cfg, tilt, 8.0, 3.0, 20.0, (-10.0, 10.0), 0.025, 0.01)
-    tab = _Tables(sc, AttackConstraints(UavPlaneSpec(1.0, math.radians(160.0), tilt), 17.0, 0.05, 64))
+    tab = _Tables(sc, AttackConstraints(UavPlaneSpec(1.0, math.radians(160.0)), 17.0, 0.05, 64))
     f = np.stack([dft_codeword(GridIndex(3, 60), cfg), dft_codeword(GridIndex(0, 0), cfg)])
     return f, tab.theta[tab.valid], tab.phi[tab.valid]
 

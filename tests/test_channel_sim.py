@@ -489,27 +489,46 @@ def test_ser_sweep_none_rx_matches_qpsk_closed_form():
         assert _within_wilson(count, n, 2 * q - q * q, 4.0), f"{snr_db} dB: {count / n} vs {2 * q - q * q}"
 
 
-@pytest.mark.parametrize("config,tiny", [(None, False), (LOCK_INI, True)], ids=["default", "lock-tiny"])
-def test_ser_none_and_csb_rows_within_5_wilson_of_exact(monkeypatch, config, tiny):
-    # every none and csb row of ser, at the RX and the eavesdropper, against
-    # the exact SER over the fixed beam's gain or every shift's, on the
-    # geometry cmd_ser planned and passed to ser_sweep
-    seen = []
+def _ser_run(monkeypatch, cfg):
+    """cmd_ser's ser_sweep.csv columns on cfg at seed 0, the arguments it
+    passed ser_sweep, and the gains of each ASM draw ser_sweep took (one
+    (RX, eavesdropper) x num_symbols array per fraction of asm_c, in order)."""
+    seen, asm_draws = [], []
 
-    def spy(*args):
+    def sweep_spy(*args):
         seen.append(args)
         return ser_sweep(*args)
 
-    monkeypatch.setattr(cli, "ser_sweep", spy)
-    _, (snr_col, labels, rx_ser, eve_ser, trials) = cli.cmd_ser(
-        dataclasses.replace(cli.load_config(config), seed=0, tiny=tiny)
-    )["ser_sweep.csv"]
-    [(f, rx_dir, eve_dir, p_rx, p_eve, _, m_order, _, n, _)] = seen
+    def gains_spy(defense, *args):
+        g = defense_gains(defense, *args)
+        if defense == "asm":
+            asm_draws.append(g)
+        return g
+
+    monkeypatch.setattr(cli, "ser_sweep", sweep_spy)
+    monkeypatch.setattr(channel_sim, "defense_gains", gains_spy)
+    _, columns = cli.cmd_ser(dataclasses.replace(cfg, seed=0))["ser_sweep.csv"]
+    [args] = seen
+    return columns, args, asm_draws
+
+
+def _fixed_and_shift_gains(f, rx_dir, eve_dir):
+    """The none and csb gain ensembles toward (RX, eavesdropper): the fixed
+    beam's gain, and every shift's, compensated for the RX's grid point."""
     rows, cols = f.shape
     thetas, phis = np.array([rx_dir, eve_dir], dtype=float).T
-    h = gains(f, thetas, phis)
     every_shift = shift_gains(responses(thetas, phis, rows, cols), f, nearest_grid_index(*rx_dir, cols, rows))
-    ensembles = {"none": h[:, None], "csb": every_shift}
+    return {"none": gains(f, thetas, phis)[:, None], "csb": every_shift}
+
+
+def _check_ser_rows(columns, args, ensembles):
+    """Assert that every row of a defense in ensembles, at the RX and the
+    eavesdropper, lies within a z = 5 Wilson interval of exact_ser over that
+    defense's (RX, eavesdropper) gains, on the geometry cmd_ser passed to
+    ser_sweep; return the number of rates checked."""
+    snr_col, labels, rx_ser, eve_ser, trials = columns
+    f, rx_dir, eve_dir, p_rx, p_eve, _, m_order, _, n, _ = args
+    h = gains(f, *np.array([rx_dir, eve_dir], dtype=float).T)
     checked = 0
     for snr_db, label, rates in zip(snr_col, labels, zip(rx_ser, eve_ser)):
         if label not in ensembles:
@@ -519,7 +538,41 @@ def test_ser_none_and_csb_rows_within_5_wilson_of_exact(monkeypatch, config, tin
             exact = exact_ser(ensembles[label][r], h[r], p_r, sigma2, m_order)
             assert _within_wilson(round(rate * n), n, exact, 5.0), f"{snr_db} dB {label} receiver {r}: {rate} vs {exact}"
             checked += 1
-    assert np.all(trials == n) and checked == 4 * len(set(snr_col))
+    assert np.all(trials == n)
+    return checked
+
+
+@pytest.mark.parametrize(
+    "config,changes",
+    [
+        (None, {}),
+        (LOCK_INI, {"tiny": True}),
+        (None, {"tiny": True, "m_order": 8}),
+        (None, {"tiny": True, "m_order": 8, "theta_tilt_deg": -10.0}),
+    ],
+    ids=["default", "lock-tiny", "8psk-tiny", "8psk-tilted-tiny"],
+)
+def test_ser_none_and_csb_rows_within_5_wilson_of_exact(monkeypatch, config, changes):
+    # every none and csb row of ser, at the RX and the eavesdropper, against
+    # the exact SER over the fixed beam's gain or every shift's; 8-PSK takes
+    # the sector integral, and the tilt reaches the cells and the receiver
+    # through the scenario alone
+    columns, args, _ = _ser_run(monkeypatch, dataclasses.replace(cli.load_config(config), **changes))
+    assert args[6] == changes.get("m_order", 4)
+    assert _check_ser_rows(columns, args, _fixed_and_shift_gains(*args[:3])) == 4 * len(set(columns[0]))
+
+
+@pytest.mark.parametrize("m_order", [4, 8])
+def test_ser_asm_rows_within_5_wilson_of_exact_over_the_drawn_subsets(monkeypatch, m_order):
+    # each asm-c row against the exact SER given the subsets ser_sweep drew
+    # for it: the Monte Carlo against the model as implemented, with the
+    # receivers equalizing on the fixed beam's phase, so at 8-PSK the RX rows
+    # near 1 at high SNR are near 1 exactly too
+    columns, args, draws = _ser_run(monkeypatch, dataclasses.replace(cli.load_config(None), tiny=True, m_order=m_order))
+    asm_c, n = args[7], args[8]
+    assert [g.shape for g in draws] == [(2, n)] * len(asm_c)
+    ensembles = {f"asm-{c:g}": g for c, g in zip(asm_c, draws)}
+    assert _check_ser_rows(columns, args, ensembles) == 2 * len(asm_c) * len(set(columns[0]))
 
 
 def test_exact_csb_eve_ser_is_three_quarters_at_unit_gcd():

@@ -467,6 +467,14 @@ class TestAttackCommand:
         assert len(built) == 1
         assert built[0]() is None
 
+    @pytest.mark.parametrize("tilt_deg", [15.0, -10.0])
+    def test_tiny_plan_carries_the_receiver_track(self, tilt_deg):
+        scenario, traj = _plan(ExperimentConfig(tiny=True, theta_tilt_deg=tilt_deg), 1)
+        assert scenario.theta_tilt == math.radians(tilt_deg)
+        assert len(traj.rx) == scenario.num_steps == 4
+        for t in range(scenario.num_steps):
+            assert traj.rx[t] == airspy.rx_state_at(scenario, t)
+
 
 class TestBeamPatternCommand:
     def test_tiny_lobe_counts(self, tmp_path):
@@ -555,6 +563,22 @@ def test_empty_asm_c_headers_match_rows(tmp_path):
 
 
 class TestSerCommand:
+    def test_receiver_state_comes_from_the_plan(self, monkeypatch):
+        # the planner derives each step's receiver state once; cmd_ser takes
+        # the midpoint's from the trajectory instead of deriving it again
+        steps = []
+        rx_state_at = airspy.rx_state_at
+
+        def spy(scenario, t):
+            steps.append(t)
+            return rx_state_at(scenario, t)
+
+        monkeypatch.setattr(airspy, "rx_state_at", spy)
+        # a binding of its own in cli would bypass the module attribute
+        monkeypatch.setattr(cli, "rx_state_at", spy, raising=False)
+        cli.cmd_ser(ExperimentConfig(tiny=True, num_symbols=100))
+        assert steps == [0, 1, 2, 3]
+
     def make_config(self, tmp_path):
         cfg = tmp_path / "ser.ini"
         cfg.write_text(

@@ -47,8 +47,8 @@ def test_plane_coord_out_of_range(c):
 
 def test_plane_boresight_maps_to_zero_angles():
     for tilt_deg in (0.0, 15.0, -40.0):
-        spec = UavPlaneSpec(2.0, math.radians(120), math.radians(tilt_deg))
-        theta, phi = msph_angles_of_plane_coord((0.0, 0.0), spec)
+        spec = UavPlaneSpec(2.0, math.radians(120))
+        theta, phi = msph_angles_of_plane_coord((0.0, 0.0), spec, math.radians(tilt_deg))
         assert theta == pytest.approx(0.0, abs=1e-15)
         assert phi == pytest.approx(0.0, abs=1e-15)
 
@@ -72,11 +72,11 @@ def test_plane_edges_reach_half_aperture_untilted():
 def test_tilted_corner_falls_behind_array():
     # With a 15-degree tilt and a wide aperture the low-u corner of the
     # plane crosses the array face; its direction is undefined.
-    spec = UavPlaneSpec(1.0, math.radians(160), math.radians(15))
-    p = uav_plane_to_rect((-0.7, 0.0), spec)
+    spec, tilt = UavPlaneSpec(1.0, math.radians(160)), math.radians(15)
+    p = uav_plane_to_rect((-0.7, 0.0), spec, tilt)
     assert p.x < 0
     with pytest.raises(ValueError):
-        msph_angles_of_plane_coord((-0.7, 0.0), spec)
+        msph_angles_of_plane_coord((-0.7, 0.0), spec, tilt)
 
 
 @given(
@@ -88,8 +88,8 @@ def test_tilted_corner_falls_behind_array():
 )
 def test_plane_points_satisfy_plane_equation(u, v, d, beta, tilt):
     # Rotating the plane must keep every point at perpendicular distance d.
-    spec = UavPlaneSpec(d, beta, tilt)
-    p = uav_plane_to_rect((u, v), spec)
+    spec = UavPlaneSpec(d, beta)
+    p = uav_plane_to_rect((u, v), spec, tilt)
     lhs = p.x * math.cos(tilt) - p.z * math.sin(tilt)
     assert lhs == pytest.approx(d, rel=1e-12)
 
