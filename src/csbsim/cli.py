@@ -5,9 +5,13 @@ few library calls returning {file name: (header, columns)}; once it returns,
 main writes each table through _write_csv, the one CSV writer: a header line
 of names, then one LF-terminated line per row, with str columns as %s, int
 columns as %d, float columns as %.12g, and an empty field for a NaN (an
-eavesdropper direction with no trained channel). Every run takes a mandatory
---seed; the same config and seed give byte-identical CSVs. Exit codes: 0
-success, 1 config error, 2 infeasible scenario, 3 I/O error.
+eavesdropper direction with no trained channel), in UTF-8 whatever the
+locale. It formats whole columns a block of rows at a time in numpy, to the
+bytes Python's own formatting gives; a float within 1e-3 of a rounding tie
+at its 12th digit, zero, the infinities and floats below 1e-297 go through
+Python's '%.12g'. Every run takes a mandatory --seed; the same config and
+seed give byte-identical CSVs. Exit codes: 0 success, 1 config error, 2
+infeasible scenario, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -16,8 +20,8 @@ import argparse
 import configparser
 import ctypes
 import dataclasses
+import functools
 import io
-import itertools
 import math
 import os
 import sys
@@ -305,52 +309,214 @@ def dump_config(cfg: ExperimentConfig) -> str:
     return buf.getvalue()
 
 
-# The format of a column's values by its numpy dtype kind: str, int, float.
-_FORMATS = {"U": "%s", "i": "%d", "u": "%d", "f": "%.12g"}
-#: Rows _write_csv formats at a time: few enough that their strings stay
-#: small beside the run's arrays, many enough that a repeated float, such as
-#: a beam map's angles, is formatted once for many rows.
-CSV_ROWS = 2048
+#: Rows _write_csv formats at a time, so that its temporaries stay the same
+#: size however long the table is (see _write_csv for their bound): enough
+#: rows to spread numpy's cost per call, few enough that a temporary of
+#: 8-byte values (64 kB) stays off fresh pages; 4096 and 16384 rows were no
+#: faster on a beam map.
+CSV_ROWS = 8192
+
+# The writer's tables. A word is four bytes of a field's text held as one
+# uint32, so that a row of words, read in memory order, is the row's text
+# with NUL bytes where a word is not full; the NULs are dropped on writing.
+# They are built from bytes: numpy arithmetic on them would page in numpy
+# code that nothing else runs, about 0.6 MB of resident memory.
 
 
-def _formatted(fmt: str, values: list) -> list[str]:
-    """Each value formatted by fmt, all of them in one `%`."""
-    return ((fmt + "\n") * len(values) % tuple(values)).split("\n")[:-1]
+def _digit_words() -> tuple[np.ndarray, np.ndarray]:
+    """The words "0000" to "9999", and the trailing zeros of each (4 for 0)."""
+    text, zeros = bytearray(40000), bytearray(10000)
+    for k in range(4):
+        # byte k of the word of i is the digit (i // 10 ** (3 - k)) % 10
+        text[k::4] = b"".join(bytes([48 + d]) * 10 ** (3 - k) for d in range(10)) * 10**k
+        zeros[:: 10 ** (k + 1)] = bytes([k + 1]) * 10 ** (3 - k)
+    return np.frombuffer(text, np.uint32), np.frombuffer(zeros, np.uint8)
 
 
-def _fields(column: np.ndarray) -> list[str]:
-    """A column's CSV fields. Each distinct float is formatted once, told
-    apart by its bits so that -0.0 keeps its sign; a NaN is an empty field."""
-    kind = column.dtype.kind
-    if kind == "U":
-        return column.tolist()
-    if kind != "f":
-        return _formatted(_FORMATS[kind], column.tolist())
-    bits, inverse = np.unique(column.astype(np.float64).view(np.int64), return_inverse=True)
-    values = bits.view(np.float64)
-    text = np.array(_formatted(_FORMATS[kind], values.tolist()), dtype=object)
-    text[np.isnan(values)] = ""
-    return text[inverse].tolist()
+_QUADS, _TRAILING = _digit_words()
+#: _FIRST[k + 16] keeps a word's first k bytes, k clipped to [0, 4], for k
+#: from -16 to 20; _AFTER[k + 16] keeps the others
+_KEPT = [min(max(k, 0), 4) for k in range(-16, 21)]
+_FIRST = np.array([b"\xff" * n for n in _KEPT], "S4").view(np.uint32)
+_AFTER = np.array([b"\0" * n + b"\xff" * (4 - n) for n in _KEPT], "S4").view(np.uint32)
+#: powers of ten: 10 ** k at k - 1 for k = 1 to 19, the digits an int reaches
+_TENS = np.array([10**k for k in range(1, 20)], np.uint64)
+#: the decimal exponents of finite floats start at _E_MIN; _EXPONENT[e -
+#: _E_MIN + 1] is "e-324" to "e+308" (two exponent digits, or three from
+#: 100 on), two words each, and row 0 is empty
+_E_MIN = -324
+_EXPONENT = np.array([b""] + [b"e%+03d" % e for e in range(_E_MIN, 309)], "S8").view(np.uint32).reshape(-1, 2)
+#: the point word of a float with no point, with a point, and with one, two
+#: or three zeros after it
+_POINT = np.array([b"", b".", b".0", b".00", b".000"], dtype="S4").view(np.uint32)
+#: a float's first word: a sign in its first byte, the leading "0" of a
+#: value below 1 in its second
+_MINUS, _LEAD = np.array([b"-", b"\x000"], dtype="S4").view(np.uint32)
+_COMMA, _NEWLINE = np.array([b",", b"\n"], dtype="S4").view(np.uint32)
+
+
+@functools.cache
+def _scales() -> np.ndarray:
+    """10 ** (11 - e) at e - _E_MIN, the correctly rounded parse of its text,
+    for every decimal exponent e of a finite float; below 1e-297, where the
+    scale is past the float range, 1e308 instead, which leaves the scaled
+    value below 1e11 and the value to Python. Built on first use: the
+    parses take about half a millisecond."""
+    return np.array([float("1e%d" % min(11 - e, 308)) for e in range(_E_MIN, 309)])
+
+
+def _text_words(text: np.ndarray) -> np.ndarray:
+    """Byte strings (numpy S) as a (words, rows) array of NUL-padded words."""
+    width = -(-text.dtype.itemsize // 4) * 4
+    return text.astype(f"S{width}").view(np.uint32).reshape(len(text), width // 4).T
+
+
+def _str_words(column: np.ndarray) -> list[np.ndarray]:
+    """The fields of a str column, UTF-8 encoded."""
+    return list(_text_words(np.char.encode(column, "utf-8")))
+
+
+def _int_words(column: np.ndarray) -> list[np.ndarray]:
+    """The %d fields of an int column: four digits a word, leading zeros
+    dropped, after a word holding the sign of a negative value."""
+    mag = column.astype(np.uint64)  # a negative value wraps, and is negated back
+    words = []
+    negative = column < 0
+    if negative.any():
+        mag = np.where(negative, np.uint64(0) - mag, mag)
+        words.append(np.multiply(negative, _MINUS, dtype=np.uint32))
+    digits = np.searchsorted(_TENS, mag, side="right") + 1
+    quads = []
+    for k in range(-(-int(digits.max()) // 4)):  # from the last four digits
+        mag, quad = np.divmod(mag, 10000)
+        quads.append(_QUADS[quad] & _AFTER[(4 + 4 * k + 16) - digits])
+    return words + quads[::-1]
+
+
+def _float_words(x: np.ndarray) -> list[np.ndarray]:
+    """The %.12g fields of a float column, as float64; a NaN is an empty field.
+
+    |x| with decimal exponent e becomes the 12-digit mantissa
+    m = rint(|x| 10 ** (11 - e)), its scale from _scales(). e starts at
+    floor(log10 |x|) and moves by one where the scaled value falls outside
+    [1e11, 1e12), and a carry to 1e12 raises it once more. m's digits are
+    laid out as %g lays them out: fixed point for -4 <= e < 12, otherwise
+    d.ddde±XX; trailing zeros of the fraction are dropped, and so is a point
+    with no digits after it. The scaled value is off by at most about 2e-4
+    (two roundings below 1e12), so rint rounds it as %.12g rounds the exact
+    value unless it lies within 1e-3 of a tie. Those values, zero, the
+    infinities, and values below 1e-297, whose scale is past the float
+    range, are formatted by Python's '%.12g' instead.
+    """
+    x = x.astype(np.float64, copy=False)
+    a = np.abs(x)
+    exact = (a > 0) & (a < math.inf)
+    np.putmask(a, ~exact, 1.0)
+    e = np.floor(np.log10(a)).astype(np.int64)
+    scales = _scales()
+    s = a * scales[e - _E_MIN]
+    inside = (s >= 1e11) & (s < 1e12)
+    if not inside.all():  # log10 rounded across a power of ten, or the scale is 1e308
+        off = np.flatnonzero(~inside)
+        e[off] += np.where(s[off] < 1e11, -1, 1)
+        s[off] = a[off] * scales[np.clip(e[off] - _E_MIN, 0, len(scales) - 1)]
+        exact[off] &= (s[off] >= 1e11) & (s[off] < 1e12)
+    m = np.rint(s)
+    exact &= np.abs(s - m) < 0.499
+    del a, s
+    carry = m == 1e12
+    e += carry
+    np.putmask(m, carry | ~exact, 1e11)
+    low = m.astype(np.int64)
+    del m
+    high = low // 100_000_000
+    low -= high * 100_000_000
+    mid = low // 10000
+    low -= mid * 10000
+    trailing = _TRAILING[low] + (low == 0) * (_TRAILING[mid] + (mid == 0) * _TRAILING[high])
+    quads = [_QUADS[group] for group in (high, mid, low)]
+    del high, mid, low
+    digits = (12 - trailing).astype(np.int64)
+    sci = (e < -4) | (e >= 12)
+    whole = np.maximum(e + 1, 0)  # the digits before the point
+    np.putmask(whole, sci, 1)
+    negative, lead = x < 0, whole == 0
+    words = []
+    if negative.any() or lead.any():
+        words.append(np.multiply(negative, _MINUS, dtype=np.uint32) | np.multiply(lead, _LEAD, dtype=np.uint32))
+    for g in range(3):
+        if 4 * g < whole.max():
+            words.append(quads[g] & _FIRST[whole + (16 - 4 * g)])
+    point = digits > whole
+    if point.any():
+        words.append(_POINT[point + lead * (-1 - e)])  # -e - 1 zeros after "0."
+        for g in range(3):
+            if 4 * g < digits.max():
+                words.append(quads[g] & _AFTER[whole + (16 - 4 * g)] & _FIRST[digits + (16 - 4 * g)])
+    scientific = sci & exact
+    if scientific.any():
+        exponent = _EXPONENT[scientific * (e - _E_MIN + 1)].T
+        words += [w for w in exponent if w.any()]
+    if not exact.all():
+        rows = np.flatnonzero(~exact)
+        for w in words:
+            w[rows] = 0
+        rows = rows[~np.isnan(x[rows])]
+        if len(rows):
+            # Python's text goes into the rows' emptied words, and more words
+            # are added only where it is longer than them
+            text = _text_words(np.array(["%.12g" % v for v in x[rows].tolist()], dtype="S"))
+            words += [np.zeros(len(x), np.uint32) for _ in range(len(text) - len(words))]
+            for w, t in zip(words, text):
+                w[rows] = t
+    return words
+
+
+# A column's words by its numpy dtype kind: str, int, float.
+_WORDS = {
+    "U": _str_words,
+    "i": _int_words,
+    "u": _int_words,
+    "f": _float_words,
+}
 
 
 def _write_csv(path: str, header, columns) -> str:
     """Write columns (equal-length sequences or arrays) under a header of names.
 
-    The rows go out CSV_ROWS at a time: each column's slice is formatted by
-    its element type (see _fields), and the slice's rows are one `%` of a
-    comma-separated row format, repeated once per row, over the fields in
-    row order. Columns of unequal length raise ValueError, before the file
-    is opened.
+    The rows go out CSV_ROWS at a time, as UTF-8 bytes whatever the locale.
+    Each column's slice becomes words by its element type: str fields
+    encoded, int fields as %d, float fields as %.12g with an empty field for
+    a NaN (see _float_words; a value within 1e-3 of a rounding tie at its
+    12th digit goes through Python's '%.12g'). A field is NUL where its
+    words are not full, so the slice's rows are the columns' words side by
+    side, with a comma word between fields and a newline word at the end,
+    written with the NULs deleted. With str fields of at most 16 bytes, a
+    block's temporaries stay below 256 bytes per row and column (8 MiB for
+    four columns at CSV_ROWS rows), however long the table. Columns of
+    unequal length, and a str field holding a NUL character, which the
+    deletion would drop, raise ValueError before the file is opened.
     """
     arrays = [np.asarray(column) for column in columns]
     if len({len(a) for a in arrays}) > 1:
         raise ValueError(f"columns of unequal length: {[len(a) for a in arrays]}")
-    row = ",".join(["%s"] * len(arrays)) + "\n"
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
+    for column, a in zip(columns, arrays):
+        # the column as given: numpy drops a str's trailing NULs
+        if a.dtype.kind == "U" and any("\0" in str(v) for v in column):
+            raise ValueError("a str field holds a NUL character")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
         for lo in range(0, len(arrays[0]) if arrays else 0, CSV_ROWS):
-            fields = [_fields(a[lo : lo + CSV_ROWS]) for a in arrays]
-            fh.write(row * len(fields[0]) % tuple(itertools.chain.from_iterable(zip(*fields))))
+            words = []
+            for a in arrays:
+                block = a[lo : lo + CSV_ROWS]
+                words += _WORDS[a.dtype.kind](block)
+                words.append(np.broadcast_to(_COMMA, len(block)))
+            words[-1] = np.broadcast_to(_NEWLINE, len(block))
+            text = np.array(words)
+            del words  # each step holds at most two copies of the block's words
+            text = text.T.tobytes()  # row by row
+            fh.write(text.translate(None, b"\0"))
     return path
 
 

@@ -420,9 +420,9 @@ def argpartition_subset_masks(size: int, active: int, num: int, rng: np.random.G
 
 
 def row_csv(path: str, header, columns) -> None:
-    """cli._write_csv as it was before it formatted each distinct float once:
-    each row is one `%` call on a format built from the columns' element
-    types, and a float column holding a NaN is formatted field by field."""
+    """cli._write_csv as it was before it formatted in blocks: each row is
+    one `%` call on a format built from the columns' element types, and a
+    float column holding a NaN is formatted field by field."""
     arrays = []
     for column in map(np.asarray, columns):
         if column.dtype.kind == "f" and np.isnan(column).any():

@@ -11,14 +11,18 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from csbsim import airspy, cli
 from csbsim.channel_sim import equalize_and_detect, ser_bytes
-from csbsim.cli import ConfigError, ExperimentConfig, _plan, _write_csv, dump_config, load_config, main
+from csbsim.cli import (
+    ConfigError, ExperimentConfig, _plan, _write_csv, cmd_beam_pattern, dump_config, load_config, main,
+)
 from csbsim.csb_defense import apn_law
 
 from oracles import row_csv
@@ -127,10 +131,9 @@ def test_write_csv_formats_columns_by_type(tmp_path, header, columns, expected):
 
 
 def test_write_csv_bytes_equal_the_row_writer(tmp_path):
-    # a whole slice of CSV_ROWS distinct floats, then repeated floats, each
-    # formatted once, and every float the bits keep apart: -0.0 and 0.0,
-    # NaN, NaN with its sign bit set and NaN with a payload, infinities, and
-    # a tiny subnormal; over two whole slices and a ragged third
+    # two whole blocks of CSV_ROWS rows and a ragged third, with every float
+    # the bits keep apart: -0.0 and 0.0, NaN, NaN with its sign bit set and
+    # NaN with a payload, infinities, and a tiny subnormal
     rng = np.random.default_rng(5)
     nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000123], dtype=np.uint64).view(np.float64)
     values = np.concatenate([[0.0, -0.0, 1 / 3, -2.5, 1e-320, np.inf, -np.inf, 123456789012345.0], nans])
@@ -146,9 +149,125 @@ def test_write_csv_bytes_equal_the_row_writer(tmp_path):
     assert b",-0," in got and b",0," in got and b",," in got and b"nan" not in got
 
 
+def _same_bytes_as_row_csv(columns) -> bool:
+    with tempfile.TemporaryDirectory() as out:
+        header = [f"c{k}" for k in range(len(columns))]
+        _write_csv(os.path.join(out, "new.csv"), header, columns)
+        row_csv(os.path.join(out, "old.csv"), header, columns)
+        with open(os.path.join(out, "new.csv"), "rb") as new, open(os.path.join(out, "old.csv"), "rb") as old:
+            return new.read() == old.read()
+
+
+# Floats at the edges of the numpy %.12g formatter: exact 12-digit ties;
+# carries into a 13th digit; the switches between fixed point and exponent
+# at 1e-05/1e-04 and 1e11/1e12; two- and three-digit exponents; the
+# smallest subnormal and normal floats and the largest float, on both sides
+# of the 1e-297 end of the scale table; and decimal ties of 13 digits whose
+# scaled mantissa rounds to the wrong side of .5, which only Python's own
+# '%.12g' gets right
+FLOAT_EDGES = [
+    123456789012.5, 123456789013.5, 999999999999.5, 9.999999999995e-05, 99999999999.95,
+    1e-05, 9.9999999999e-06, 1.00000000001e-05, 1e-04, 9.99999999999e-05, 1.00000000001e-04,
+    1e11, 99999999999.9, 100000000000.1, 1e12, 999999999999.0, 999999999999.4, 1000000000001.0,
+    1e99, 9.99999999999e99, 1e100, 1e-99, 1e-100, 1.5e-100, 5e-324, 1e-310, 2.2250738585072014e-308,
+    1e-297, 9.99999999999e-298, 1e-298, 1.7976931348623157e308, 1e308,
+    1.148748719755e-20, 9.415651814085e-14, 8716.638489285, 68247056041.65, 2.215868545205e-07,
+    7.493395061745e20, 9.406391643605e23, 38968.24519685, 0.1, 1 / 3, 2.5, 1.0, 10.0,
+]
+SPECIAL_FLOATS = np.concatenate([
+    [0.0, -0.0, np.inf, -np.inf, np.nan],
+    np.array([0xFFF8000000000000, 0x7FF8000000000123, 0xFFF0000000000001], dtype=np.uint64).view(np.float64),
+])
+
+
+def test_write_csv_float_edges_equal_the_row_writer():
+    edges = np.array(FLOAT_EDGES)
+    assert _same_bytes_as_row_csv([np.concatenate([edges, -edges, SPECIAL_FLOATS])])
+    # columns whose own words are fewer than Python's text needs, or none
+    for column in ([1.0, 5e-324, 2.0], [-7.0, 123456789012.5], [0.0], [np.nan], [np.inf, 3.0]):
+        assert _same_bytes_as_row_csv([np.array(column)])
+    ints = np.array([0, 1, -1, 9, -10, 9999, -9999, 10000, -10000, 2**63 - 1, -(2**63)], dtype=np.int64)
+    assert _same_bytes_as_row_csv([ints, np.array([0, 9999, 10000, 2**64 - 1] * 2 + [7, 8, 9], dtype=np.uint64)])
+
+
+def _decimal_tie(digits: int, exponent: int, negative: bool) -> float:
+    """The float nearest a 13-digit decimal whose last digit is 5."""
+    return float(f"{'-' if negative else ''}{digits}5e{exponent}")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.floats(width=64)
+        | st.builds(_decimal_tie, st.integers(10**11, 10**12 - 1), st.integers(-336, 295), st.booleans()),
+        min_size=1,
+        max_size=40,
+    )
+)
+def test_write_csv_drawn_floats_equal_the_row_writer(floats):
+    # signed, subnormal, huge, NaN and infinite floats, and near-ties
+    assert _same_bytes_as_row_csv([np.array(floats)])
+
+
+@pytest.mark.parametrize("config", ["", "[array]\nn_t = 64\nq = 1\n"], ids=["default", "64x64-1bit"])
+def test_full_size_beam_maps_equal_the_row_writer(tmp_path, config):
+    # the 181 x 181 mesh, past one block of CSV_ROWS rows
+    path = tmp_path / "beam.ini"
+    path.write_text(config)
+    tables = cmd_beam_pattern(load_config(str(path)))
+    assert len(tables) == 3
+    for header, columns in tables.values():
+        assert len(columns[0]) == 181 * 181 > cli.CSV_ROWS
+        assert _same_bytes_as_row_csv(columns)
+
+
+def test_write_csv_temporaries_stay_within_a_block(tmp_path, traced_peak):
+    # (int, str, float, float) rows: the peak of 200k rows is that of 50k,
+    # and both are below the per-block bound of _write_csv's docstring
+    rng = np.random.default_rng(7)
+    peaks = []
+    for rows in (50_000, 200_000):
+        columns = [
+            rng.integers(-(10**6), 10**6, size=rows),
+            rng.choice(["none", "csb", "asm-0.5"], size=rows),
+            rng.normal(size=rows) * 10.0 ** rng.integers(-30, 30, size=rows),
+            rng.random(rows),
+        ]
+        _write_csv(str(tmp_path / "t.csv"), ["k", "s", "x", "y"], columns)  # untraced: first calls
+        peaks.append(traced_peak(_write_csv, str(tmp_path / "t.csv"), ["k", "s", "x", "y"], columns))
+    assert max(peaks) < 256 * 4 * cli.CSV_ROWS
+    assert peaks[1] - peaks[0] < 150_000  # under one byte per added row
+
+
 def test_write_csv_rejects_unequal_columns(tmp_path):
     with pytest.raises(ValueError):
         _write_csv(str(tmp_path / "t.csv"), ["a", "b"], [[1, 2, 3], [0.5, 0.25]])
+
+
+@pytest.mark.parametrize("column", [["a\0b"], ["ok", "a\0"], np.array(["x", "\0y"])], ids=["inside", "last", "array"])
+def test_write_csv_rejects_a_nul_in_a_str_field(tmp_path, column):
+    # the writer drops NUL bytes from its blocks, so a NUL in a field would
+    # be lost; it is refused before the file is opened
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match="NUL"):
+        _write_csv(str(path), ["s"], [column])
+    assert not path.exists()
+
+
+def test_write_csv_writes_utf8_under_an_ascii_locale(tmp_path):
+    # the C locale's preferred encoding is ASCII; the file is UTF-8 bytes
+    path = tmp_path / "t.csv"
+    code = (
+        "import locale, sys; from csbsim.cli import _write_csv; "
+        "assert locale.getpreferredencoding(False).lower() not in ('utf-8', 'utf8'); "
+        f"_write_csv({str(path)!r}, ['s', 'x'], [['\\xe9', '\\u65e5\\u672c'], [0.5, -1.0]])"
+    )
+    env = {
+        **os.environ, "LC_ALL": "C", "LANG": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+        "PYTHONPATH": os.pathsep.join([os.path.dirname(cli.__file__) + "/..", os.environ.get("PYTHONPATH", "")]),
+    }
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    assert path.read_bytes() == "s,x\n\xe9,0.5\n\u65e5\u672c,-1\n".encode("utf-8")
 
 
 class TestConfigFile:
