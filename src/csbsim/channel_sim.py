@@ -26,9 +26,9 @@ DEFENSES = ("none", "csb", "asm")
 CONSTELLATION_CAP = 10_000
 
 # ASM subsets drawn, and multiplied out, per block of rows: bounds the
-# float64 scores of a draw and the float64 copy of the masks a product makes.
-# A block's peak is 17 B per element and subset: the float64 scores, their
-# np.partition copy and the boolean masks
+# uint32 keys of a draw and the float64 copy of the masks a product makes.
+# A block's peak is 9 B per element and subset (measured): the keys, their
+# np.partition copy and the boolean masks, or the masks and their float64 copy
 MASK_BLOCK = 256
 
 # ASM subsets sampled for each MI estimate; CSB uses its exact ensemble of shifts.
@@ -111,7 +111,7 @@ def defense_gains(defense: str, f: np.ndarray, directions, rx_grid, rng=None, nu
         w_ri = np.concatenate([w.real, w.imag]).T
         g = np.concatenate([
             random_subset_masks(f.size, active, min(MASK_BLOCK, num - lo), rng).astype(float) @ w_ri
-            for lo in range(0, num, MASK_BLOCK)
+            for lo in range(0, max(num, 1), MASK_BLOCK)  # num = 0: one empty block, (P, 0) gains
         ]).T
         g = g[:len(v)] + 1j * g[len(v):]
         return g * np.exp(-1j * np.angle(g[0]))
@@ -177,7 +177,7 @@ def smi_bytes(n_t: int, num_rows: int, m_order: int, asm_c, mi_samples: int) -> 
     return (
         mixture_mi_bytes(mi_samples, m_order, atoms, num_rows)
         + 80.0 * num_rows * atoms
-        + 17.0 * min(MASK_BLOCK, MI_SUBSETS) * n_t * bool(asm_c)
+        + 9.0 * min(MASK_BLOCK, MI_SUBSETS) * n_t * bool(asm_c)
         + 25.0 * m_order * MI_NODES**2
     )
 
@@ -287,5 +287,5 @@ def ser_bytes(rows: int, cols: int, num_points: float, asm_c, num_symbols: int) 
         + 2.0**20
         + 272.0 * num_symbols
         + num_points * (160.0 + 190.0 * (2 + len(asm_c)))
-        + 17.0 * min(MASK_BLOCK, num_symbols) * rows * cols * bool(asm_c)
+        + 9.0 * min(MASK_BLOCK, num_symbols) * rows * cols * bool(asm_c)
     )

@@ -13,6 +13,7 @@ over the same reward floats.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -117,4 +118,20 @@ def tiny_instance(seed: int) -> tuple[Scenario, AttackConstraints]:
         math.radians(float(rng.uniform(1.0, 8.0))),
         5,
     )
+    return scenario, constraints
+
+
+def moving_instance(seed: int, tied: bool = False) -> tuple[Scenario, AttackConstraints]:
+    """tiny_instance(seed) with a speed limit whose index radius, drawn from
+    [1, 3), lets the eavesdropper move between cells. tied puts the links
+    under noise so strong (sigma2 = 1e40) that every reward is exactly 0:
+    every path ties, and the tie rule alone picks the plan."""
+    scenario, constraints = tiny_instance(seed)
+    radius = float(np.random.default_rng([seed, 1]).uniform(1.0, 3.0))
+    plane, g = constraints.uav_plane, constraints.grid_g
+    v_max = radius * 4 * plane.d * math.tan(plane.beta / 2) / (scenario.t_s * g)
+    constraints = dataclasses.replace(constraints, v_max=v_max)
+    assert constraints.step_radius * scenario.t_s * g / 2 >= 1.0
+    if tied:
+        scenario = dataclasses.replace(scenario, sigma2=1e40)
     return scenario, constraints

@@ -408,14 +408,24 @@ def secrecy_rate(f, rx_angles, rx_range, eve_angles, eve_range, scenario: Scenar
 
 def argpartition_subset_masks(size: int, active: int, num: int, rng: np.random.Generator) -> np.ndarray:
     """Subset masks by index selection: each row sets True at the indices of
-    its `active` smallest of size uniform scores (argpartition, then
-    put_along_axis). It reads rng exactly as asm_baseline.random_subset_masks
-    does and always keeps exactly `active` entries per row, where the
-    threshold sampler would keep one more on a tie at the threshold."""
-    scores = rng.random((num, size))
-    keep = np.argpartition(scores, active - 1, axis=1)[:, :active]
+    its `active` smallest of size uniform 32-bit keys (argpartition). The
+    keys are the halves of rng's raw 64-bit words in the host's byte order,
+    as asm_baseline.random_subset_masks reads them. A row whose sorted keys
+    repeat across the threshold is drawn again, each round over the rows
+    still tied, in row order, until none is."""
     masks = np.zeros((num, size), dtype=bool)
-    np.put_along_axis(masks, keep, True, axis=1)
+    rows = list(range(num))
+    while rows:
+        words = rng.bit_generator.random_raw((len(rows) * size + 1) // 2)
+        keys = words.view(np.uint32)[:len(rows) * size].reshape(len(rows), size)
+        ordered = np.sort(keys, axis=1)
+        redraw = []
+        for row, k, o in zip(rows, keys, ordered):
+            if active < size and o[active - 1] == o[active]:
+                redraw.append(row)
+                continue
+            masks[row, np.argpartition(k, active - 1)[:active]] = True
+        rows = redraw
     return masks
 
 

@@ -28,7 +28,7 @@ from csbsim.cli import ExperimentConfig
 from csbsim.csb_defense import apn_law, partition_report
 from csbsim.geometry import UavPlaneSpec
 
-from dp_oracle import brute_force_trajectory, tiny_instance
+from dp_oracle import brute_force_trajectory, moving_instance, tiny_instance
 from oracles import (
     LinkState,
     array_response,
@@ -235,24 +235,32 @@ def test_criterion_07_coprime_offset_corrupts_the_eavesdropper():
 
 
 def test_criterion_08_planner_is_exactly_optimal_on_tiny_instances():
-    with report(8, "20 random tiny instances: planner total == exhaustive max, < 10 s"):
+    # tiny instances have an index radius below 1, where staying put is the
+    # only move; moving instances reach 1 to 3 cells a step, and tied ones
+    # zero every reward, so that the tie rule alone picks the plan
+    with report(8, "20 tiny, 10 moving and 5 tied instances: planner == exhaustive max, < 10 s"):
         start = time.perf_counter()
-        checked = 0
-        seed = 100
-        while checked < 20:
-            scenario, constraints = tiny_instance(seed)
-            seed += 1
-            oracle = brute_force_trajectory(scenario, constraints)
-            table, h = value_iteration(scenario, constraints)
-            if oracle is None:
-                with pytest.raises(InfeasibleError):
-                    extract_trajectory(table, h)
-                continue
-            traj = extract_trajectory(table, h)
-            cells, total = oracle
-            assert traj.total_reward == total
-            assert list(traj.cells) == [tuple(c) for c in cells]
-            checked += 1
+        kinds = [
+            (tiny_instance, 100, 20),
+            (moving_instance, 200, 10),
+            (lambda seed: moving_instance(seed, tied=True), 300, 5),
+        ]
+        for make, seed, count in kinds:
+            checked = 0
+            while checked < count:
+                scenario, constraints = make(seed)
+                seed += 1
+                oracle = brute_force_trajectory(scenario, constraints)
+                table, h = value_iteration(scenario, constraints)
+                if oracle is None:
+                    with pytest.raises(InfeasibleError):
+                        extract_trajectory(table, h)
+                    continue
+                traj = extract_trajectory(table, h)
+                cells, total = oracle
+                assert traj.total_reward == total
+                assert list(traj.cells) == [tuple(c) for c in cells]
+                checked += 1
         assert time.perf_counter() - start < 10.0
 
 

@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from csbsim.array import ArrayConfig, GridIndex, dft_codeword
-from csbsim.asm_baseline import AsmConfig, random_subset_masks
+from csbsim.asm_baseline import AsmConfig, masks_from_keys, random_subset_masks
 from csbsim.channel_sim import defense_gains, smi_sweep
 
 from oracles import argpartition_subset_masks, array_response, beam_gain, grid_angles
@@ -104,11 +104,90 @@ def test_random_subset_masks_counts_and_uniformity():
     assert np.all(np.abs(freq - 0.5) < 4 * math.sqrt(0.25 / 4000) + 1e-12)
 
 
+@pytest.mark.parametrize("active", [1, 3, 6])
+def test_every_subset_equally_likely(active):
+    # each of the C(6, active) subsets (20 for three of six) within a
+    # 5-sigma binomial band of its probability over 40 000 draws
+    num = 40_000
+    masks = random_subset_masks(6, active, num, np.random.default_rng([5, active]))
+    assert np.all(masks.sum(axis=1) == active)
+    counts = np.bincount(masks @ (1 << np.arange(6)), minlength=64)
+    subsets = [k for k in range(64) if bin(k).count("1") == active]
+    assert len(subsets) == math.comb(6, active)
+    assert counts.sum() == counts[subsets].sum() == num
+    p = 1 / len(subsets)
+    band = 5 * math.sqrt(p * (1 - p) / num) if p < 1 else 0.0
+    assert np.all(np.abs(counts[subsets] / num - p) <= band)
+
+
+def test_masks_from_keys_flags_ties_beyond_the_threshold():
+    keys = np.array([[1, 3, 1, 9], [5, 2, 5, 8], [4, 4, 6, 0], [7, 7, 7, 7]], dtype=np.uint32)
+    masks, tied = masks_from_keys(keys, 2)
+    # a tie below the threshold keeps exactly two; one at it keeps more
+    assert masks.tolist() == [[1, 0, 1, 0], [1, 1, 1, 0], [1, 1, 0, 1], [1, 1, 1, 1]]
+    assert tied.tolist() == [False, True, True, True]
+    masks, tied = masks_from_keys(keys, 1)
+    assert masks.sum(axis=1).tolist() == [2, 1, 1, 4]
+    assert tied.tolist() == [True, False, False, True]
+    # keeping every entry leaves no key beyond the threshold to tie with
+    masks, tied = masks_from_keys(keys, 4)
+    assert masks.all() and not tied.any()
+
+
+class _Words:
+    """Stands in for a Generator: bit_generator.random_raw(n) hands out the
+    next n of the given 64-bit words and records n."""
+
+    def __init__(self, keys):
+        self.bit_generator = self
+        self.words = np.asarray(keys, dtype=np.uint32).ravel().view(np.uint64)
+        self.requests = []
+
+    def random_raw(self, n):
+        self.requests.append(n)
+        out, self.words = self.words[:n], self.words[n:]
+        assert len(out) == n
+        return out
+
+
+def test_tied_rows_are_drawn_again_until_none_ties():
+    # round 1: rows 1 and 2 tie at their threshold; round 2 redraws them in
+    # row order and row 1 ties again; round 3 redraws row 1 alone
+    keys = [
+        [1, 3, 1, 9], [5, 2, 5, 8], [4, 4, 6, 0],
+        [6, 6, 6, 6], [10, 20, 30, 0],
+        [2, 9, 1, 3],
+    ]
+    want = [[1, 0, 1, 0], [1, 0, 1, 0], [1, 0, 0, 1]]
+    for sample in (random_subset_masks, argpartition_subset_masks):
+        rng = _Words(keys)
+        masks = sample(4, 2, 3, rng)
+        assert masks.dtype == bool and masks.tolist() == want
+        assert rng.requests == [6, 4, 2] and len(rng.words) == 0
+
+
+@pytest.mark.parametrize("size,active,num", [(16, 0, 3), (16, 17, 3), (16, -1, 3), (16, 3, -1), (0, 0, 3)])
+def test_random_subset_masks_rejects_bad_counts(size, active, num):
+    with pytest.raises(ValueError, match="1 <= active <= size and num >= 0"):
+        random_subset_masks(size, active, num, np.random.default_rng(0))
+
+
+def test_no_draws_give_empty_masks_and_gains():
+    masks = random_subset_masks(16, 3, 0, np.random.default_rng(0))
+    assert masks.dtype == bool and masks.shape == (0, 16)
+    g = GridIndex(1, 2)
+    f = dft_codeword(g, ArrayConfig(4, 1))
+    dirs = [grid_angles(g, 4), (0.3, -0.2), (-0.5, 0.1)]
+    for defense in ("asm", "csb"):
+        gains = defense_gains(defense, f, dirs, g, np.random.default_rng(0), 0, 0.5)
+        assert gains.shape == (3, 0) and gains.dtype == complex
+
+
 @pytest.mark.parametrize("size", [16, 256, 4096])
 @pytest.mark.parametrize("fraction", ["one", "half", "all"])
 def test_threshold_masks_match_index_selection(size, fraction):
     # the threshold sampler keeps the same entries as argpartition on the
-    # same scores, bitwise, over several seeds
+    # same 32-bit keys, bitwise, over several seeds
     active = {"one": 1, "half": size // 2, "all": size}[fraction]
     num = 300 if size < 4096 else 40
     for seed in range(4):

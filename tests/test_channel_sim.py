@@ -176,7 +176,10 @@ def test_asm_gains_drawn_in_blocks_match_one_draw():
     # Gains drawn in several mask blocks equal, bitwise, one whole draw of
     # masks from the same stream multiplied block by block as real products
     # on [Re w | Im w] (one product over the whole draw may differ in the
-    # last bits, as BLAS splits its sums by the row count). They match the
+    # last bits, as BLAS splits its sums by the row count). That holds
+    # unless a row is redrawn: a block draws its tied rows again before the
+    # next block's keys, one whole draw after all of them (a tie at the
+    # threshold has probability below 64 / 2^32 per row here). They match the
     # complex product masks @ w within 1e-12 of the largest gain (measured:
     # at most 5.4e-14).
     rows, cols, c, num = 8, 8, 0.3, 2 * MASK_BLOCK + 37

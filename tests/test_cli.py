@@ -61,8 +61,8 @@ BAD_CONFIGS = [
     ("attack", f"[attack]\ngrid_g = {10**160}\n", "grid_g"),
     # Monte-Carlo runs far past the size cap, rejected whatever the subcommand
     ("ser", "[experiment]\nnum_symbols = 1000000000000\n", "[experiment] num_symbols"),
-    # 256 symbols whose ASM subsets of a 512 x 512 array fill one 1.14 GB mask block
-    ("ser", "[array]\nn_t = 512\n[attack]\ngrid_g = 2\n[experiment]\nnum_symbols = 256\n", "[experiment] num_symbols"),
+    # 256 symbols whose ASM subsets of a 704 x 704 array fill one 1.14 GB mask block
+    ("ser", "[array]\nn_t = 704\n[attack]\ngrid_g = 2\n[experiment]\nnum_symbols = 256\n", "[experiment] num_symbols"),
     ("smi-sweep", "[experiment]\nmi_samples = 1000000000000\n", "[experiment] mi_samples"),
     # MI estimates that fit the cap at one worker but not at MI_WORKERS
     ("smi-sweep", "[experiment]\nm_order = 512\nmi_samples = 2000000\n", "[experiment] mi_samples"),
@@ -288,13 +288,12 @@ class TestConfigFile:
                 ExperimentConfig(**fields)
 
     def test_ser_size_check_counts_the_asm_mask_block(self):
-        # 256 symbols take 70 kB, but their ASM subsets of a 512 x 512 array
-        # are one mask block of 1.14 GB: the float64 scores, their
-        # partitioned copy and the boolean masks. With no ASM fraction
-        # nothing is masked.
-        with pytest.raises(ConfigError, match=r"^\[experiment\] num_symbols: 256 symbols on a 512 x 512 array: "):
-            ExperimentConfig(n_t=512, grid_g=2, num_symbols=256)
-        ExperimentConfig(n_t=512, grid_g=2, num_symbols=256, asm_c=())
+        # 256 symbols take 70 kB, but their ASM subsets of a 704 x 704 array
+        # are one mask block of 1.14 GB: the uint32 keys, their partitioned
+        # copy and the boolean masks. With no ASM fraction nothing is masked.
+        with pytest.raises(ConfigError, match=r"^\[experiment\] num_symbols: 256 symbols on a 704 x 704 array: "):
+            ExperimentConfig(n_t=704, grid_g=2, num_symbols=256)
+        ExperimentConfig(n_t=704, grid_g=2, num_symbols=256, asm_c=())
 
     def test_ser_rows_grow_below_their_estimate(self, tmp_path, capsys, traced_peak):
         # one symbol at 11 and at 1001 SNR points on a 4 x 4 array: the
