@@ -137,7 +137,9 @@ def smi_sweep(
     gains divided by the fixed-beam gain: every shift for CSB, MI_SUBSETS
     subsets from the stream [seed, 7, ci] for fraction ci (the same subsets
     for both receivers). A column's estimates are one mixture_mis call on
-    the stream [seed, 101], so every estimate reads the same draws.
+    the stream [seed, 101], so every estimate reads the same draws: an atom
+    index and a noise sample per MI sample, with the symbol x_0 sent, which
+    PSK symmetry allows.
 
     Returns:
         (len(eve_directions), 1 + len(asm_c)) array, CSB in column 0; NaN
@@ -239,7 +241,7 @@ def ser_sweep(
     Raises:
         ValueError: before any draw, if p_rx or p_eve is negative, snr_dbs
             is empty, num_symbols is below 1, or a point's sigma2 is not
-            positive.
+            in (0, inf).
     """
     if p_rx < 0 or p_eve < 0:
         raise ValueError(f"received powers must be nonnegative, got p_rx={p_rx}, p_eve={p_eve}")
@@ -248,9 +250,10 @@ def ser_sweep(
     if num_symbols < 1:
         raise ValueError(f"num_symbols must be >= 1, got {num_symbols}")
     g_rx = abs(gains(f, (rx_direction[0],), (rx_direction[1],))[0])
-    sigma2s = [sigma2_for_snr(p_rx, g_rx, snr_db) for snr_db in snr_dbs]
-    if not all(s2 > 0 for s2 in sigma2s):
-        raise ValueError(f"noise power must be positive at every SNR point, got {sigma2s}")
+    with np.errstate(over="ignore"):  # an overflow is refused below, as inf
+        sigma2s = [sigma2_for_snr(p_rx, g_rx, snr_db) for snr_db in snr_dbs]
+    if not all(0 < s2 < math.inf for s2 in sigma2s):
+        raise ValueError(f"noise power must be in (0, inf) at every SNR point, got {sigma2s}")
     rows, cols = f.shape
     directions = np.array([rx_direction, eve_direction], dtype=float)
     rx_grid = nearest_grid_index(*directions[0], cols, rows)

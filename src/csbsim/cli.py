@@ -526,11 +526,9 @@ Table = tuple[list[str], list]  # one CSV's (header, columns), as _write_csv tak
 def cmd_beam_pattern(cfg: ExperimentConfig) -> dict[str, Table]:
     """Normalized amplitude maps for the unquantized, 1-bit, and 2-bit beams,
     from one beam_pattern call on the three codewords."""
-    step = 5 if cfg.tiny else 1
-    rad = np.radians(np.arange(-90, 91, step))
-    th, ph = np.meshgrid(rad, rad, indexing="ij")
-    dirs = np.column_stack([th.ravel(), ph.ravel()])
-    degrees = np.degrees(dirs.T)
+    angles = np.arange(-90, 91, 5 if cfg.tiny else 1)  # whole degrees, written as integers
+    degrees = [d.ravel() for d in np.meshgrid(angles, angles, indexing="ij")]
+    dirs = np.radians(np.column_stack(degrees))
     grid = nearest_grid_index(math.radians(cfg.target_theta_deg), math.radians(cfg.target_phi_deg), cfg.n_t, cfg.n_rows)
     labels, qs = ("inf", "1", "2"), (None, 1, 2)
     maps = beam_pattern(np.stack([dft_codeword(grid, ArrayConfig(cfg.n_t, q, cfg.n_rows)) for q in qs]), dirs)

@@ -170,7 +170,7 @@ MI_F32_MAX = 2.0**12
 # a float32 row whose exponents can fall below this raises them to it before
 # exp: exp(-87) = 1.6e-38 is just above float32's smallest normal, and a
 # subnormal result costs about 7 ns against 0.6 ns. What it adds to a sum is
-# far below float32 rounding of the drawn symbol's own sum, about
+# far below float32 rounding of the sent symbol's own sum, about
 # exp(-|noise|^2). The raise itself costs 0.27 ns per exponent, so a row
 # whose exponents cannot reach this skips it
 MI_F32_EXP_MIN = -87.0
@@ -266,109 +266,101 @@ def _mi_group_rows(num_rows: int, chunk: int, m_order: int, num_atoms: int) -> i
 
 def mixture_mi_bytes(num_samples: int, m_order: int, num_atoms: int, num_rows: int = 1) -> float:
     """Peak traced bytes of one mixture_mis call on num_rows sets of num_atoms
-    atoms, measured: 64 B per sample (the shared draws, 56 B while the noise
-    is formed), 24 B per atom of the stack (its SNR check), and 8 kB; and for
-    each of min(MI_WORKERS, num_rows) workers on ceil(num_rows / workers)
-    rows, 24 B per element of a row group's y4, sums and c4 buffers (with the
-    slice's y, c, log-sum-exp and term temporaries) and 8 B per exponent of
-    its block. Nothing else grows with num_samples. These are the workers
-    mixture_mis runs on every host. It counts every row in float64; a float32
-    row's buffers and block take half the bytes. The measured peak of float64
-    rows is 0.45 to 0.98 of this on 20 shapes (D up to 1000, K up to 4096, M
-    up to 1024, up to 300000 samples), and of float32 rows 0.33 to 0.64 on
-    the tests' shapes; a part that runs both holds one dtype's buffers at a
-    time."""
+    atoms, measured: 48 B per sample (the shared draws, an atom index and a
+    noise sample, 40 B while the noise is formed), 24 B per atom of the stack
+    (its SNR check), and 8 kB; and for each of min(MI_WORKERS, num_rows)
+    workers on ceil(num_rows / workers) rows, 24 B per element of a row group's y4, sums and c4 buffers (with the
+    slice's y, c and term temporaries) and 8 B per exponent of its block.
+    Nothing else grows with num_samples. These are the workers mixture_mis
+    runs on every host. It counts every row in float64; a float32 row's
+    buffers and block take half the bytes. The measured peak is 0.34 to 0.81
+    of this in float64 and 0.18 to 0.81 in float32 on 20 shapes (D up to
+    1000, K up to 4096, M up to 1024, up to 300000 samples); the most is on
+    one row with many samples, the least at M = 1024, whose terms take no
+    temporary with a symbol axis. A part that runs both dtypes holds one
+    dtype's buffers at a time."""
     chunk = min(num_samples, MI_CHUNK)
     workers = min(MI_WORKERS, num_rows)
     elems = m_order * num_atoms
     group = _mi_group_rows(-(-num_rows // workers), chunk, m_order, num_atoms)
     worker = 24.0 * group * (chunk * (4 + m_order) + 4 * elems) + 8.0 * elems * _mi_block_rows(chunk, elems)
-    return 8192.0 + 64.0 * num_samples + 24.0 * num_rows * num_atoms + workers * worker
+    return 8192.0 + 48.0 * num_samples + 24.0 * num_rows * num_atoms + workers * worker
 
 
-def _mi_draws(rng, m_order, num_atoms, num_samples):
+def _mi_draws(rng, num_atoms, num_samples):
     """The draws every row of a mixture_mis call reads, taken from rng in
-    this order: symbol indices, atom indices and CN(0, 1) noise. Returns
-    (idx, draw, x, noise), x the drawn M-PSK symbols."""
-    idx = rng.integers(m_order, size=num_samples)
+    this order: atom indices, then CN(0, 1) noise. Returns (draw, noise)."""
     draw = rng.integers(num_atoms, size=num_samples)
     noise = (rng.standard_normal(num_samples) + 1j * rng.standard_normal(num_samples)) * math.sqrt(0.5)
-    return idx, draw, psk_symbols(m_order)[idx], noise
+    return draw, noise
 
 
 def _mi_term_groups(atoms, rhos, peaks, m_order, draws):
-    """mixture_mis's per-sample terms log p(y | x) - log p(y), in nats, on
-    the _mi_draws draws, one group of rows and one MI_CHUNK slice of samples
-    at a time: yields (rows, terms) with rows an index array into atoms and
-    terms a float64 array of shape (len(rows), slice length), the slices of
-    a group in order. A row's terms average to its estimate, and their std /
-    sqrt(num_samples) is its standard error. peaks holds each row's
-    rho * max|a|^2: the rows at most MI_F32_MAX run first, in float32, then
-    the others in float64. Takes validated inputs with m_order >= 2."""
-    low = peaks <= MI_F32_MAX
-    # float32 rows whose exponents can pass MI_F32_EXP_MIN: |y - c| is at
-    # most 2 sqrt(peak) + |noise|, and |noise|^2 > 12 has probability 6e-6
-    clamp = low & ((2 * np.sqrt(peaks) + math.sqrt(12)) ** 2 > -MI_F32_EXP_MIN)
-    for dtype, part in ((np.float32, np.flatnonzero(low)), (np.float64, np.flatnonzero(~low))):
-        # a dtype's buffers go with its generator's frame, before the next
-        # dtype's are taken
-        yield from _mi_dtype_term_groups(atoms, rhos, clamp, part, dtype, m_order, draws)
-
-
-def _mi_dtype_term_groups(atoms, rhos, clamp, part, dtype, m_order, draws):
-    """_mi_term_groups on the rows in the index array part, all in dtype;
-    a row with clamp set raises its exponents to MI_F32_EXP_MIN before exp."""
-    if not len(part):
-        return
-    idx, draw, x, noise = draws
-    num_samples = len(idx)
+    """mixture_mis's per-sample terms log p(y | x_0) - log p(y) =
+    log(M s_0 / sum_m s_m), in nats, on the _mi_draws draws, with s_m the
+    sum over the atoms of exp(-|y - a_k x_m|^2): one group of rows and one
+    MI_CHUNK slice of samples at a time. Yields (rows, terms) with rows an
+    index array into atoms and terms a float64 array of shape (len(rows),
+    slice length), the slices of a group in order. A row's terms average to
+    its estimate, and their std / sqrt(num_samples) is its standard error.
+    peaks holds each row's rho * max|a|^2: the rows at most MI_F32_MAX run
+    first, in float32, then the others in float64; a float32 row whose
+    exponents could fall below MI_F32_EXP_MIN raises them to it before exp.
+    Takes validated inputs with m_order >= 2."""
+    draw, noise = draws
+    num_samples = len(draw)
     num_atoms = atoms.shape[1]
     elems = m_order * num_atoms
     syms = psk_symbols(m_order)
     chunk = min(num_samples, MI_CHUNK)
     height = _mi_block_rows(chunk, elems)
-    log_m = math.log(m_order)
-    # log p(y | x_m) up to the common 1/(pi K): with c = a_k x_m, the
-    # exponent -|y - c|^2 = 2 Re(y conj(c)) - |y|^2 - |c|^2 is one real
-    # product with inner dimension 4, and at most 0 up to rounding (which
-    # MI_F32_MAX and MI_RHO_MAX bound), so exp cannot overflow unshifted
-    group = _mi_group_rows(len(part), chunk, m_order, num_atoms)
-    y4 = np.empty((group, chunk, 4), dtype)
-    y4[:, :, 3] = 1.0
-    c4 = np.empty((group, 4, elems), dtype)
-    c4[:, 2] = -1.0
-    sums = np.empty((group, chunk, m_order), dtype)
-    block = np.empty((height, elems), dtype)  # reused by every block of every row
-    ones = np.ones(num_atoms, dtype)
-    for d0 in range(0, len(part), group):
-        rows = part[d0:d0 + group]
-        g = len(rows)
-        a = np.sqrt(rhos[rows, None]) * atoms[rows]
-        c = (syms[None, :, None] * a[:, None, :]).reshape(g, elems)
-        c4[:g, 0] = 2 * c.real
-        c4[:g, 1] = 2 * c.imag
-        c4[:g, 3] = -(c.real**2 + c.imag**2)
-        for lo in range(0, num_samples, chunk):
-            n = min(chunk, num_samples - lo)
-            y = a[:, draw[lo:lo + n]] * x[lo:lo + n] + noise[lo:lo + n]
-            y4[:g, :n, 0] = y.real
-            y4[:g, :n, 1] = y.imag
-            y4[:g, :n, 2] = y.real**2 + y.imag**2
-            for r in range(g):
-                for b0 in range(0, n, height):
-                    b1 = min(b0 + height, n)
-                    e = np.matmul(y4[r, b0:b1], c4[r], out=block[:b1 - b0])
-                    if clamp[rows[r]]:
-                        np.maximum(e, MI_F32_EXP_MIN, out=e)
-                    np.exp(e, out=e)
-                    # the sum over the atoms as one matrix-vector product
-                    np.matmul(e.reshape(-1, num_atoms), ones, out=sums[r, b0:b1].reshape(-1))
-            ll = sums[:g, :n]
-            # a symbol far from y can sum to 0, and its -inf drops out of lpy
-            with np.errstate(divide="ignore"):
-                np.log(ll, out=ll)  # (g, n, M)
-            lpy = _logsumexp(ll, axis=2) - log_m
-            yield rows, np.subtract(ll[:, np.arange(n), idx[lo:lo + n]], lpy, dtype=float)
+    low = peaks <= MI_F32_MAX
+    # float32 rows whose exponents can pass MI_F32_EXP_MIN: |y - c| is at
+    # most 2 sqrt(peak) + |noise|, and |noise|^2 > 12 has probability 6e-6
+    clamp = low & ((2 * np.sqrt(peaks) + math.sqrt(12)) ** 2 > -MI_F32_EXP_MIN)
+    for dtype, part in ((np.float32, np.flatnonzero(low)), (np.float64, np.flatnonzero(~low))):
+        if not len(part):
+            continue
+        # log p(y | x_m) up to the common 1/(pi K): with c = a_k x_m, the
+        # exponent -|y - c|^2 = 2 Re(y conj(c)) - |y|^2 - |c|^2 is one real
+        # product with inner dimension 4, and at most 0 up to rounding (which
+        # MI_F32_MAX and MI_RHO_MAX bound), so exp cannot overflow unshifted
+        group = _mi_group_rows(len(part), chunk, m_order, num_atoms)
+        y4 = np.empty((group, chunk, 4), dtype)
+        y4[:, :, 3] = 1.0
+        c4 = np.empty((group, 4, elems), dtype)
+        c4[:, 2] = -1.0
+        sums = np.empty((group, chunk, m_order), dtype)
+        block = np.empty((height, elems), dtype)  # reused by every block of every row
+        ones = np.ones(num_atoms, dtype)
+        for d0 in range(0, len(part), group):
+            rows = part[d0:d0 + group]
+            g = len(rows)
+            a = np.sqrt(rhos[rows, None]) * atoms[rows]
+            # column block 0 is x_0 = 1, the symbol sent
+            c = (syms[None, :, None] * a[:, None, :]).reshape(g, elems)
+            c4[:g, 0] = 2 * c.real
+            c4[:g, 1] = 2 * c.imag
+            c4[:g, 3] = -(c.real**2 + c.imag**2)
+            for lo in range(0, num_samples, chunk):
+                n = min(chunk, num_samples - lo)
+                y = a[:, draw[lo:lo + n]] + noise[lo:lo + n]
+                y4[:g, :n, 0] = y.real
+                y4[:g, :n, 1] = y.imag
+                y4[:g, :n, 2] = y.real**2 + y.imag**2
+                for r in range(g):
+                    for b0 in range(0, n, height):
+                        b1 = min(b0 + height, n)
+                        e = np.matmul(y4[r, b0:b1], c4[r], out=block[:b1 - b0])
+                        if clamp[rows[r]]:
+                            np.maximum(e, MI_F32_EXP_MIN, out=e)
+                        np.exp(e, out=e)
+                        # the sum over the atoms as one matrix-vector product
+                        np.matmul(e.reshape(-1, num_atoms), ones, out=sums[r, b0:b1].reshape(-1))
+                s = sums[:g, :n]  # (g, n, M)
+                yield rows, np.log(s[:, :, 0] / s.sum(axis=2, dtype=float) * m_order)
+        # this dtype's buffers go before the next dtype's are taken
+        del y4, c4, sums, block, ones, a, c, y, e, s
 
 
 def _run_parts(fn, parts):
@@ -411,10 +403,13 @@ def mixture_mis(
     atoms[d] each symbol, n ~ CN(0, 1), and a receiver that knows the atom
     set and rho but not the draw. Densities are exact finite mixtures, so the
     estimator is unbiased; each value carries O(1/sqrt(num_samples)) MC noise.
-    Every row reads the same draws (symbol indices, atom indices, noise),
-    taken from rng once in that order, and its value is the one that row
-    gives alone. Deterministic for a given rng state, whatever the number of
-    workers.
+    The set {x_m a_k} is closed under multiplication by a PSK symbol, so the
+    mutual information is the same whichever symbol is sent: every sample
+    sends x_0 = 1, and its term is log p(y | x_0) - log p(y) =
+    log(M s_0 / sum_m s_m), s_m the sum over the atoms of exp(-|y - a_k x_m|^2).
+    Every row reads the same draws (atom indices, then noise), taken from
+    rng once in that order, and its value is the one that row gives alone.
+    Deterministic for a given rng state, whatever the number of workers.
 
     The rows are split into min(MI_WORKERS, D) contiguous parts, one per
     worker, whatever the host's CPUs (two workers on one CPU took the time
@@ -432,17 +427,15 @@ def mixture_mis(
     rows run in groups of one dtype, one MI_CHUNK slice of samples at a
     time, and a group's y4, c4 and per-symbol sums fill at most MI_GROUP
     bytes of float64 (at least one row). For each slice, a group takes the
-    logs, the log-sum-exp over the symbols and the terms log p(y | x) -
-    log p(y) at once, and adds the slice's sum to each row's total; only the
-    draws span every sample.
+    terms from its per-symbol sums at once, in float64, and adds the slice's
+    sum to each row's total; only the draws span every sample.
 
     The dtype belongs to the row. A row whose rho * max|a|^2 is at most
     MI_F32_MAX runs its y4, c4, exponent block, ones vector and per-symbol
     sums in float32, with each exponent raised to MI_F32_EXP_MIN before exp;
-    its log-sum-exp sums in float64 and its terms are float64. Every other
-    row runs in float64. A part runs its float32 rows first, then the
-    others, so a group never mixes dtypes and each row gives the bits it
-    gives alone. A float32 block takes half the bytes and its exp half the
+    its terms are float64. Every other row runs in float64. A part runs its
+    float32 rows first, then the others, so a group never mixes dtypes and
+    each row gives the bits it gives alone. A float32 block takes half the bytes and its exp half the
     time of a float64 one.
 
     The exponents' rounding error grows with rho * max|a|^2. In float32 at
@@ -484,7 +477,7 @@ def mixture_mis(
     out = np.zeros(len(rhos))
     if m_order == 1:
         return out
-    draws = _mi_draws(rng, m_order, atoms.shape[1], num_samples)
+    draws = _mi_draws(rng, atoms.shape[1], num_samples)
 
     def part(lo, hi):
         total = out[lo:hi]

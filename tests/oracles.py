@@ -11,7 +11,8 @@ over a single atom set (mixture_mi, the one-row view of
 csb_defense.mixture_mis). Direct forms of the direction-gain kernel (against
 array.gains, which shares each distinct angle's factor) and of the mixture
 MI estimator (against mixture_mi, whose exponents come from one real
-product); the kernel's previous gathered form, which must match within 8
+product and which sends x_0 alone, where the oracle sends a random symbol
+and takes the log-sum-exp over every symbol); the kernel's previous gathered form, which must match within 8
 eps times each beam's sum of |F| entries, and the estimator's previous
 blocked form, which must match within a tolerance that grows with rho
 times the largest atom power; and a quadrature of the mixture MI that its
@@ -146,17 +147,30 @@ def mixture_mi(atoms, rho: float, m_order: int, rng: np.random.Generator, num_sa
     return float(mixture_mis(np.reshape(atoms, (1, -1)), [rho], m_order, rng, num_samples)[0])
 
 
+def _sent_samples(atoms, m_order: int, rng: np.random.Generator, num_samples: int):
+    """The received samples of direct_mixture_mi and blocked_mixture_mi and
+    the symbol indices sent: atom indices and CN(0, 1) noise read from rng as
+    mixture_mis reads them, and a uniformly random symbol x per sample from a
+    generator of its own, which turns the sample mixture_mis forms for
+    x_0 = 1, noise included: y = (a + noise) x. Turned noise is still
+    CN(0, 1), so y is a fair draw of the channel with x sent, and the
+    oracles' terms equal the library's up to rounding without leaning on
+    the symmetry that lets the library send x_0 alone."""
+    draw = rng.integers(atoms.size, size=num_samples)
+    noise = (rng.standard_normal(num_samples) + 1j * rng.standard_normal(num_samples)) * math.sqrt(0.5)
+    idx = np.random.default_rng([m_order, num_samples]).integers(m_order, size=num_samples)
+    return (atoms[draw] + noise) * psk_symbols(m_order)[idx], idx
+
+
 def direct_mixture_mi(atoms, rho: float, m_order: int, rng: np.random.Generator, num_samples: int) -> float:
-    """mixture_mi with each log-likelihood exponent taken as the
-    squared distance -|y - a_k x_m|^2 itself; it reads rng the same way."""
+    """mixture_mi with each log-likelihood exponent taken as the squared
+    distance -|y - a_k x_m|^2 itself and each term as log p(y | x) - log p(y)
+    over every symbol, for a random symbol x sent (_sent_samples)."""
     if m_order == 1:
         return 0.0
     atoms = np.sqrt(rho) * np.asarray(atoms, dtype=complex).ravel()
     syms = psk_symbols(m_order)
-    idx = rng.integers(m_order, size=num_samples)
-    draw = rng.integers(atoms.size, size=num_samples)
-    noise = (rng.standard_normal(num_samples) + 1j * rng.standard_normal(num_samples)) * math.sqrt(0.5)
-    y = atoms[draw] * syms[idx] + noise
+    y, idx = _sent_samples(atoms, m_order, rng, num_samples)
     total = 0.0
     chunk = 4096
     log_m = math.log(m_order)
@@ -174,16 +188,15 @@ def direct_mixture_mi(atoms, rho: float, m_order: int, rng: np.random.Generator,
 def blocked_mixture_mi(atoms, rho: float, m_order: int, rng: np.random.Generator, num_samples: int) -> float:
     """mixture_mi as it was before its exponent blocks ran in
     place: 4096-sample blocks of 2 Re(y conj(c)) - |c|^2, each log-sum-exp
-    shifted by its row max on fresh arrays. The same draws, terms and
-    summation slices as the library; its exponents round differently."""
+    shifted by its row max on fresh arrays, and each term log p(y | x) -
+    log p(y) over every symbol, for a random symbol x sent (_sent_samples).
+    The same summation slices as the library; its exponents round
+    differently."""
     if m_order == 1:
         return 0.0
     atoms = np.sqrt(rho) * np.asarray(atoms, dtype=complex).ravel()
     syms = psk_symbols(m_order)
-    idx = rng.integers(m_order, size=num_samples)
-    draw = rng.integers(atoms.size, size=num_samples)
-    noise = (rng.standard_normal(num_samples) + 1j * rng.standard_normal(num_samples)) * math.sqrt(0.5)
-    y = atoms[draw] * syms[idx] + noise
+    y, idx = _sent_samples(atoms, m_order, rng, num_samples)
     c = (syms[:, None] * atoms[None, :]).ravel()
     c_ri = 2 * np.stack([c.real, c.imag])
     c2 = c.real**2 + c.imag**2

@@ -64,12 +64,17 @@ def _entry_case():
 
 
 def test_ser_sweep_entry_checks(monkeypatch):
-    # refused before anything is drawn: a negative received power, and a
-    # noise power of 0 at some point (no RX power to scale it to, or an
-    # underflow at 300 dB); a dead eavesdropper (p_eve = 0) is an erasure
+    # refused before anything is drawn: a negative received power, a noise
+    # power of 0 at some point (no RX power to scale it to, or an underflow
+    # at 300 dB), and one that overflows to inf (at -3090 dB, or at -400 dB
+    # with p_rx = 1e300), with no overflow warning on the way; a dead
+    # eavesdropper (p_eve = 0) is an erasure
     f, rx_dir, eve_dir = _entry_case()
     monkeypatch.setattr(channel_sim, "defense_gains", lambda *args: pytest.fail("drew before checking"))
-    for p_rx, p_eve, snr_dbs in ((-0.1, 1.0, [10.0]), (1.0, -0.1, [10.0]), (0.0, 1.0, [10.0]), (1e-300, 0.0, [0.0, 300.0])):
+    for p_rx, p_eve, snr_dbs in (
+        (-0.1, 1.0, [10.0]), (1.0, -0.1, [10.0]), (0.0, 1.0, [10.0]), (1e-300, 0.0, [0.0, 300.0]),
+        (1.0, 1.0, [10.0, -3090.0]), (1e300, 1.0, [-400.0]),
+    ):
         with pytest.raises(ValueError):
             ser_sweep(f, rx_dir, eve_dir, p_rx, p_eve, snr_dbs, 4, (), 10, 0)
 

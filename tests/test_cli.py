@@ -65,7 +65,7 @@ BAD_CONFIGS = [
     ("ser", "[array]\nn_t = 704\n[attack]\ngrid_g = 2\n[experiment]\nnum_symbols = 256\n", "[experiment] num_symbols"),
     ("smi-sweep", "[experiment]\nmi_samples = 1000000000000\n", "[experiment] mi_samples"),
     # MI estimates that fit the cap at one worker but not at MI_WORKERS
-    ("smi-sweep", "[experiment]\nm_order = 512\nmi_samples = 2000000\n", "[experiment] mi_samples"),
+    ("smi-sweep", "[experiment]\nm_order = 512\nmi_samples = 3000000\n", "[experiment] mi_samples"),
     # an SNR step that cannot move the sweep off -10 dB, and one that moves
     # it through 4e7 points
     ("ser", "[experiment]\nsnr_step_db = 1e-300\n", "[experiment] snr_step_db"),
@@ -277,13 +277,13 @@ class TestConfigFile:
     @pytest.mark.parametrize("cpus", [1, 64])
     def test_size_check_does_not_read_the_host(self, monkeypatch, cpus):
         # On 1 CPU as on 64, the MI size check counts MI_WORKERS workers: the
-        # default config and m_order = 512 pass, and m_order = 512 at 2e6
-        # samples fails (1.04 GB of the 1.07 GB cap at one worker, 1.10 GB at
+        # default config and m_order = 512 pass, and m_order = 512 at 3e6
+        # samples fails (1.05 GB of the 1.07 GB cap at one worker, 1.12 GB at
         # two), as does m_order = 1024
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         ExperimentConfig()
         ExperimentConfig(m_order=512)
-        for fields in ({"m_order": 512, "mi_samples": 2_000_000}, {"m_order": 1024}):
+        for fields in ({"m_order": 512, "mi_samples": 3_000_000}, {"m_order": 1024}):
             with pytest.raises(ConfigError, match=r"^\[experiment\] mi_samples"):
                 ExperimentConfig(**fields)
 

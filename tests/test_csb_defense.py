@@ -601,21 +601,22 @@ def test_mixture_mi_peak_counts_every_worker(monkeypatch, traced_peak, cpus):
 
 
 def test_mixture_mi_peak_stays_below_its_estimate_at_large_m(monkeypatch, traced_peak):
-    # The tightest shape measured: rows of 16 atoms at M = 1024, where the
-    # per-symbol sums and the log-sum-exp temporaries are almost all of the
-    # peak. One float64 row on one worker takes 0.98 of the estimate, and
-    # one row on each of two workers may hold their buffers at once; one
-    # more full-size temporary there would pass the estimate that the
-    # config's size check reads. A float32 row takes about half. In the
-    # mixed stack each part runs a float32 row, then a float64 row, so the
-    # float32 buffers must be gone before the float64 ones are taken.
-    for rhos in ([PEAK_RHOS[0]], [PEAK_RHOS[1]], list(PEAK_RHOS)):
-        for workers in (1, 2):
-            _on_cpus(monkeypatch, workers)
+    # Rows of 16 atoms at M = 1024, where the per-symbol sums are almost all
+    # of the peak. One float64 row on one worker takes 0.35 of the estimate
+    # and a float32 row about half that; one row on each of two workers may
+    # hold their buffers at once. In the mixed stack each part runs a
+    # float32 row, then a float64 row, so the float32 buffers must be gone
+    # before the float64 ones are taken: its peak stays within 10 % of the
+    # float64 rows' alone, where holding both dtypes' takes about 1.5 times.
+    for workers in (1, 2):
+        _on_cpus(monkeypatch, workers)
+        peaks = []
+        for rhos in ([PEAK_RHOS[0]], [PEAK_RHOS[1]], list(PEAK_RHOS)):
             rows = len(rhos) * workers
             atoms = np.exp(1j * np.arange(16)) * np.ones((rows, 1))
-            peak = traced_peak(mixture_mis, atoms, np.array(rhos * workers), 1024, np.random.default_rng(0), 2000)
-            assert peak < mixture_mi_bytes(2000, 1024, 16, rows), (rhos, workers)
+            peaks.append(traced_peak(mixture_mis, atoms, np.array(rhos * workers), 1024, np.random.default_rng(0), 2000))
+            assert peaks[-1] < mixture_mi_bytes(2000, 1024, 16, rows), (rhos, workers)
+        assert peaks[2] < 1.1 * peaks[1], (peaks, workers)
 
 
 def _count_parts(monkeypatch, run=True):
@@ -682,7 +683,7 @@ def _csb_atom_sets():
 @pytest.mark.parametrize("rho", [0.1, 1.0, 10.0])
 @pytest.mark.parametrize("atoms,m", _csb_atom_sets())
 def test_mixture_mi_within_4_se_of_quadrature(atoms, m, rho):
-    draws = _mi_draws(np.random.default_rng(11), m, atoms.size, 20000)
+    draws = _mi_draws(np.random.default_rng(11), atoms.size, 20000)
     peak = rho * np.max(np.abs(atoms) ** 2)
     slices = _mi_term_groups(atoms[None], np.array([rho]), np.array([peak]), m, draws)
     terms = np.concatenate([t[0] for _, t in slices])
@@ -720,7 +721,7 @@ def test_smi_sweep_csb_column_within_4_paired_se_of_quadrature(tmp_path, capsys)
         rhos.append(10 ** (cfg.rx_snr_db / 10) * abs(base / rx_base) ** 2)
     atoms, rhos = np.array(atoms), np.array(rhos)
     assert len(got) == len(eves) and "" not in got  # a 1-bit beam has no null on the grid
-    draws = _mi_draws(np.random.default_rng([0, 101]), m, n, min(cfg.mi_samples, 500))
+    draws = _mi_draws(np.random.default_rng([0, 101]), n, min(cfg.mi_samples, 500))
     terms = [[] for _ in rhos]
     peaks = rhos * np.max(np.abs(atoms) ** 2, axis=1)
     for rows, slice_terms in _mi_term_groups(atoms, rhos, peaks, m, draws):
